@@ -38,7 +38,6 @@ from .model import (
     ForwardTrace,
     ModelDims,
     ModelParams,
-    fuse,
     init_params,
     pack_shared,
     shape_manifest,

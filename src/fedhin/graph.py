@@ -253,12 +253,6 @@ class MetaPathAdjacency:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def row(self, i: int) -> np.ndarray:
-        """Dense adjacency vector of node ``i`` (local index), float64."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"node index {i} out of range 0..{self.n - 1}")
-        return np.asarray(self.matrix.getrow(i).todense(), dtype=np.float64).ravel()
-
 
 def metapath_adjacency(
     graph: HeterogeneousGraph, spec: MetaPathSpec, mode: str = "counts"

@@ -11,19 +11,41 @@ learned per-node preference vector and a shared projection of the
 embedding, softmaxes across paths, and fuses.  A linear classifier head
 with summed cross-entropy closes the objective.
 
-All arithmetic is float64.  ``backward`` returns exact reverse-mode
-gradients of the batch loss with respect to every parameter tensor;
-it is hand-derived for this fixed architecture and verified against
-central finite differences in the test suite.
+A batch of B target nodes is computed at once.  Per meta path, the
+batch's neighbor lists (sampled or whole) are laid end to end in one
+flat ``idx`` array of neighbor ids: batch row b owns
+``idx[indptr[b]:indptr[b + 1]]``, and ``owner`` names the batch row of
+every entry.  Whole lists are sliced straight from the adjacency's CSR
+``indptr``/``indices``.  Node-level attention is then a segment softmax
+(the per-segment max from ``np.maximum.reduceat`` over the non-empty
+segments, the sums from ``np.bincount``), and the neighbor aggregate is
+``C @ H`` with ``C`` the sparse (B, N) matrix of attention coefficients.
+Cosine numerators are read from the (B, N) block ``H[batch] @ H.T``,
+computed a fixed number of rows at a time, so no (entries x d) gather
+over the neighbor lists is ever built.  The meta-path level is
+(B, M, .) array algebra.
+
+``backward`` mirrors the forward pass with scatters that stay correct
+when a neighbor or a batch node repeats: the sparse transposes
+``C.T @ dU`` and ``W.T @ H[batch]``, ``np.bincount`` over neighbor ids
+and ``np.add.at`` over batch rows, then ``dH.T @ A`` for the transform
+weights.  It returns exact reverse-mode gradients of the batch loss with
+respect to every parameter tensor; they are hand-derived for this fixed
+architecture and checked against central finite differences in the test
+suite, as is the forward pass against a per-node reference.
+
+All arithmetic is float64.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import MetaPathAdjacency
 
@@ -59,20 +81,10 @@ ACTIVATIONS = {
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over a 1-D array."""
+    """Numerically stable softmax along the last axis."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
-    """Cosine similarity; returns (value, degenerate) with 0 for zero-norm inputs."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0, True
-    return float(np.dot(a, b) / (na * nb)), False
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 # -- parameters ------------------------------------------------------------
@@ -191,12 +203,75 @@ def unpack_shared(flat: np.ndarray, params: ModelParams) -> ModelParams:
     return params
 
 
+# -- neighbor segments -------------------------------------------------------
+
+# Batch rows per (rows x N) similarity block: bounds the block's memory for
+# any batch size, N and embedding width.
+_BLOCK_ROWS = 256
+
+
+@dataclass(frozen=True)
+class NeighborSegments:
+    """One meta path's neighbor lists for a batch, laid end to end.
+
+    Batch row b owns ``idx[indptr[b]:indptr[b + 1]]``; ``owner[e]`` is the
+    batch row of entry e.  A segment never repeats a neighbor id.
+    """
+
+    idx: np.ndarray     # (E,) neighbor ids
+    indptr: np.ndarray  # (B + 1,) segment offsets
+    owner: np.ndarray   # (E,) batch row of each entry
+
+    @property
+    def n_rows(self) -> int:
+        return self.indptr.size - 1
+
+    def matrix(self, values: np.ndarray, n_cols: int) -> sp.csr_matrix:
+        """The sparse (B, n_cols) matrix holding ``values`` at (owner, idx)."""
+        return sp.csr_matrix((values, self.idx, self.indptr), shape=(self.n_rows, n_cols))
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-segment sums of an (E,) array; 0 for empty segments."""
+        return np.bincount(self.owner, weights=values, minlength=self.n_rows)
+
+    def softmax(self, x: np.ndarray) -> np.ndarray:
+        """Softmax within every segment, shifted by the segment's max."""
+        nonempty = self.indptr[:-1] < self.indptr[1:]
+        peak = np.zeros(self.n_rows)
+        # reduceat reads an empty segment as the single element at its offset
+        peak[nonempty] = np.maximum.reduceat(x, self.indptr[:-1][nonempty])
+        e = np.exp(x - peak[self.owner])
+        return e / self.sums(e)[self.owner]
+
+    def gather(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """``(left @ right.T)[owner, idx]``, one block of ``_BLOCK_ROWS`` rows at a time."""
+        out = np.empty(self.idx.size)
+        for start in range(0, self.n_rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, self.n_rows)
+            lo, hi = self.indptr[start], self.indptr[stop]
+            block = left[start:stop] @ right.T
+            out[lo:hi] = block[self.owner[lo:hi] - start, self.idx[lo:hi]]
+        return out
+
+
 # -- forward trace ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
+class PathTrace:
+    """One meta path's part of a batch forward pass."""
+
+    segments: NeighborSegments  # sampled neighbor lists
+    sims: np.ndarray            # (E,) cosine similarities, 0 where degenerate
+    sim_valid: np.ndarray       # (E,) False where a norm was zero
+    coeffs: np.ndarray          # (E,) node-level attention, a simplex per segment
+    preact: np.ndarray          # (B, d) coefficient-weighted neighbor sums u
+    aggregated: np.ndarray      # (B, d) act(u)
+
+
+@dataclass(frozen=True)
 class NodeTrace:
-    """Everything the backward pass needs for one batch node."""
+    """Read-only per-node view of a batch forward pass."""
 
     index: int
     label: int
@@ -216,21 +291,62 @@ class NodeTrace:
     loss: float
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass
 class ForwardTrace:
-    """Batch forward record: per-node traces plus the shared transformed features."""
+    """Batch forward record: everything ``backward`` needs, as batched arrays."""
 
     params: ModelParams
-    batch: np.ndarray
+    batch: np.ndarray                  # (B,) target node indices
+    labels: np.ndarray                 # (B,) labels, -1 for an unlabeled pass
     transformed: list[np.ndarray]      # per path: (N, d) transformed features H
     norms: list[np.ndarray]            # per path: (N,) row norms of H
-    nodes: list[NodeTrace]
+    paths: list[PathTrace]
+    path_embed: np.ndarray             # (B, M, d)
+    projected: np.ndarray              # (B, M, k)
+    raw_path_scores: np.ndarray        # (B, M)
+    path_score_valid: np.ndarray       # (B, M)
+    path_coeffs: np.ndarray            # (B, M)
+    fused: np.ndarray                  # (B, d)
+    probs: np.ndarray                  # (B, L)
+    losses: np.ndarray                 # (B,) per-node cross-entropy, 0 if unlabeled
     total_loss: float
     zero_norm_events: int = 0
 
-    @property
-    def losses(self) -> np.ndarray:
-        return np.array([n.loss for n in self.nodes])
+    @cached_property
+    def nodes(self) -> tuple[NodeTrace, ...]:
+        """Per-node read-only slices of the batched arrays, in batch order."""
+        views = []
+        for b, i in enumerate(self.batch):
+            spans = [
+                (pt, slice(pt.segments.indptr[b], pt.segments.indptr[b + 1])) for pt in self.paths
+            ]
+            views.append(
+                NodeTrace(
+                    index=int(i),
+                    label=int(self.labels[b]),
+                    samples=[_readonly(pt.segments.idx[s]) for pt, s in spans],
+                    sims=[_readonly(pt.sims[s]) for pt, s in spans],
+                    sim_valid=[_readonly(pt.sim_valid[s]) for pt, s in spans],
+                    coeffs=[_readonly(pt.coeffs[s]) for pt, s in spans],
+                    preact=[_readonly(pt.preact[b]) for pt in self.paths],
+                    aggregated=[_readonly(pt.aggregated[b]) for pt in self.paths],
+                    path_embed=_readonly(self.path_embed[b]),
+                    projected=_readonly(self.projected[b]),
+                    raw_path_scores=_readonly(self.raw_path_scores[b]),
+                    path_score_valid=_readonly(self.path_score_valid[b]),
+                    path_coeffs=_readonly(self.path_coeffs[b]),
+                    fused=_readonly(self.fused[b]),
+                    probs=_readonly(self.probs[b]),
+                    loss=float(self.losses[b]),
+                )
+            )
+        return tuple(views)
 
 
 # -- the model ---------------------------------------------------------------
@@ -239,10 +355,10 @@ class ForwardTrace:
 class AttentionModel:
     """Embedding network bound to a fixed set of meta-path adjacencies.
 
-    The model object holds graph-derived structure only (adjacency
-    matrices and neighbor lists); parameters travel separately so that
-    snapshots can be copied between federated workers.  An instance is
-    meant to be driven by one worker at a time.
+    The model object holds graph-derived structure only (the adjacency
+    matrices); parameters travel separately so that snapshots can be
+    copied between federated workers.  ``forward`` and ``backward`` keep
+    no per-call state on the instance, so workers may share one model.
     """
 
     def __init__(
@@ -268,13 +384,6 @@ class AttentionModel:
         self.matrices = [
             adj.matrix.astype(np.float64).tocsr() for adj in adjacencies
         ]
-        self.neighbor_lists: list[list[np.ndarray]] = []
-        for mat in self.matrices:
-            rows = []
-            for i in range(n):
-                start, stop = mat.indptr[i], mat.indptr[i + 1]
-                rows.append(mat.indices[start:stop].astype(np.int64))
-            self.neighbor_lists.append(rows)
         self.dims = ModelDims(
             n_targets=n,
             n_paths=len(adjacencies),
@@ -286,84 +395,6 @@ class AttentionModel:
         self._act, self._act_grad = ACTIVATIONS[activation]
         self.sample_size = sample_size
 
-    # -- op-level surface (single node, single path) ------------------------
-
-    def transform_features(self, params: ModelParams, path: int, i: int) -> np.ndarray:
-        """Transformed structural feature: wt[path] @ adjacency_row(i)."""
-        row = self.adjacencies[path].row(i)
-        wt = params.wt[path]
-        if wt.shape[1] != row.size:
-            raise ModelError(f"wt_{path} has {wt.shape[1]} columns, adjacency has {row.size}")
-        return wt @ row
-
-    def node_similarity(self, params: ModelParams, path: int, i: int, j: int) -> float:
-        """Cosine similarity of the transformed features of nodes i and j."""
-        value, _ = cosine(
-            self.transform_features(params, path, i),
-            self.transform_features(params, path, j),
-        )
-        return value
-
-    def node_attention(self, params: ModelParams, path: int, i: int) -> dict[int, float]:
-        """Softmax over cosine similarities to all meta-path neighbors of i."""
-        nbrs = self.neighbor_lists[path][i]
-        if nbrs.size == 0:
-            return {}
-        sims = np.array([self.node_similarity(params, path, i, int(j)) for j in nbrs])
-        coeffs = softmax(sims)
-        return {int(j): float(c) for j, c in zip(nbrs, coeffs)}
-
-    def aggregate_neighbors(
-        self,
-        params: ModelParams,
-        path: int,
-        i: int,
-        coeffs: Mapping[int, float],
-        sample_size: int | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        """Activation of the coefficient-weighted sum of sampled neighbor features.
-
-        Coefficients are renormalized over the uniform sample so they stay
-        on the simplex; with no neighbors the result is activation(0).
-        """
-        d = self.dims.embedding_dim
-        ids = np.array(sorted(coeffs), dtype=np.int64)
-        if ids.size and sample_size is not None and rng is not None and ids.size > sample_size:
-            ids = np.sort(rng.choice(ids, size=sample_size, replace=False))
-        if ids.size == 0:
-            return self._act(np.zeros(d))
-        weights = np.array([coeffs[int(j)] for j in ids])
-        weights = weights / weights.sum()
-        feats = np.stack([self.transform_features(params, path, int(j)) for j in ids])
-        return self._act(weights @ feats)
-
-    def metapath_embedding(
-        self, params: ModelParams, path: int, i: int, aggregated: np.ndarray
-    ) -> np.ndarray:
-        """Recombination wc[path] @ concat(aggregated, self feature)."""
-        self_feat = self.transform_features(params, path, i)
-        stacked = np.concatenate([aggregated, self_feat])
-        wc = params.wc[path]
-        if wc.shape[1] != stacked.size:
-            raise ModelError(f"wc_{path} has {wc.shape[1]} columns, concat vector has {stacked.size}")
-        return wc @ stacked
-
-    def metapath_attention(
-        self, params: ModelParams, i: int, embeddings: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        """Softmax over cosines between node i's preference vector and the
-        projected per-path embeddings."""
-        if len(embeddings) < 1:
-            raise ModelError("need at least one meta-path embedding")
-        scores = []
-        for emb in embeddings:
-            value, _ = cosine(params.pref[i], params.wp @ emb)
-            scores.append(value)
-        return softmax(np.array(scores))
-
-    # -- batch forward/backward ---------------------------------------------
-
     def _transformed_all(self, params: ModelParams) -> tuple[list[np.ndarray], list[np.ndarray]]:
         transformed, norms = [], []
         for p, mat in enumerate(self.matrices):
@@ -371,6 +402,49 @@ class AttentionModel:
             transformed.append(np.asarray(h))
             norms.append(np.linalg.norm(h, axis=1))
         return transformed, norms
+
+    def _neighbor_segments(
+        self, batch: np.ndarray, rng: np.random.Generator | None
+    ) -> list[NeighborSegments]:
+        """Per path, the batch's neighbor lists; lists longer than
+        ``sample_size`` are replaced by a sorted uniform sample."""
+        sampling = rng is not None and self.sample_size is not None
+        layouts, starts, degrees = [], [], []
+        for mat in self.matrices:
+            start = mat.indptr[batch]
+            degree = mat.indptr[batch + 1] - start
+            counts = np.minimum(degree, self.sample_size) if sampling else degree
+            # segment offsets share the CSR index dtype, so sparse matrices
+            # over the layout are built without conversion
+            indptr = np.zeros(batch.size + 1, dtype=mat.indices.dtype)
+            np.cumsum(counts, out=indptr[1:])
+            owner = np.repeat(np.arange(batch.size), counts)
+            # a sampled segment starts as the head of its list and is overwritten below
+            offsets = start[owner] + np.arange(indptr[-1]) - indptr[owner]
+            idx = mat.indices[offsets]
+            layouts.append(NeighborSegments(idx=idx, indptr=indptr, owner=owner))
+            starts.append(start)
+            degrees.append(degree)
+        if sampling:
+            # one draw per oversized list, node-major and path-minor: the
+            # order of a node-by-node pass, so seeded runs draw the same
+            # samples.  choice(n) picks the positions choice(list) picks for a
+            # list of length n.
+            size = self.sample_size
+            oversized = np.argwhere(np.stack(degrees, axis=1) > size)
+            n_listed = [degree.tolist() for degree in degrees]
+            picks = [
+                rng.choice(n_listed[p][b], size=size, replace=False)
+                for b, p in oversized.tolist()
+            ]
+            if picks:
+                picks = np.array(picks)
+                for p, (mat, seg) in enumerate(zip(self.matrices, layouts)):
+                    mine = oversized[:, 1] == p
+                    rows = oversized[mine, 0]
+                    sample = mat.indices[starts[p][rows][:, None] + picks[mine]]
+                    seg.idx[seg.indptr[rows][:, None] + np.arange(size)] = np.sort(sample, axis=1)
+        return layouts
 
     def forward(
         self,
@@ -387,102 +461,78 @@ class AttentionModel:
         """
         dims = self.dims
         batch = np.asarray(batch, dtype=np.int64)
-        transformed, norms = self._transformed_all(params)
-        zero_events = 0
-        node_traces: list[NodeTrace] = []
-        loss_terms: list[float] = []
-
-        for i in batch:
-            i = int(i)
-            samples, sims_list, valid_list, coeff_list = [], [], [], []
-            preact_list, agg_list = [], []
-            path_embed = np.empty((dims.n_paths, dims.embedding_dim))
-            for p in range(dims.n_paths):
-                h = transformed[p]
-                hi = h[i]
-                ni = norms[p][i]
-                nbrs = self.neighbor_lists[p][i]
-                if (
-                    rng is not None
-                    and self.sample_size is not None
-                    and nbrs.size > self.sample_size
-                ):
-                    nbrs = np.sort(rng.choice(nbrs, size=self.sample_size, replace=False))
-                if nbrs.size:
-                    hn = h[nbrs]
-                    denom = ni * norms[p][nbrs]
-                    valid = denom > 0.0
-                    sims = np.zeros(nbrs.size)
-                    sims[valid] = (hn[valid] @ hi) / denom[valid]
-                    zero_events += int((~valid).sum())
-                    coeffs = softmax(sims)
-                    u = coeffs @ hn
-                else:
-                    sims = np.empty(0)
-                    valid = np.empty(0, dtype=bool)
-                    coeffs = np.empty(0)
-                    u = np.zeros(dims.embedding_dim)
-                a = self._act(u)
-                samples.append(nbrs)
-                sims_list.append(sims)
-                valid_list.append(valid)
-                coeff_list.append(coeffs)
-                preact_list.append(u)
-                agg_list.append(a)
-                path_embed[p] = params.wc[p] @ np.concatenate([a, hi])
-
-            projected = path_embed @ params.wp.T  # (M, k)
-            pref_i = params.pref[i]
-            pref_norm = np.linalg.norm(pref_i)
-            proj_norms = np.linalg.norm(projected, axis=1)
-            score_valid = (proj_norms > 0.0) & (pref_norm > 0.0)
-            raw_scores = np.zeros(dims.n_paths)
-            raw_scores[score_valid] = (projected[score_valid] @ pref_i) / (
-                pref_norm * proj_norms[score_valid]
-            )
-            zero_events += int((~score_valid).sum())
-            path_coeffs = softmax(raw_scores)
-            fused = path_coeffs @ path_embed
-            logits = params.wo @ fused
-            probs = softmax(logits)
-
-            label = -1
-            node_loss = 0.0
-            if labels is not None:
-                label = int(labels[i])
-                if label < 0:
-                    raise ModelError(f"node {i} has no label; cannot contribute to the loss")
-                node_loss = -math.log(max(probs[label], np.finfo(np.float64).tiny))
-                loss_terms.append(node_loss)
-
-            node_traces.append(
-                NodeTrace(
-                    index=i,
-                    label=label,
-                    samples=samples,
-                    sims=sims_list,
-                    sim_valid=valid_list,
-                    coeffs=coeff_list,
-                    preact=preact_list,
-                    aggregated=agg_list,
-                    path_embed=path_embed,
-                    projected=projected,
-                    raw_path_scores=raw_scores,
-                    path_score_valid=score_valid,
-                    path_coeffs=path_coeffs,
-                    fused=fused,
-                    probs=probs,
-                    loss=node_loss,
+        n_batch, n_paths = batch.size, dims.n_paths
+        node_labels = np.full(n_batch, -1, dtype=np.int64)
+        if labels is not None:
+            node_labels = np.asarray(labels, dtype=np.int64)[batch]
+            missing = np.flatnonzero(node_labels < 0)
+            if missing.size:
+                raise ModelError(
+                    f"node {batch[missing[0]]} has no label; cannot contribute to the loss"
                 )
+
+        transformed, norms = self._transformed_all(params)
+        segments = self._neighbor_segments(batch, rng)
+        zero_events = 0
+
+        # node level, one meta path at a time
+        paths = []
+        path_embed = np.empty((n_batch, n_paths, dims.embedding_dim))
+        for p, seg in enumerate(segments):
+            h, norm = transformed[p], norms[p]
+            hb = h[batch]
+            denom = norm[batch][seg.owner] * norm[seg.idx]
+            valid = denom > 0.0
+            sims = np.zeros(seg.idx.size)
+            sims[valid] = seg.gather(hb, h)[valid] / denom[valid]
+            zero_events += int((~valid).sum())
+            coeffs = seg.softmax(sims)
+            u = seg.matrix(coeffs, dims.n_targets) @ h
+            a = self._act(u)
+            path_embed[:, p] = np.concatenate([a, hb], axis=1) @ params.wc[p].T
+            paths.append(
+                PathTrace(segments=seg, sims=sims, sim_valid=valid, coeffs=coeffs,
+                          preact=u, aggregated=a)
             )
 
-        total = math.fsum(loss_terms) if loss_terms else 0.0
+        # meta-path level: cosine against the node's preference vector
+        projected = (path_embed.reshape(-1, dims.embedding_dim) @ params.wp.T).reshape(
+            n_batch, n_paths, dims.preference_dim
+        )
+        pref = params.pref[batch]
+        pref_norm = np.linalg.norm(pref, axis=1)
+        proj_norms = np.linalg.norm(projected, axis=2)
+        score_valid = (proj_norms > 0.0) & (pref_norm[:, None] > 0.0)
+        raw_scores = np.zeros((n_batch, n_paths))
+        dots = np.einsum("bmk,bk->bm", projected, pref)
+        raw_scores[score_valid] = dots[score_valid] / (pref_norm[:, None] * proj_norms)[score_valid]
+        zero_events += int((~score_valid).sum())
+        path_coeffs = softmax(raw_scores)
+        fused = np.einsum("bm,bmd->bd", path_coeffs, path_embed)
+        probs = softmax(fused @ params.wo.T)
+
+        losses = np.zeros(n_batch)
+        total = 0.0
+        if labels is not None:
+            picked = probs[np.arange(n_batch), node_labels]
+            losses = -np.log(np.maximum(picked, np.finfo(np.float64).tiny))
+            total = math.fsum(losses)
+
         return ForwardTrace(
             params=params,
             batch=batch,
+            labels=node_labels,
             transformed=transformed,
             norms=norms,
-            nodes=node_traces,
+            paths=paths,
+            path_embed=path_embed,
+            projected=projected,
+            raw_path_scores=raw_scores,
+            path_score_valid=score_valid,
+            path_coeffs=path_coeffs,
+            fused=fused,
+            probs=probs,
+            losses=losses,
             total_loss=total,
             zero_norm_events=zero_events,
         )
@@ -502,86 +552,73 @@ class AttentionModel:
         """Exact gradients of the traced batch loss w.r.t. every parameter tensor."""
         params = trace.params
         dims = self.dims
+        d, k, n = dims.embedding_dim, dims.preference_dim, dims.n_targets
+        batch = trace.batch
         grads = params.zeros_like()
-        d_transformed = [np.zeros((dims.n_targets, dims.embedding_dim)) for _ in range(dims.n_paths)]
 
-        for node in trace.nodes:
-            if node.label < 0:
-                continue
-            i = node.index
-            # classifier head: d loss / d logits = probs - onehot
-            dlogits = node.probs.copy()
-            dlogits[node.label] -= 1.0
-            grads.wo += np.outer(dlogits, node.fused)
-            dfused = params.wo.T @ dlogits
+        # classifier head: d loss / d logits = probs - onehot (0 when unlabeled)
+        labeled = np.flatnonzero(trace.labels >= 0)
+        dlogits = np.zeros_like(trace.probs)
+        dlogits[labeled] = trace.probs[labeled]
+        dlogits[labeled, trace.labels[labeled]] -= 1.0
+        grads.wo = dlogits.T @ trace.fused
+        dfused = dlogits @ params.wo                                       # (B, d)
 
-            # fuse: e = sum_p delta_p e_p
-            dpath_coeffs = node.path_embed @ dfused           # (M,)
-            dpath_embed = np.outer(node.path_coeffs, dfused)  # (M, d)
+        # fuse: e = sum_p delta_p e_p
+        pc = trace.path_coeffs
+        dpath_coeffs = np.einsum("bmd,bd->bm", trace.path_embed, dfused)  # (B, M)
+        dpath_embed = pc[:, :, None] * dfused[:, None, :]                  # (B, M, d)
 
-            # softmax across meta paths
-            pc = node.path_coeffs
-            draw = pc * (dpath_coeffs - float(pc @ dpath_coeffs))
+        # softmax across meta paths; degenerate cosines are constants
+        draw = pc * (dpath_coeffs - (pc * dpath_coeffs).sum(axis=1, keepdims=True))
+        valid = trace.path_score_valid
+        draw = np.where(valid, draw, 0.0)
 
-            # cosine(pref_i, wp @ e_p); degenerate scores are constants
-            pref_i = params.pref[i]
-            pref_norm = float(np.linalg.norm(pref_i))
-            dprojected = np.zeros_like(node.projected)
-            for p in range(dims.n_paths):
-                if not node.path_score_valid[p] or draw[p] == 0.0:
-                    continue
-                f = node.projected[p]
-                nf = float(np.linalg.norm(f))
-                cos_v = node.raw_path_scores[p]
-                scale = pref_norm * nf
-                grads.pref[i] += draw[p] * (f / scale - cos_v * pref_i / pref_norm**2)
-                dprojected[p] = draw[p] * (pref_i / scale - cos_v * f / nf**2)
+        # cosine(pref_i, f_p) with f_p = wp @ e_p
+        pref = params.pref[batch]
+        f = trace.projected
+        cos = trace.raw_path_scores
+        pref_norm = np.linalg.norm(pref, axis=1)
+        pref_norm = np.where(pref_norm > 0.0, pref_norm, 1.0)[:, None]    # (B, 1)
+        f_norm = np.where(valid, np.linalg.norm(f, axis=2), 1.0)           # (B, M)
+        w = draw / (pref_norm * f_norm)
+        dpref = np.einsum("bm,bmk->bk", w, f)
+        dpref -= (draw * cos).sum(axis=1)[:, None] * pref / pref_norm**2
+        np.add.at(grads.pref, batch, dpref)
+        dprojected = w[:, :, None] * pref[:, None, :] - (draw * cos / f_norm**2)[:, :, None] * f
+        grads.wp = dprojected.reshape(-1, k).T @ trace.path_embed.reshape(-1, d)
+        dpath_embed += dprojected @ params.wp
 
-            # projection f_p = wp @ e_p
-            grads.wp += dprojected.T @ node.path_embed
-            dpath_embed += dprojected @ params.wp
+        for p, pt in enumerate(trace.paths):
+            seg = pt.segments
+            h, norm = trace.transformed[p], trace.norms[p]
+            hb = h[batch]
+            de = dpath_embed[:, p]
+            # e_p = wc @ concat(a, hi)
+            grads.wc[p] = de.T @ np.concatenate([pt.aggregated, hb], axis=1)
+            dstacked = de @ params.wc[p]
+            dhb = dstacked[:, d:]
+            # a = act(u), u = C @ H
+            du = dstacked[:, :d] * self._act_grad(pt.preact)
+            dh = np.asarray(seg.matrix(pt.coeffs, n).T @ du)
 
-            for p in range(dims.n_paths):
-                h = trace.transformed[p]
-                hi = h[i]
-                de_p = dpath_embed[p]
-                # e_p = wc @ concat(a, hi)
-                stacked = np.concatenate([node.aggregated[p], hi])
-                grads.wc[p] += np.outer(de_p, stacked)
-                dstacked = params.wc[p].T @ de_p
-                da = dstacked[: dims.embedding_dim]
-                dhi = dstacked[dims.embedding_dim :].copy()
+            # coeffs = segment softmax(sims)
+            dcoeffs = seg.gather(du, h)
+            dsims = pt.coeffs * (dcoeffs - seg.sums(pt.coeffs * dcoeffs)[seg.owner])
+            dsims = np.where(pt.sim_valid, dsims, 0.0)
 
-                # a = act(u)
-                du = da * self._act_grad(node.preact[p])
+            # d cos(hi, hj) / d hi and / d hj; degenerate cosines are constants
+            nb = norm[batch]
+            nn = np.where(pt.sim_valid, norm[seg.idx], 1.0)
+            wmat = seg.matrix(dsims / np.where(pt.sim_valid, nb[seg.owner] * nn, 1.0), n)
+            nb = np.where(nb > 0.0, nb, 1.0)
+            dhb = dhb + wmat @ h - (seg.sums(dsims * pt.sims) / nb**2)[:, None] * hb
+            dh += wmat.T @ hb
+            dh -= np.bincount(seg.idx, weights=dsims * pt.sims / nn**2, minlength=n)[:, None] * h
+            np.add.at(dh, batch, dhb)
 
-                nbrs = node.samples[p]
-                if nbrs.size:
-                    hn = h[nbrs]
-                    coeffs = node.coeffs[p]
-                    # u = coeffs @ hn
-                    dcoeffs = hn @ du
-                    d_transformed[p][nbrs] += np.outer(coeffs, du)
-                    # coeffs = softmax(sims)
-                    dsims = coeffs * (dcoeffs - float(coeffs @ dcoeffs))
-                    dsims = np.where(node.sim_valid[p], dsims, 0.0)
-                    if np.any(dsims):
-                        ni = trace.norms[p][i]
-                        nn = trace.norms[p][nbrs]
-                        denom = ni * nn
-                        safe = np.where(node.sim_valid[p], denom, 1.0)
-                        w = dsims / safe
-                        sims = node.sims[p]
-                        # d cos(hi, hj) / d hi and / d hj
-                        dhi += w @ hn - (float(np.dot(dsims, sims)) / ni**2) * hi
-                        d_transformed[p][nbrs] += np.outer(w, hi) - (
-                            hn * (dsims * sims / np.where(node.sim_valid[p], nn**2, 1.0))[:, None]
-                        )
-                d_transformed[p][i] += dhi
-
-        # h = A @ wt.T, so d wt = dH.T @ A
-        for p in range(dims.n_paths):
-            grads.wt[p] = np.asarray((self.matrices[p].T @ d_transformed[p]).T)
+            # h = A @ wt.T, so d wt = dH.T @ A
+            grads.wt[p] = np.asarray((self.matrices[p].T @ dh).T)
         return grads
 
     # -- inference helpers ----------------------------------------------------
@@ -590,19 +627,8 @@ class AttentionModel:
         """Fused embeddings (deterministic, no sampling) for the given nodes."""
         if nodes is None:
             nodes = np.arange(self.dims.n_targets)
-        trace = self.forward(params, nodes, labels=None, rng=None)
-        return np.stack([n.fused for n in trace.nodes])
+        return self.forward(params, nodes, labels=None, rng=None).fused
 
     def predict_proba(self, params: ModelParams, nodes: Sequence[int]) -> np.ndarray:
         """Class probabilities for the given nodes (deterministic pass)."""
-        trace = self.forward(params, nodes, labels=None, rng=None)
-        return np.stack([n.probs for n in trace.nodes])
-
-
-def fuse(embeddings: Sequence[np.ndarray], coeffs: Sequence[float]) -> np.ndarray:
-    """Convex combination of per-path embeddings with simplex coefficients."""
-    emb = np.stack(embeddings)
-    c = np.asarray(coeffs, dtype=np.float64)
-    if emb.shape[0] != c.size:
-        raise ModelError(f"{emb.shape[0]} embeddings but {c.size} coefficients")
-    return c @ emb
+        return self.forward(params, nodes, labels=None, rng=None).probs

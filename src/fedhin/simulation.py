@@ -9,7 +9,9 @@ makes version gaps (and the staleness discount) actually occur.
 
 A free-running concurrent mode drives the same server from one thread
 per client; arrival order is then real, so runs are reproducible only in
-expectation.
+expectation.  In both modes a client whose training goes non-finite
+aborts the run with ``TrainingDiverged``, and any other failure of a
+client thread reaches the caller as ``SimulationError``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -27,6 +30,7 @@ from .evaluation import EvalSplit, evaluate, make_split
 from .federation import ClientUpdate, FederatedClient, ParameterServer
 from .graph import HeterogeneousGraph, MetaPathSpec, metapath_adjacency
 from .model import AttentionModel, ModelParams, init_params, pack_shared, unpack_shared
+from .optim import NonFiniteGradient
 
 
 class SimulationError(Exception):
@@ -34,11 +38,39 @@ class SimulationError(Exception):
 
 
 class TrainingDiverged(SimulationError):
-    """A client produced a non-finite loss; carries a diagnostic checkpoint path."""
+    """A client produced a non-finite loss or gradient; carries a diagnostic
+    checkpoint path."""
 
     def __init__(self, message: str, checkpoint_path=None):
         super().__init__(message)
         self.checkpoint_path = checkpoint_path
+
+
+def _diverged(
+    message: str, client: FederatedClient, round_: int, diagnostics_dir
+) -> TrainingDiverged:
+    """The abort error for a diverged client; when ``diagnostics_dir`` is
+    set, the client's parameters are checkpointed there first."""
+    checkpoint_path = None
+    if diagnostics_dir is not None:
+        from .storage import save_checkpoint
+
+        checkpoint_path = Path(diagnostics_dir) / f"diverged_round{round_}.npz"
+        save_checkpoint(checkpoint_path, client.params, allow_non_finite=True)
+        message = f"{message}; parameters saved to {checkpoint_path}"
+    return TrainingDiverged(message, checkpoint_path=checkpoint_path)
+
+
+def _train_round(
+    client: FederatedClient, config: ExperimentConfig, tick: int, diagnostics_dir, submit=None
+) -> ClientUpdate:
+    """One local round of ``client``; a non-finite gradient aborts the run."""
+    try:
+        return client.run_round(None, config.local_epochs, config.batch_size, submit=submit)
+    except NonFiniteGradient as exc:
+        raise _diverged(
+            f"client {client.client_id}: {exc} at round {tick}", client, tick, diagnostics_dir
+        ) from exc
 
 
 # -- partitioning -------------------------------------------------------------
@@ -392,7 +424,7 @@ def run_experiment(
     if setup is None:
         setup = build_experiment(config, graph)
     if config.scheduling == "concurrent":
-        yield from _run_concurrent(config, setup)
+        yield from _run_concurrent(config, setup, diagnostics_dir)
         return
 
     model, server, clients = setup.model, setup.server, setup.clients
@@ -426,16 +458,14 @@ def run_experiment(
                                 other.install(decision.payload)
                     return decision.payload
 
-                client.run_round(
-                    None, config.local_epochs, config.batch_size, submit=per_batch_submit
-                )
+                _train_round(client, config, tick, diagnostics_dir, submit=per_batch_submit)
                 loss_sum += client.last_loss_sum
                 examples += client.last_examples
         else:
             # all due clients train and upload before any aggregation
             updates = []
             for client in due:
-                update = client.run_round(None, config.local_epochs, config.batch_size)
+                update = _train_round(client, config, tick, diagnostics_dir)
                 loss_sum += client.last_loss_sum
                 examples += client.last_examples
                 updates.append(update)
@@ -460,18 +490,8 @@ def run_experiment(
                     clients[decision.client_id].install(decision.payload)
 
         if examples and not math.isfinite(loss_sum):
-            checkpoint_path = None
-            if diagnostics_dir is not None:
-                from pathlib import Path
-
-                from .storage import save_checkpoint
-
-                bad = max(due, key=lambda c: 0.0 if math.isfinite(c.last_loss_sum) else 1.0)
-                checkpoint_path = Path(diagnostics_dir) / f"diverged_round{tick}.npz"
-                save_checkpoint(checkpoint_path, bad.params, allow_non_finite=True)
-            raise TrainingDiverged(
-                f"non-finite training loss at round {tick}", checkpoint_path=checkpoint_path
-            )
+            bad = max(due, key=lambda c: 0.0 if math.isfinite(c.last_loss_sum) else 1.0)
+            raise _diverged(f"non-finite training loss at round {tick}", bad, tick, diagnostics_dir)
 
         unpack_shared(server.current_aggregate(), eval_params)
         micro, macro = evaluate(model, eval_params, setup.labels, setup.split)
@@ -492,34 +512,50 @@ def run_experiment_list(
     return list(run_experiment(config, graph, setup=setup))
 
 
-def _run_concurrent(config: ExperimentConfig, setup: ExperimentSetup) -> Iterator[RoundMetrics]:
+def _run_concurrent(
+    config: ExperimentConfig, setup: ExperimentSetup, diagnostics_dir=None
+) -> Iterator[RoundMetrics]:
     """Free-running mode: one thread per client, server calls serialized by a lock.
 
     Broadcast payloads reach other clients through per-client mailboxes,
     applied between local rounds, so parameter tensors are never written
-    while another thread trains on them.
+    while another thread trains on them.  The first failure of a client
+    thread stops the others before their next round and is raised here
+    once all threads have ended.
     """
     model, server, clients = setup.model, setup.server, setup.clients
     lock = threading.Lock()
     mailbox: dict[int, np.ndarray] = {}
+    failures: list[tuple[FederatedClient, int, Exception]] = []
+    stop = threading.Event()
     start = time.perf_counter()
     speeds = config.speeds()
 
     def client_loop(client: FederatedClient):
         n_rounds = config.rounds // speeds[client.client_id]
-        for _ in range(n_rounds):
+        round_ = 0
+        try:
+            for round_ in range(1, n_rounds + 1):
+                if stop.is_set():
+                    return
+                with lock:
+                    pending = mailbox.pop(client.client_id, None)
+                if pending is not None:
+                    client.install(pending)
+                update = client.run_round(None, config.local_epochs, config.batch_size)
+                if not math.isfinite(client.last_loss_sum):
+                    raise TrainingDiverged("non-finite training loss")
+                with lock:
+                    decision = server.handle(update)
+                    if decision.is_broadcast:
+                        for other in clients:
+                            if other is not client:
+                                mailbox[other.client_id] = decision.payload
+                client.install(decision.payload)
+        except Exception as exc:  # handed to the caller after join
             with lock:
-                pending = mailbox.pop(client.client_id, None)
-            if pending is not None:
-                client.install(pending)
-            update = client.run_round(None, config.local_epochs, config.batch_size)
-            with lock:
-                decision = server.handle(update)
-                if decision.is_broadcast:
-                    for other in clients:
-                        if other is not client:
-                            mailbox[other.client_id] = decision.payload
-            client.install(decision.payload)
+                failures.append((client, round_, exc))
+            stop.set()
 
     micro, macro = evaluate(model, setup.initial_params, setup.labels, setup.split)
     yield RoundMetrics(
@@ -536,6 +572,14 @@ def _run_concurrent(config: ExperimentConfig, setup: ExperimentSetup) -> Iterato
         t.start()
     for t in threads:
         t.join()
+    if failures:
+        client, round_, exc = failures[0]
+        if isinstance(exc, (NonFiniteGradient, TrainingDiverged)):
+            raise _diverged(
+                f"client {client.client_id}: {exc} in its round {round_}",
+                client, round_, diagnostics_dir,
+            ) from exc
+        raise SimulationError(f"client {client.client_id} failed: {exc!r}") from exc
 
     eval_params = setup.initial_params.copy()
     unpack_shared(server.current_aggregate(), eval_params)

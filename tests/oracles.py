@@ -11,8 +11,9 @@ import math
 from collections import defaultdict
 
 import numpy as np
+import scipy.sparse as sp
 
-from fedhin.graph import HeterogeneousGraph
+from fedhin.graph import HeterogeneousGraph, MetaPathAdjacency, MetaPathSpec, metapath_adjacency
 
 
 def enumerate_typed_walks(graph: HeterogeneousGraph, type_sequence) -> np.ndarray:
@@ -148,3 +149,170 @@ def f1_by_confusion(predictions, truths, n_labels) -> tuple[float, float]:
     micro_denom = 2 * tp_total + fp_total + fn_total
     micro = 2 * tp_total / micro_denom if micro_denom else 0.0
     return micro, sum(per_class) / n_labels
+
+
+# -- per-node reference of the attention model ----------------------------------
+#
+# One target node and one meta path at a time, straight from the dense
+# adjacency row.  Only the model's structure (adjacencies, dimensions,
+# activation, sample size) and the parameter tensors are read from the
+# package.
+
+
+def _activate(name, x):
+    if name == "relu":
+        return np.maximum(x, 0.0)
+    if name == "elu":
+        return np.where(x > 0, x, np.expm1(x))
+    return x
+
+
+def _softmax(values):
+    values = np.asarray(values, dtype=np.float64)
+    e = np.exp(values - values.max())
+    return e / e.sum()
+
+
+def adjacency_row(adjacency, i: int) -> np.ndarray:
+    """Dense float64 adjacency vector of node ``i`` (local index)."""
+    return np.asarray(adjacency.matrix.getrow(i).todense(), dtype=np.float64).ravel()
+
+
+def neighbors(model, path: int, i: int) -> np.ndarray:
+    """Meta-path neighbors of ``i`` in ascending id order."""
+    return np.flatnonzero(adjacency_row(model.adjacencies[path], i))
+
+
+def cosine(a, b) -> tuple[float, bool]:
+    """Cosine similarity; returns (value, degenerate) with 0 for zero-norm inputs."""
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0, True
+    return float(np.dot(a, b) / (na * nb)), False
+
+
+def transform_features(model, params, path: int, i: int) -> np.ndarray:
+    """Transformed structural feature: wt[path] @ adjacency_row(i)."""
+    return params.wt[path] @ adjacency_row(model.adjacencies[path], i)
+
+
+def node_similarity(model, params, path: int, i: int, j: int) -> float:
+    """Cosine similarity of the transformed features of nodes i and j."""
+    value, _ = cosine(
+        transform_features(model, params, path, i), transform_features(model, params, path, j)
+    )
+    return value
+
+
+def node_attention(model, params, path: int, i: int, ids=None) -> dict[int, float]:
+    """Softmax over cosine similarities to the neighbors ``ids`` of i (default: all)."""
+    ids = neighbors(model, path, i) if ids is None else ids
+    if len(ids) == 0:
+        return {}
+    sims = [node_similarity(model, params, path, i, int(j)) for j in ids]
+    return {int(j): float(c) for j, c in zip(ids, _softmax(sims))}
+
+
+def aggregate_neighbors(model, params, path: int, i: int, coeffs, sample_size=None, rng=None):
+    """Activation of the coefficient-weighted sum of sampled neighbor features.
+
+    Coefficients are renormalized over the uniform sample so they stay on
+    the simplex; with no neighbors the result is activation(0).
+    """
+    ids = np.array(sorted(coeffs), dtype=np.int64)
+    if ids.size and sample_size is not None and rng is not None and ids.size > sample_size:
+        ids = np.sort(rng.choice(ids, size=sample_size, replace=False))
+    if ids.size == 0:
+        return _activate(model.activation, np.zeros(model.dims.embedding_dim))
+    weights = np.array([coeffs[int(j)] for j in ids])
+    weights = weights / weights.sum()
+    feats = np.stack([transform_features(model, params, path, int(j)) for j in ids])
+    return _activate(model.activation, weights @ feats)
+
+
+def metapath_embedding(model, params, path: int, i: int, aggregated) -> np.ndarray:
+    """Recombination wc[path] @ concat(aggregated, self feature)."""
+    self_feat = transform_features(model, params, path, i)
+    return params.wc[path] @ np.concatenate([aggregated, self_feat])
+
+
+def metapath_attention(params, i: int, embeddings) -> np.ndarray:
+    """Softmax over cosines between node i's preference vector and the
+    projected per-path embeddings."""
+    return _softmax([cosine(params.pref[i], params.wp @ e)[0] for e in embeddings])
+
+
+def fuse(embeddings, coeffs) -> np.ndarray:
+    """Convex combination of per-path embeddings with simplex coefficients."""
+    emb = np.stack(embeddings)
+    c = np.asarray(coeffs, dtype=np.float64)
+    if emb.shape[0] != c.size:
+        raise ValueError(f"{emb.shape[0]} embeddings but {c.size} coefficients")
+    return c @ emb
+
+
+def reference_forward(model, params, batch, labels=None, rng=None) -> list[dict]:
+    """The whole two-level pass, composed node by node from the ops above.
+
+    Sampling draws one ``rng.choice`` per neighbor list longer than the
+    model's sample size, node-major and path-minor.  Returns one dict per
+    batch node with its sampled neighbors, sims, coeffs, path coeffs,
+    fused embedding, probabilities, loss and count of degenerate cosines.
+    """
+    sample_size = model.sample_size if rng is not None else None
+    out = []
+    for i in batch:
+        i = int(i)
+        node = {"samples": [], "sims": [], "coeffs": [], "embeddings": [], "zero_norm_events": 0}
+        for p in range(model.dims.n_paths):
+            ids = neighbors(model, p, i)
+            if sample_size is not None and ids.size > sample_size:
+                ids = np.sort(rng.choice(ids, size=sample_size, replace=False))
+            coeffs = node_attention(model, params, p, i, ids)
+            own = transform_features(model, params, p, i)
+            sims = [cosine(own, transform_features(model, params, p, int(j))) for j in ids]
+            node["zero_norm_events"] += sum(degenerate for _, degenerate in sims)
+            node["samples"].append(ids)
+            node["sims"].append(np.array([value for value, _ in sims]))
+            node["coeffs"].append(np.array([coeffs[int(j)] for j in ids]))
+            aggregated = aggregate_neighbors(model, params, p, i, coeffs)
+            node["embeddings"].append(metapath_embedding(model, params, p, i, aggregated))
+        node["path_coeffs"] = metapath_attention(params, i, node["embeddings"])
+        node["zero_norm_events"] += sum(
+            cosine(params.pref[i], params.wp @ e)[1] for e in node["embeddings"]
+        )
+        node["fused"] = fuse(node["embeddings"], node["path_coeffs"])
+        node["probs"] = _softmax(params.wo @ node["fused"])
+        node["loss"] = 0.0 if labels is None else -math.log(node["probs"][labels[i]])
+        out.append(node)
+    return out
+
+
+def edge_case_adjacencies(rng: np.random.Generator, codes=("APA", "APPA")) -> list:
+    """Meta-path adjacencies of a random graph with every awkward case planted.
+
+    In each path: author 0 is isolated (empty neighbor list, zero
+    feature); author 1 has no neighbors of its own but is a neighbor of
+    author 2, so 2 sees a zero-norm neighbor; author 3 is its own
+    neighbor (a self loop, which ``metapath_adjacency`` never emits).
+    """
+    while True:
+        graph = random_hin(rng)
+        if len(graph.nodes_of_type("author")) >= 6:
+            break
+    out = []
+    for code in codes:
+        adj = metapath_adjacency(graph, MetaPathSpec.from_string(code))
+        dense = adj.matrix.toarray()
+        dense[0, :] = dense[:, 0] = 0
+        dense[1, :] = 0
+        dense[2, 1] = 1
+        dense[3, 3] = 2
+        out.append(
+            MetaPathAdjacency(
+                metapath=adj.metapath, matrix=sp.csr_matrix(dense), mode=adj.mode,
+                node_ids=adj.node_ids,
+            )
+        )
+    return out

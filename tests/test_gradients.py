@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from fedhin.graph import MetaPathAdjacency, MetaPathSpec
 from fedhin.model import AttentionModel, init_params
 
-from oracles import finite_difference, random_hin, relative_error
+from oracles import edge_case_adjacencies, finite_difference, random_hin, relative_error
 
 
 def check_all_tensors(model, params, labels, batch, coords=20, seed=0, tol=1e-4, rng_factory=None):
@@ -89,6 +89,27 @@ class TestBackward:
             labels,
             np.arange(5),
             rng_factory=lambda: np.random.default_rng(99),
+        )
+
+    @pytest.mark.parametrize("sample_size", [None, 2])
+    def test_matches_finite_differences_on_planted_edge_cases(self, sample_size):
+        # isolated node 0, zero-norm neighbor of 2, self loop at 3, node 3 twice
+        model = AttentionModel(
+            edge_case_adjacencies(np.random.default_rng(4)),
+            n_labels=3,
+            embedding_dim=4,
+            preference_dim=3,
+            activation="elu",
+            sample_size=sample_size,
+        )
+        params = init_params(model.dims, np.random.default_rng(6))
+        labels = np.random.default_rng(7).integers(0, 3, size=model.dims.n_targets)
+        check_all_tensors(
+            model,
+            params,
+            labels,
+            np.array([3, 0, 2, 1, 3, 4, 5]),
+            rng_factory=lambda: np.random.default_rng(17),
         )
 
     def test_near_stationary_point_has_tiny_gradient(self):

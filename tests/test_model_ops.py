@@ -1,4 +1,5 @@
-"""Forward-pass operations: hand-checked values, simplex and scale properties."""
+"""Forward-pass operations against the per-node reference ops in oracles.py, plus
+hand-checked values, simplex and scale properties of the batched model."""
 
 import math
 
@@ -7,9 +8,20 @@ import pytest
 import scipy.sparse as sp
 
 from fedhin.graph import MetaPathAdjacency, MetaPathSpec
-from fedhin.model import AttentionModel, ModelError, fuse, init_params, softmax
+from fedhin.model import AttentionModel, ModelError, init_params, softmax
 
-from oracles import cosine_loops, matvec_loops, softmax_loops
+from oracles import (
+    aggregate_neighbors,
+    cosine_loops,
+    fuse,
+    matvec_loops,
+    metapath_attention,
+    metapath_embedding,
+    node_attention,
+    node_similarity,
+    softmax_loops,
+    transform_features,
+)
 
 
 def wrap_adjacency(matrix) -> MetaPathAdjacency:
@@ -39,18 +51,18 @@ class TestTransformFeatures:
         # adjacency row 0 is e_1 (diagonal of the wrapped identity is zeroed
         # only by metapath_adjacency, not by the direct wrapper)
         np.testing.assert_allclose(
-            model.transform_features(params, 0, 0), params.wt[0][:, 0]
+            transform_features(model, params, 0, 0), params.wt[0][:, 0]
         )
 
     def test_zero_row_maps_to_zero(self):
         model, params = craft_model([np.zeros((3, 3))], d=2)
-        np.testing.assert_allclose(model.transform_features(params, 0, 1), np.zeros(2))
+        np.testing.assert_allclose(transform_features(model, params, 0, 1), np.zeros(2))
 
     def test_against_scalar_loop_oracle(self):
         model, params = craft_model([np.array([[1.0, 2.0, 0.0]] * 3)], d=2)
         rng = np.random.default_rng(42)
         params.wt[0] = rng.normal(size=(2, 3))
-        got = model.transform_features(params, 0, 0)
+        got = transform_features(model, params, 0, 0)
         expected = matvec_loops(params.wt[0].tolist(), [1.0, 2.0, 0.0])
         np.testing.assert_allclose(got, expected, rtol=1e-15)
 
@@ -63,33 +75,33 @@ class TestNodeSimilarity:
 
     def test_self_similarity_is_one(self):
         model, params = self._two_vector_model((3.0, 4.0), (1.0, 2.0))
-        assert model.node_similarity(params, 0, 0, 0) == pytest.approx(1.0, abs=1e-12)
+        assert node_similarity(model, params, 0, 0, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_vectors(self):
         model, params = self._two_vector_model((1.0, 0.0), (0.0, 1.0))
-        assert model.node_similarity(params, 0, 0, 1) == 0.0
+        assert node_similarity(model, params, 0, 0, 1) == 0.0
 
     def test_hand_cosine(self):
         model, params = self._two_vector_model((1.0, 1.0), (1.0, 0.0))
-        got = model.node_similarity(params, 0, 0, 1)
+        got = node_similarity(model, params, 0, 0, 1)
         assert got == pytest.approx(1 / math.sqrt(2), abs=1e-6)
         assert got == pytest.approx(cosine_loops([1, 1], [1, 0]), abs=1e-12)
 
     def test_zero_norm_defined_as_zero(self):
         model, params = self._two_vector_model((0.0, 0.0), (1.0, 0.0))
-        assert model.node_similarity(params, 0, 0, 1) == 0.0
+        assert node_similarity(model, params, 0, 0, 1) == 0.0
 
 
 class TestNodeAttention:
     def test_single_neighbor(self):
         model, params = craft_model([np.array([[0, 1], [0, 0]])], d=2)
-        assert model.node_attention(params, 0, 0) == {1: 1.0}
+        assert node_attention(model, params, 0, 0) == {1: 1.0}
 
     def test_equal_similarities_split_evenly(self):
         # neighbors 1 and 2 get identical transformed vectors
         model, params = craft_model([np.array([[0, 1, 1], [0, 0, 0], [0, 0, 0]])], d=2)
         params.wt[0] = np.array([[1.0, 2.0, 2.0], [0.5, 1.0, 1.0]])
-        coeffs = model.node_attention(params, 0, 0)
+        coeffs = node_attention(model, params, 0, 0)
         np.testing.assert_allclose(sorted(coeffs.values()), [0.5, 0.5], atol=1e-12)
 
     def test_softmax_hand_values(self):
@@ -102,9 +114,9 @@ class TestNodeAttention:
         model, params = craft_model([np.array([[0, 2, 1], [1, 0, 1], [1, 1, 0]])], d=2)
         rng = np.random.default_rng(3)
         params.wt[0] = rng.normal(size=(2, 3))
-        sims = [model.node_similarity(params, 0, 0, j) for j in (1, 2)]
+        sims = [node_similarity(model, params, 0, 0, j) for j in (1, 2)]
         expected = softmax_loops(sims)
-        coeffs = model.node_attention(params, 0, 0)
+        coeffs = node_attention(model, params, 0, 0)
         np.testing.assert_allclose([coeffs[1], coeffs[2]], expected, atol=1e-12)
 
 
@@ -112,25 +124,25 @@ class TestAggregateNeighbors:
     def test_single_neighbor_identity_activation(self):
         # adjacency row of the neighbor is e_1, so its feature is column 1 of wt
         model, params = craft_model([np.array([[0, 1], [0, 1]])], d=2)
-        got = model.aggregate_neighbors(params, 0, 0, {1: 1.0})
+        got = aggregate_neighbors(model, params, 0, 0, {1: 1.0})
         np.testing.assert_allclose(got, params.wt[0][:, 1])
 
     def test_no_neighbors_gives_activated_zero(self):
         model, params = craft_model([np.zeros((2, 2))], d=2, activation="elu")
-        np.testing.assert_allclose(model.aggregate_neighbors(params, 0, 0, {}), np.zeros(2))
+        np.testing.assert_allclose(aggregate_neighbors(model, params, 0, 0, {}), np.zeros(2))
 
     def test_weighted_sum_by_hand(self):
         # neighbor features are (4, 0) and (0, 8): 0.75 and 0.25 mix to (3, 2)
         model, params = craft_model([np.array([[0, 1, 1], [0, 1, 0], [0, 0, 1]])], d=2)
         params.wt[0] = np.array([[0.0, 4.0, 0.0], [0.0, 0.0, 8.0]])
-        got = model.aggregate_neighbors(params, 0, 0, {1: 0.75, 2: 0.25})
+        got = aggregate_neighbors(model, params, 0, 0, {1: 0.75, 2: 0.25})
         np.testing.assert_allclose(got, [3.0, 2.0], atol=1e-12)
 
     def test_sampling_renormalizes_to_simplex(self):
         model, params = craft_model([np.array([[0, 1, 1, 1], [0] * 4, [0] * 4, [0] * 4])], d=2)
-        coeffs = model.node_attention(params, 0, 0)
+        coeffs = node_attention(model, params, 0, 0)
         rng = np.random.default_rng(0)
-        got = model.aggregate_neighbors(params, 0, 0, coeffs, sample_size=2, rng=rng)
+        got = aggregate_neighbors(model, params, 0, 0, coeffs, sample_size=2, rng=rng)
         assert got.shape == (2,)
         assert np.all(np.isfinite(got))
 
@@ -140,11 +152,11 @@ class TestMetapathEmbedding:
         model, params = craft_model([np.array([[0, 1], [1, 0]])], d=2)
         e_agg = np.array([5.0, 6.0])
         params.wc[0] = np.hstack([np.eye(2), np.zeros((2, 2))])
-        np.testing.assert_allclose(model.metapath_embedding(params, 0, 0, e_agg), e_agg)
+        np.testing.assert_allclose(metapath_embedding(model, params, 0, 0, e_agg), e_agg)
         params.wc[0] = np.hstack([np.zeros((2, 2)), np.eye(2)])
         np.testing.assert_allclose(
-            model.metapath_embedding(params, 0, 0, e_agg),
-            model.transform_features(params, 0, 0),
+            metapath_embedding(model, params, 0, 0, e_agg),
+            transform_features(model, params, 0, 0),
         )
 
     def test_against_scalar_loop_oracle(self):
@@ -152,7 +164,7 @@ class TestMetapathEmbedding:
         rng = np.random.default_rng(12)
         params.wc[0] = rng.normal(size=(2, 4))
         params.wt[0] = np.array([[0.0, 3.0], [0.0, 4.0]])  # self feature = (3, 4)
-        got = model.metapath_embedding(params, 0, 0, np.array([1.0, 2.0]))
+        got = metapath_embedding(model, params, 0, 0, np.array([1.0, 2.0]))
         expected = matvec_loops(params.wc[0].tolist(), [1.0, 2.0, 3.0, 4.0])
         np.testing.assert_allclose(got, expected, rtol=1e-14)
 
@@ -161,14 +173,14 @@ class TestMetapathAttention:
     def test_single_path(self):
         model, params = craft_model([np.array([[0, 1], [1, 0]])], d=2)
         np.testing.assert_allclose(
-            model.metapath_attention(params, 0, [np.array([1.0, 2.0])]), [1.0]
+            metapath_attention(params, 0, [np.array([1.0, 2.0])]), [1.0]
         )
 
     def test_identical_embeddings_split_evenly(self):
         model, params = craft_model([np.array([[0, 1], [1, 0]])] * 2, d=2)
         e = np.array([1.0, 2.0])
         np.testing.assert_allclose(
-            model.metapath_attention(params, 0, [e, e.copy()]), [0.5, 0.5], atol=1e-12
+            metapath_attention(params, 0, [e, e.copy()]), [0.5, 0.5], atol=1e-12
         )
 
     def test_hand_cosines(self):
@@ -176,14 +188,14 @@ class TestMetapathAttention:
         model, params = craft_model([np.array([[0, 1], [1, 0]])] * 2, d=2, k=2)
         params.pref[0] = np.array([1.0, 0.0])
         params.wp = np.column_stack([[1.0, 0.0], [1.0, math.sqrt(3)]])
-        got = model.metapath_attention(
+        got = metapath_attention(
             params, 0, [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         )
         np.testing.assert_allclose(got, [0.6225, 0.3775], atol=1e-4)
 
     def test_zero_norm_projection_treated_as_zero(self):
         model, params = craft_model([np.array([[0, 1], [1, 0]])] * 2, d=2)
-        got = model.metapath_attention(
+        got = metapath_attention(
             params, 0, [np.zeros(2), np.array([1.0, 1.0])]
         )
         assert got.sum() == pytest.approx(1.0, abs=1e-12)
@@ -203,7 +215,7 @@ class TestFuse:
         np.testing.assert_allclose(got, [1.0, 3.0], atol=1e-15)
 
     def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(ValueError):
             fuse([np.zeros(2)], [0.5, 0.5])
 
 

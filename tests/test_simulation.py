@@ -232,3 +232,41 @@ class TestDefaults:
         cfg = preset_synthetic_config()
         assert cfg.embedding_dim == 32
         assert cfg.metapaths == ("APA", "APPA")
+
+
+class TestFailuresReachTheCaller:
+    """Real non-finite parameters, in every scheduling mode, end as typed errors."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"granularity": "batch", "batch_size": 16}, {"scheduling": "concurrent"}],
+        ids=["round", "batch", "concurrent"],
+    )
+    def test_nan_parameter_aborts_with_diagnostic_checkpoint(
+        self, small_graph, tmp_path, overrides
+    ):
+        from fedhin import NonFiniteGradient, load_checkpoint
+        from fedhin.simulation import TrainingDiverged, build_experiment, run_experiment
+
+        cfg = small_config(rounds=3, **overrides)
+        setup = build_experiment(cfg, small_graph)
+        setup.clients[1].params.wo[0, 0] = np.nan
+        with pytest.raises(TrainingDiverged, match="client 1") as excinfo:
+            list(run_experiment(cfg, small_graph, setup=setup, diagnostics_dir=tmp_path))
+        assert isinstance(excinfo.value.__cause__, NonFiniteGradient)
+        path = excinfo.value.checkpoint_path
+        assert path is not None and path.exists()
+        flat, _, _ = load_checkpoint(path)
+        assert np.isnan(flat).any()
+
+    def test_concurrent_thread_failure_is_raised(self, small_graph):
+        from fedhin.simulation import build_experiment, run_experiment
+
+        cfg = small_config(rounds=3, scheduling="concurrent")
+        setup = build_experiment(cfg, small_graph)
+        # a label outside the classifier's range fails inside the worker thread
+        setup.clients[2].labels = setup.clients[2].labels.copy()
+        setup.clients[2].labels[setup.clients[2].train_nodes[0]] = 99
+        with pytest.raises(SimulationError, match="client 2 failed"):
+            list(run_experiment(cfg, small_graph, setup=setup))
+        assert len(setup.server.decision_log) < 9

@@ -246,3 +246,20 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
         assert "nope" in err["message"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_prints_machine_readable_error(self, dataset_dir, tmp_path, capsys):
+        # a learning rate this large overflows the weights within a few steps
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "clients": 2, "rounds": 3, "batch_size": 16, "embedding_dim": 6,
+            "preference_dim": 3, "learning_rate": 1e300, "seed": 1,
+        }))
+        out = tmp_path / "out"
+        code = main([
+            "train", "--data", str(dataset_dir), "--config", str(config_path), "--out", str(out),
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "TrainingDiverged"
+        assert list(out.glob("diverged_round*.npz"))
