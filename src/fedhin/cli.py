@@ -32,7 +32,7 @@ from .storage import (
     StorageError,
     dataset_fingerprint,
     export_embeddings,
-    load_checkpoint,
+    params_from_checkpoint,
     read_manifest,
     save_checkpoint,
     write_jsonl,
@@ -161,13 +161,9 @@ def _restore_model(args):
     config = parse_config(args.config) if args.config else ExperimentConfig()
     graph = _load_dataset(args.data, config)
     setup = build_experiment(config, graph)
-    flat, pref, _ = load_checkpoint(
+    params = params_from_checkpoint(
         args.checkpoint, expected_manifest=shape_manifest(setup.initial_params)
     )
-    params = setup.initial_params.copy()
-    unpack_shared(flat, params)
-    if pref.shape == params.pref.shape:
-        params.pref[...] = pref
     return config, graph, setup, params
 
 

@@ -82,16 +82,20 @@ class ClientUpdate:
         if blob[:4] != _WIRE_MAGIC:
             raise FederationError("not a client-update message")
         hlen = int.from_bytes(blob[4:8], "big")
-        header = json.loads(blob[8 : 8 + hlen].decode())
-        weights = np.frombuffer(blob[8 + hlen :], dtype=np.float64).copy()
-        if weights.size != header["size"]:
+        try:
+            header = json.loads(blob[8 : 8 + hlen].decode())
+            client_id, version = header["client_id"], header["version"]
+            size, manifest = int(header["size"]), header.get("manifest")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise FederationError(f"malformed client-update header: {exc}") from None
+        payload = blob[8 + hlen :]
+        if len(payload) != 8 * size:
             raise FederationError(
-                f"payload truncated: expected {header['size']} values, got {weights.size}"
+                f"payload truncated: expected {size} values ({8 * size} bytes), "
+                f"got {len(payload)} bytes"
             )
-        return (
-            cls(client_id=header["client_id"], weights=weights, version=header["version"]),
-            header.get("manifest"),
-        )
+        weights = np.frombuffer(payload, dtype=np.float64).copy()
+        return cls(client_id=client_id, weights=weights, version=version), manifest
 
 
 @dataclass
@@ -167,43 +171,38 @@ class ParameterServer:
         latest = self.latest_version()
         return latest - min(self.version_records.values())
 
-    def staleness_coefficients(self) -> tuple[list[int], np.ndarray]:
-        """Client ids (sorted) and their normalized staleness weights."""
+    def staleness_coefficients(self, exponent: float | None = None) -> tuple[list[int], np.ndarray]:
+        """Client ids (sorted) and their normalized staleness weights, under
+        the configured exponent unless ``exponent`` is given."""
         if not self.weight_records:
             raise EmptyRecords("no client records to aggregate")
+        if exponent is None:
+            exponent = self.staleness_exponent
         ids = sorted(self.weight_records)
         latest = self.latest_version()
         raw = np.array(
-            [
-                float(latest - self.version_records[cid] + 1) ** (-self.staleness_exponent)
-                for cid in ids
-            ]
+            [float(latest - self.version_records[cid] + 1) ** (-exponent) for cid in ids]
         )
         return ids, raw / raw.sum()
 
     # -- aggregation rules -----------------------------------------------------
 
-    def aggregate_staleness_weighted(self) -> np.ndarray:
+    def aggregate_staleness_weighted(self, exponent: float | None = None) -> np.ndarray:
         """Version-gap-discounted weighted mean of the stored client vectors.
 
         The reference version is the newest recorded one; switching to the
         uploader's own version is a one-line change here.
         """
-        ids, coeffs = self.staleness_coefficients()
+        ids, coeffs = self.staleness_coefficients(exponent)
         out = np.zeros_like(self.weight_records[ids[0]])
         for cid, c in zip(ids, coeffs):
             out += c * self.weight_records[cid]
         return out
 
     def aggregate_fedavg(self) -> np.ndarray:
-        if not self.weight_records:
-            raise EmptyRecords("no client records to aggregate")
-        ids = sorted(self.weight_records)
-        coeff = 1.0 / len(ids)
-        out = np.zeros_like(self.weight_records[ids[0]])
-        for cid in ids:
-            out += coeff * self.weight_records[cid]
-        return out
+        """The plain mean: staleness weighting with exponent 0 gives every
+        record the weight 1/n."""
+        return self.aggregate_staleness_weighted(exponent=0.0)
 
     def _apply_ema(self, update: ClientUpdate) -> None:
         incoming = np.asarray(update.weights, dtype=np.float64)
@@ -233,21 +232,24 @@ class ParameterServer:
             return DispatchDecision(mode="broadcast", client_id=None, payload=aggregated)
         return DispatchDecision(mode="targeted", client_id=int(uploader_id), payload=aggregated)
 
-    def handle(self, update: ClientUpdate, tick: int | None = None) -> DispatchDecision:
-        """submit -> aggregate -> dispatch, with a JSON-friendly decision log entry."""
-        self.submit(update)
+    def handle(
+        self, updates: Sequence[ClientUpdate], tick: int | None = None
+    ) -> list[DispatchDecision]:
+        """Submit every upload, aggregate once, then dispatch per upload, with
+        one JSON-friendly decision log entry each."""
+        if not updates:
+            return []
+        for update in updates:
+            self.submit(update)
         aggregated = self.current_aggregate()
-        decision = self.dispatch(aggregated, update.client_id)
-        self.decision_log.append(
-            {
-                "tick": tick,
-                "client": int(update.client_id),
-                "version": int(update.version),
-                "mode": decision.mode,
-                "max_gap": self.max_version_gap(),
-            }
+        decisions = [self.dispatch(aggregated, update.client_id) for update in updates]
+        max_gap = self.max_version_gap()
+        self.decision_log.extend(
+            {"tick": tick, "client": int(update.client_id), "version": int(update.version),
+             "mode": decision.mode, "max_gap": max_gap}
+            for update, decision in zip(updates, decisions)
         )
-        return decision
+        return decisions
 
 
 # -- client ------------------------------------------------------------------

@@ -101,105 +101,124 @@ class ModelDims:
     n_labels: int
 
 
-@dataclass
+def _layout(dims: ModelDims) -> list[tuple[str, tuple[int, int]]]:
+    """Tensor names and shapes in buffer order: the shared tensors, then ``pref``."""
+    d, m = dims.embedding_dim, dims.n_paths
+    return (
+        [(f"wt_{p}", (d, dims.n_targets)) for p in range(m)]
+        + [(f"wc_{p}", (d, 2 * d)) for p in range(m)]
+        + [("wp", (dims.preference_dim, d)), ("wo", (dims.n_labels, d))]
+        + [("pref", (dims.n_targets, dims.preference_dim))]
+    )
+
+
+def _manifest(dims: ModelDims) -> list[dict]:
+    return [{"name": name, "shape": list(shape)} for name, shape in _layout(dims)[:-1]]
+
+
 class ModelParams:
-    """All learnable tensors.
+    """All learnable tensors, as named views into one contiguous float64 buffer.
 
     ``wt[p]`` (d x N) transforms adjacency vectors of meta path p;
     ``wc[p]`` (d x 2d) recombines the aggregated-neighbor / self
     concatenation; ``wp`` (k x d) projects per-path embeddings into the
     preference space; ``wo`` (L x d) is the classifier head; ``pref``
-    (N x k) holds one preference vector per target node.  The first four
-    are shared across federated clients; ``pref`` stays client-local.
+    (N x k) holds one preference vector per target node.  ``buffer``
+    holds them in the order wt_0..wt_{M-1}, wc_0..wc_{M-1}, wp, wo, pref.
+    Its first ``n_shared`` values are the tensors shared across federated
+    clients; ``pref`` stays client-local.
+
+    ``wt`` and ``wc`` are (M, ., .) views, so ``params.wt[p] = values``
+    writes into the buffer.  A new instance is all zeros.  Fields cannot
+    be rebound, so a tensor never detaches from the buffer: write through
+    the views instead, e.g. ``params.wo[...] = values``.
     """
 
-    wt: list[np.ndarray]
-    wc: list[np.ndarray]
-    wp: np.ndarray
-    wo: np.ndarray
-    pref: np.ndarray
+    __slots__ = ("dims", "buffer", "n_shared", "wt", "wc", "wp", "wo", "pref", "_items")
 
-    @property
-    def n_paths(self) -> int:
-        return len(self.wt)
+    def __init__(self, dims: ModelDims):
+        layout = _layout(dims)
+        sizes = [rows * cols for _, (rows, cols) in layout]
+        buffer = np.zeros(sum(sizes))
+        bounds = np.cumsum([0] + sizes).tolist()
+        views = [buffer[a:b].reshape(shape) for (_, shape), a, b in zip(layout, bounds, bounds[1:])]
+        d, m = dims.embedding_dim, dims.n_paths
+        fields = dict(
+            dims=dims, buffer=buffer, n_shared=bounds[-2],
+            wt=buffer[: bounds[m]].reshape(m, d, dims.n_targets),
+            wc=buffer[bounds[m] : bounds[2 * m]].reshape(m, d, 2 * d),
+            wp=views[-3], wo=views[-2], pref=views[-1],
+            _items=tuple((name, view) for (name, _), view in zip(layout, views)),
+        )
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        # augmented assignment (params.wo -= x) updates the view in place and
+        # then rebinds the name to that same view, which changes nothing
+        if value is not getattr(self, name, None):
+            raise AttributeError(
+                f"cannot rebind ModelParams.{name}: its tensors are views into one buffer; "
+                "write through them instead"
+            )
 
     def tensor_items(self) -> list[tuple[str, np.ndarray]]:
-        """Named tensors in canonical order (shared tensors first, then pref)."""
-        items = [(f"wt_{p}", self.wt[p]) for p in range(self.n_paths)]
-        items += [(f"wc_{p}", self.wc[p]) for p in range(self.n_paths)]
-        items += [("wp", self.wp), ("wo", self.wo), ("pref", self.pref)]
-        return items
-
-    def shared_items(self) -> list[tuple[str, np.ndarray]]:
-        return [(n, t) for n, t in self.tensor_items() if n != "pref"]
+        """Named tensor views in buffer order (shared tensors first, then pref)."""
+        return list(self._items)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            wt=[w.copy() for w in self.wt],
-            wc=[w.copy() for w in self.wc],
-            wp=self.wp.copy(),
-            wo=self.wo.copy(),
-            pref=self.pref.copy(),
-        )
+        out = ModelParams(self.dims)
+        out.buffer[...] = self.buffer
+        return out
 
     def zeros_like(self) -> "ModelParams":
-        return ModelParams(
-            wt=[np.zeros_like(w) for w in self.wt],
-            wc=[np.zeros_like(w) for w in self.wc],
-            wp=np.zeros_like(self.wp),
-            wo=np.zeros_like(self.wo),
-            pref=np.zeros_like(self.pref),
-        )
+        return ModelParams(self.dims)
 
 
 def init_params(dims: ModelDims, rng: np.random.Generator) -> ModelParams:
     """Random initialization: uniform +-1/sqrt(fan_in) for matrices, unit-norm
     Gaussian rows for preference vectors."""
-    d, k, n, m, nl = (
-        dims.embedding_dim,
-        dims.preference_dim,
-        dims.n_targets,
-        dims.n_paths,
-        dims.n_labels,
-    )
-
-    def uniform(rows, cols):
-        bound = 1.0 / math.sqrt(cols)
-        return rng.uniform(-bound, bound, size=(rows, cols))
-
-    wt = [uniform(d, n) for _ in range(m)]
-    wc = [uniform(d, 2 * d) for _ in range(m)]
-    wp = uniform(k, d)
-    wo = uniform(nl, d)
-    pref = rng.standard_normal((n, k)) / math.sqrt(k)
-    pref /= np.linalg.norm(pref, axis=1, keepdims=True)
-    return ModelParams(wt=wt, wc=wc, wp=wp, wo=wo, pref=pref)
+    params = ModelParams(dims)
+    for _, w in params.tensor_items()[:-1]:
+        bound = 1.0 / math.sqrt(w.shape[1])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    params.pref[...] = rng.standard_normal(params.pref.shape) / math.sqrt(dims.preference_dim)
+    params.pref /= np.linalg.norm(params.pref, axis=1, keepdims=True)
+    return params
 
 
 def shape_manifest(params: ModelParams) -> list[dict]:
     """Ordered name/shape listing of the shared (federated) tensors."""
-    return [{"name": n, "shape": list(t.shape)} for n, t in params.shared_items()]
+    return _manifest(params.dims)
+
+
+def dims_from_manifest(manifest: list[dict]) -> ModelDims:
+    """The dims whose shared tensors ``manifest`` lists, the inverse of
+    ``shape_manifest``; ``ModelError`` when it is no model's layout."""
+    try:
+        (d, n), (k, _), (n_labels, _) = (manifest[i]["shape"] for i in (0, -2, -1))
+        # n_targets, n_paths, embedding_dim, preference_dim, n_labels
+        dims = ModelDims(n, (len(manifest) - 2) // 2, d, k, n_labels)
+        if min(d, n, k, n_labels) >= 1 and _manifest(dims) == manifest:
+            return dims
+    except (IndexError, KeyError, TypeError, ValueError):
+        pass
+    raise ModelError(f"manifest lists no model parameter layout: {manifest!r}")
 
 
 def pack_shared(params: ModelParams) -> np.ndarray:
-    """Flatten the shared tensors into one float64 vector in manifest order."""
-    return np.concatenate([t.ravel() for _, t in params.shared_items()])
+    """A copy of the shared tensors as one float64 vector in manifest order."""
+    return params.buffer[: params.n_shared].copy()
 
 
 def unpack_shared(flat: np.ndarray, params: ModelParams) -> ModelParams:
     """Write a flat vector back into the shared tensors of ``params`` (in place)."""
     flat = np.asarray(flat, dtype=np.float64)
-    offset = 0
-    for _, tensor in params.shared_items():
-        size = tensor.size
-        if offset + size > flat.size:
-            raise ModelError(
-                f"flat vector too short: need at least {offset + size}, got {flat.size}"
-            )
-        tensor[...] = flat[offset : offset + size].reshape(tensor.shape)
-        offset += size
-    if offset != flat.size:
-        raise ModelError(f"flat vector too long: expected {offset}, got {flat.size}")
+    if flat.size < params.n_shared:
+        raise ModelError(f"flat vector too short: need {params.n_shared}, got {flat.size}")
+    if flat.size > params.n_shared:
+        raise ModelError(f"flat vector too long: expected {params.n_shared}, got {flat.size}")
+    params.buffer[: params.n_shared] = flat
     return params
 
 
@@ -561,7 +580,7 @@ class AttentionModel:
         dlogits = np.zeros_like(trace.probs)
         dlogits[labeled] = trace.probs[labeled]
         dlogits[labeled, trace.labels[labeled]] -= 1.0
-        grads.wo = dlogits.T @ trace.fused
+        grads.wo[...] = dlogits.T @ trace.fused
         dfused = dlogits @ params.wo                                       # (B, d)
 
         # fuse: e = sum_p delta_p e_p
@@ -586,7 +605,7 @@ class AttentionModel:
         dpref -= (draw * cos).sum(axis=1)[:, None] * pref / pref_norm**2
         np.add.at(grads.pref, batch, dpref)
         dprojected = w[:, :, None] * pref[:, None, :] - (draw * cos / f_norm**2)[:, :, None] * f
-        grads.wp = dprojected.reshape(-1, k).T @ trace.path_embed.reshape(-1, d)
+        grads.wp[...] = dprojected.reshape(-1, k).T @ trace.path_embed.reshape(-1, d)
         dpath_embed += dprojected @ params.wp
 
         for p, pt in enumerate(trace.paths):
@@ -618,7 +637,7 @@ class AttentionModel:
             np.add.at(dh, batch, dhb)
 
             # h = A @ wt.T, so d wt = dH.T @ A
-            grads.wt[p] = np.asarray((self.matrices[p].T @ dh).T)
+            grads.wt[p] = (self.matrices[p].T @ dh).T
         return grads
 
     # -- inference helpers ----------------------------------------------------

@@ -1,13 +1,13 @@
-"""Adam optimizer over named parameter tensors.
+"""Adam optimizer over a model's parameter buffer.
 
-Moment accumulators mirror the model's tensor layout and persist across
-federated rounds on each client; downloading aggregated weights replaces
-parameter values only, never optimizer state.
+The moment accumulators are parameter buffers of the model's layout and
+persist across federated rounds on each client; downloading aggregated
+weights replaces parameter values only, never optimizer state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,37 +22,35 @@ class NonFiniteGradient(Exception):
 class AdamState:
     """First/second moment accumulators plus hyperparameters."""
 
+    m: ModelParams
+    v: ModelParams
     learning_rate: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, params: ModelParams, learning_rate: float = 0.001) -> "AdamState":
-        state = cls(learning_rate=learning_rate)
-        for name, tensor in params.tensor_items():
-            state.m[name] = np.zeros_like(tensor)
-            state.v[name] = np.zeros_like(tensor)
-        return state
+        return cls(m=params.zeros_like(), v=params.zeros_like(), learning_rate=learning_rate)
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> tuple[ModelParams, AdamState]:
-    """One Adam update, in place, with bias-corrected moments."""
+    """One Adam update, in place, with bias-corrected moments.
+
+    The update runs one tensor view at a time, so its temporaries stay the
+    size of one tensor rather than of the whole buffer.
+    """
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     correction1 = 1.0 - b1**t
     correction2 = 1.0 - b2**t
-    grad_map = dict(grads.tensor_items())
-    for name, tensor in params.tensor_items():
-        g = grad_map[name]
+    for (name, tensor), (_, g), (_, m), (_, v) in zip(
+        params.tensor_items(), grads.tensor_items(), state.m.tensor_items(), state.v.tensor_items()
+    ):
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(f"gradient for tensor {name!r} is not finite")
-        m = state.m[name]
-        v = state.v[name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2

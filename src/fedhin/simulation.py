@@ -399,11 +399,20 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
     )
 
 
-def _mean_untrained_loss(setup: ExperimentSetup) -> float:
-    loss, _ = setup.model.loss(
-        setup.initial_params, setup.split.train_nodes, setup.labels, rng=None
+def _untrained_record(config: ExperimentConfig, setup: ExperimentSetup) -> RoundMetrics:
+    """Round 0: test scores and mean training loss of the initial parameters."""
+    params, nodes = setup.initial_params, setup.split.train_nodes
+    micro, macro = evaluate(setup.model, params, setup.labels, setup.split)
+    loss, _ = setup.model.loss(params, nodes, setup.labels, rng=None)
+    return RoundMetrics(
+        round=0,
+        aggregator=config.aggregator,
+        loss=loss / nodes.size,
+        micro_f1=micro,
+        macro_f1=macro,
+        max_version_gap=setup.server.max_version_gap(),
+        elapsed=0.0,
     )
-    return loss / setup.split.train_nodes.size
 
 
 def run_experiment(
@@ -430,16 +439,7 @@ def run_experiment(
     model, server, clients = setup.model, setup.server, setup.clients
     eval_params = setup.initial_params.copy()
 
-    micro, macro = evaluate(model, eval_params, setup.labels, setup.split)
-    yield RoundMetrics(
-        round=0,
-        aggregator=config.aggregator,
-        loss=_mean_untrained_loss(setup),
-        micro_f1=micro,
-        macro_f1=macro,
-        max_version_gap=server.max_version_gap(),
-        elapsed=0.0,
-    )
+    yield _untrained_record(config, setup)
 
     speeds = config.speeds()
     for tick in range(1, config.rounds + 1):
@@ -451,7 +451,7 @@ def run_experiment(
             # fine-grained mode: upload after every batch
             for client in due:
                 def per_batch_submit(update: ClientUpdate, _client=client) -> np.ndarray:
-                    decision = server.handle(update, tick=tick)
+                    (decision,) = server.handle([update], tick=tick)
                     if decision.is_broadcast:
                         for other in clients:
                             if other is not _client:
@@ -469,25 +469,15 @@ def run_experiment(
                 loss_sum += client.last_loss_sum
                 examples += client.last_examples
                 updates.append(update)
-            for update in updates:
-                server.submit(update)
-            for update in updates:
-                aggregated = server.current_aggregate()
-                decision = server.dispatch(aggregated, update.client_id)
-                server.decision_log.append(
-                    {
-                        "tick": tick,
-                        "client": int(update.client_id),
-                        "version": int(update.version),
-                        "mode": decision.mode,
-                        "max_gap": server.max_version_gap(),
-                    }
-                )
-                if decision.is_broadcast:
-                    for client in clients:
-                        client.install(decision.payload)
-                else:
-                    clients[decision.client_id].install(decision.payload)
+            decisions = server.handle(updates, tick=tick)
+            # every decision carries the same aggregate; a broadcast reaches
+            # each client once
+            if any(decision.is_broadcast for decision in decisions):
+                receivers = clients
+            else:
+                receivers = [clients[decision.client_id] for decision in decisions]
+            for client in receivers:
+                client.install(decisions[0].payload)
 
         if examples and not math.isfinite(loss_sum):
             bad = max(due, key=lambda c: 0.0 if math.isfinite(c.last_loss_sum) else 1.0)
@@ -546,7 +536,7 @@ def _run_concurrent(
                 if not math.isfinite(client.last_loss_sum):
                     raise TrainingDiverged("non-finite training loss")
                 with lock:
-                    decision = server.handle(update)
+                    (decision,) = server.handle([update])
                     if decision.is_broadcast:
                         for other in clients:
                             if other is not client:
@@ -557,16 +547,7 @@ def _run_concurrent(
                 failures.append((client, round_, exc))
             stop.set()
 
-    micro, macro = evaluate(model, setup.initial_params, setup.labels, setup.split)
-    yield RoundMetrics(
-        round=0,
-        aggregator=config.aggregator,
-        loss=_mean_untrained_loss(setup),
-        micro_f1=micro,
-        macro_f1=macro,
-        max_version_gap=0,
-        elapsed=0.0,
-    )
+    yield _untrained_record(config, setup)
     threads = [threading.Thread(target=client_loop, args=(c,)) for c in clients]
     for t in threads:
         t.start()

@@ -14,8 +14,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig
-from .model import ModelParams, pack_shared, shape_manifest
+from .model import (
+    ModelError,
+    ModelParams,
+    dims_from_manifest,
+    pack_shared,
+    shape_manifest,
+    unpack_shared,
+)
 
 
 class StorageError(Exception):
@@ -56,40 +62,34 @@ def load_checkpoint(path, expected_manifest: list[dict] | None = None) -> tuple[
         raise
     except Exception as exc:
         raise StorageError(f"cannot read checkpoint {path}: {exc}") from None
+    try:
+        dims = dims_from_manifest(manifest)
+    except ModelError as exc:
+        raise StorageError(f"checkpoint {path}: {exc}") from None
     total = sum(int(np.prod(entry["shape"])) for entry in manifest)
-    if flat.size != total:
+    if flat.shape != (total,):
         raise StorageError(
-            f"checkpoint {path}: flat vector has {flat.size} values, manifest expects {total}"
+            f"checkpoint {path}: flat vector has shape {flat.shape}, manifest expects ({total},)"
         )
     if expected_manifest is not None and manifest != expected_manifest:
         raise StorageError(
             f"checkpoint {path}: shape manifest mismatch "
             f"(stored {manifest}, expected {expected_manifest})"
         )
+    if pref.shape != (dims.n_targets, dims.preference_dim):
+        raise StorageError(
+            f"checkpoint {path}: preference matrix has shape {pref.shape}, "
+            f"manifest implies {(dims.n_targets, dims.preference_dim)}"
+        )
     return flat, pref, manifest
 
 
-def params_from_checkpoint(path) -> ModelParams:
-    """Reconstruct full ModelParams from a checkpoint file."""
-    flat, pref, manifest = load_checkpoint(path)
-    tensors: dict[str, np.ndarray] = {}
-    offset = 0
-    for entry in manifest:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape))
-        tensors[entry["name"]] = flat[offset : offset + size].reshape(shape)
-        offset += size
-    n_paths = sum(1 for name in tensors if name.startswith("wt_"))
-    try:
-        return ModelParams(
-            wt=[tensors[f"wt_{p}"] for p in range(n_paths)],
-            wc=[tensors[f"wc_{p}"] for p in range(n_paths)],
-            wp=tensors["wp"],
-            wo=tensors["wo"],
-            pref=pref,
-        )
-    except KeyError as exc:
-        raise StorageError(f"checkpoint {path}: manifest missing tensor {exc}") from None
+def params_from_checkpoint(path, expected_manifest: list[dict] | None = None) -> ModelParams:
+    """Rebuild full ModelParams from a checkpoint, in the layout its manifest implies."""
+    flat, pref, manifest = load_checkpoint(path, expected_manifest)
+    params = unpack_shared(flat, ModelParams(dims_from_manifest(manifest)))
+    params.pref[...] = pref
+    return params
 
 
 # -- embeddings & metrics ----------------------------------------------------
@@ -177,7 +177,3 @@ def read_manifest(path) -> RunManifest:
         return RunManifest.from_dict(raw)
     except TypeError as exc:
         raise StorageError(f"manifest {path}: {exc}") from None
-
-
-def config_from_manifest(manifest: RunManifest) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(manifest.config)

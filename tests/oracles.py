@@ -316,3 +316,32 @@ def edge_case_adjacencies(rng: np.random.Generator, codes=("APA", "APPA")) -> li
             )
         )
     return out
+
+
+def reference_adam_step(
+    tensors: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    m: dict[str, np.ndarray],
+    v: dict[str, np.ndarray],
+    step: int,
+    learning_rate: float = 0.001,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+) -> None:
+    """Adam step number ``step`` (from 1) over dicts of named tensors, in place.
+
+    One tensor at a time with separate moment dicts: the update the
+    parameter buffer's ``adam_step`` must reproduce bit for bit.
+    """
+    correction1 = 1.0 - beta1**step
+    correction2 = 1.0 - beta2**step
+    for name, tensor in tensors.items():
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * np.square(g)
+        m_hat = m[name] / correction1
+        v_hat = v[name] / correction2
+        tensor -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)

@@ -248,6 +248,22 @@ class TestWireFormat:
         with pytest.raises(FederationError, match="truncated"):
             ClientUpdate.from_bytes(blob[:-8])
 
+    def test_malformed_blobs_raise_only_federation_error(self):
+        blob = up(0, np.arange(4, dtype=float), 1).to_bytes([{"name": "wp", "shape": [2, 2]}])
+        hlen = int.from_bytes(blob[4:8], "big")
+        cases = {
+            "six bytes": (blob[:6], "malformed"),
+            "cut header": (blob[: 8 + hlen // 2], "malformed"),
+            "payload cut mid-float": (blob[:-3], "truncated"),
+            "non-JSON header": (blob[:8] + b"\xff" * hlen + blob[8 + hlen :], "malformed"),
+            "header not an object": (
+                blob[:4] + (2).to_bytes(4, "big") + b"[]" + blob[8 + hlen :], "malformed"
+            ),
+        }
+        for name, (bad, message) in cases.items():
+            with pytest.raises(FederationError, match=message):
+                ClientUpdate.from_bytes(bad)
+
 
 @pytest.fixture
 def training_client():

@@ -129,7 +129,7 @@ class TestBackward:
         labels = np.array([0, 1])
         _, probe = model.loss(params, [0], labels)
         f = probe.nodes[0].fused
-        params.wo = np.vstack([f * (400.0 / float(f @ f)), -f * (400.0 / float(f @ f))])
+        params.wo[...] = np.vstack([f * (400.0 / float(f @ f)), -f * (400.0 / float(f @ f))])
         loss, trace = model.loss(params, [0], labels)
         grads = model.backward(trace)
         assert loss == 0.0

@@ -187,7 +187,7 @@ class TestMetapathAttention:
         # raw cosines 1.0 and 0.5 -> softmax 1/(1 + exp(-0.5))
         model, params = craft_model([np.array([[0, 1], [1, 0]])] * 2, d=2, k=2)
         params.pref[0] = np.array([1.0, 0.0])
-        params.wp = np.column_stack([[1.0, 0.0], [1.0, math.sqrt(3)]])
+        params.wp[...] = np.column_stack([[1.0, 0.0], [1.0, math.sqrt(3)]])
         got = metapath_attention(
             params, 0, [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         )
@@ -232,13 +232,13 @@ class TestLoss:
         fused = trace.nodes[0].fused
         wo = np.zeros_like(params.wo)
         wo[labels[0]] = fused * (50.0 / float(fused @ fused))
-        params.wo = wo
+        params.wo[...] = wo
         loss, _ = model.loss(params, [0], labels)
         assert loss == 0.0
 
     def test_uniform_probabilities_give_log_label_count(self):
         model, params, labels = self._chain_model(n_labels=4)
-        params.wo = np.zeros_like(params.wo)
+        params.wo[...] = np.zeros_like(params.wo)
         loss, trace = model.loss(params, [0, 1], labels)
         assert loss == pytest.approx(2 * math.log(4), abs=1e-12)
         np.testing.assert_allclose(trace.nodes[0].probs, 0.25, atol=1e-15)

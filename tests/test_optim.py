@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from fedhin.model import ModelParams
+from fedhin.model import ModelDims, ModelParams
 from fedhin.optim import AdamState, NonFiniteGradient, adam_step
 
 
 def scalarish_params(value=1.0):
-    return ModelParams(
-        wt=[np.array([[value]])],
-        wc=[np.array([[0.0, 0.0]])],
-        wp=np.array([[0.0]]),
-        wo=np.array([[0.0]]),
-        pref=np.array([[0.0]]),
+    # one 1 x 1 tensor per name (wc is 1 x 2), all zero but wt_0
+    params = ModelParams(
+        ModelDims(n_targets=1, n_paths=1, embedding_dim=1, preference_dim=1, n_labels=1)
     )
+    params.wt[0][0, 0] = value
+    return params
 
 
 class TestAdam:
@@ -65,9 +64,10 @@ class TestAdam:
     def test_moment_shapes_mirror_params(self):
         params = scalarish_params()
         state = AdamState.for_params(params)
+        m, v = dict(state.m.tensor_items()), dict(state.v.tensor_items())
         for name, tensor in params.tensor_items():
-            assert state.m[name].shape == tensor.shape
-            assert state.v[name].shape == tensor.shape
+            assert m[name].shape == tensor.shape
+            assert v[name].shape == tensor.shape
         assert state.step == 0
 
     def test_defaults_match_training_configuration(self):

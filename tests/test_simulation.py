@@ -167,6 +167,26 @@ class TestRunExperiment:
         second = metrics_to_jsonl(run_experiment_list(cfg, small_graph))
         assert first == second
 
+    def test_round_mode_decision_log_is_pinned(self, small_graph):
+        from fedhin.simulation import build_experiment, run_experiment
+
+        # client 2 trains every third tick: targeted answers until its record
+        # lags two versions behind on tick 3, broadcasts from then on
+        cfg = small_config(rounds=6, speed_multipliers=(1, 1, 3), gap_threshold=2)
+        setup = build_experiment(cfg, small_graph)
+        list(run_experiment(cfg, small_graph, setup=setup))
+        log = [(e["tick"], e["client"], e["version"], e["mode"], e["max_gap"])
+               for e in setup.server.decision_log]
+        t, b = "targeted", "broadcast"
+        assert log == [
+            (1, 0, 1, t, 0), (1, 1, 1, t, 0),
+            (2, 0, 2, t, 0), (2, 1, 2, t, 0),
+            (3, 0, 3, b, 2), (3, 1, 3, b, 2), (3, 2, 1, b, 2),
+            (4, 0, 4, b, 3), (4, 1, 4, b, 3),
+            (5, 0, 5, b, 4), (5, 1, 5, b, 4),
+            (6, 0, 6, b, 4), (6, 1, 6, b, 4), (6, 2, 2, b, 4),
+        ]
+
     def test_round_records_have_expected_fields(self, small_graph):
         records = run_experiment_list(small_config(rounds=2), small_graph)
         obj = records[-1].to_json_obj()

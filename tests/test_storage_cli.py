@@ -25,6 +25,13 @@ def random_params(seed=0, n=6, m=2, d=3, k=2, labels=3):
     return init_params(dims, np.random.default_rng(seed))
 
 
+def with_bad_pref(path, pref) -> None:
+    """Rewrite the checkpoint at ``path`` with ``pref`` as its preference matrix."""
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    np.savez(path, **{**arrays, "pref": pref})
+
+
 class TestParseConfig:
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "config.json"
@@ -92,6 +99,16 @@ class TestCheckpoint:
         other = shape_manifest(random_params(n=9, d=4))
         with pytest.raises(StorageError, match="manifest mismatch"):
             load_checkpoint(path, expected_manifest=other)
+
+    def test_wrong_pref_shape_rejected(self, tmp_path):
+        # the manifest of N=6 targets and k=2 implies a (6, 2) preference matrix
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, random_params(n=6, k=2))
+        with_bad_pref(path, np.zeros((5, 7)))
+        with pytest.raises(StorageError, match=r"preference matrix has shape \(5, 7\)"):
+            load_checkpoint(path)
+        with pytest.raises(StorageError, match="preference matrix"):
+            params_from_checkpoint(path)
 
     def test_non_finite_values_refused(self, tmp_path):
         params = random_params()
@@ -209,6 +226,20 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert set(payload) == {"micro_f1", "macro_f1", "n_test"}
         assert payload["n_test"] > 0
+
+    def test_eval_rejects_checkpoint_with_wrong_pref_shape(self, train_run, tmp_path, capsys):
+        dataset_dir, out_dir, config_path = train_run
+        bad = tmp_path / "checkpoint.npz"
+        bad.write_bytes((out_dir / "checkpoint.npz").read_bytes())
+        with_bad_pref(bad, np.zeros((59, 3)))
+        code = main([
+            "eval", "--data", str(dataset_dir), "--checkpoint", str(bad),
+            "--config", str(config_path),
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "StorageError"
+        assert "preference matrix" in err["message"]
 
     def test_export_embeddings_command(self, train_run, tmp_path, capsys):
         dataset_dir, out_dir, config_path = train_run
