@@ -148,8 +148,7 @@ def cmd_train(args) -> int:
     write_jsonl(outputs["decisions"], setup.server.decision_log)
 
     final = setup.initial_params.copy()
-    if setup.server.version_records:
-        unpack_shared(setup.server.current_aggregate(), final)
+    unpack_shared(setup.server.current_aggregate(), final)
     save_checkpoint(outputs["checkpoint"], final)
 
     last = records[-1]

@@ -140,9 +140,10 @@ class ParameterServer:
         self.ema_beta = ema_beta
         self.weight_records: dict[int, np.ndarray] = {}
         self.version_records: dict[int, int] = {}
-        self._ema_vector: np.ndarray | None = (
+        self.initial_weights: np.ndarray | None = (
             None if initial_weights is None else np.array(initial_weights, dtype=np.float64)
         )
+        self._ema_vector = self.initial_weights  # rebound by updates, never written in place
         self.decision_log: list[dict] = []
 
     # -- record keeping ------------------------------------------------------
@@ -217,7 +218,12 @@ class ParameterServer:
         return self._ema_vector.copy()
 
     def current_aggregate(self) -> np.ndarray:
-        """The global model under the configured rule, given current records."""
+        """The global model under the configured rule, given current records;
+        a copy of the initial weights while no client has submitted."""
+        if not self.version_records:
+            if self.initial_weights is None:
+                raise EmptyRecords("no client records to aggregate and no initial weights")
+            return self.initial_weights.copy()
         if self.aggregator == "fedavg":
             return self.aggregate_fedavg()
         if self.aggregator == "ema":
@@ -299,48 +305,37 @@ class FederatedClient:
 
     def run_round(
         self,
-        shared_weights: np.ndarray | None,
         epochs: int,
         batch_size: int,
-        submit: Callable[[ClientUpdate], np.ndarray] | None = None,
+        submit: Callable[[ClientUpdate], None] | None = None,
     ) -> ClientUpdate:
         """Train ``epochs`` local epochs of shuffled mini-batches and upload once.
 
-        When ``submit`` is given, the client instead uploads after every
-        batch (the per-batch communication mode) and installs whatever
-        vector the callback returns.  ``epochs=0`` still increments the
-        version: the round happened, it just did no optimizer steps.
+        When ``submit`` is given, the client instead uploads through it after
+        every batch (the per-batch communication mode); installing the
+        server's answer is left to the caller.  The return value is the last
+        upload.  ``epochs=0`` still increments the version and uploads:
+        the round happened, it just did no optimizer steps.
         """
-        if shared_weights is not None:
-            self.install(shared_weights)
         self.last_loss_sum = 0.0
         self.last_examples = 0
+        update = None
         for _ in range(epochs):
             order = self.rng.permutation(self.train_nodes)
             for start in range(0, order.size, batch_size):
                 batch = order[start : start + batch_size]
-                loss = self._train_batch(batch)
-                self.last_loss_sum += loss
+                self.last_loss_sum += self._train_batch(batch)
                 self.last_examples += batch.size
                 if submit is not None:
-                    self.version += 1
-                    payload = submit(self._make_update())
-                    if payload is not None:
-                        self.install(payload)
-        if submit is None or self.last_examples == 0:
-            self.version += 1
-            if submit is not None:
-                payload = submit(self._make_update())
-                if payload is not None:
-                    self.install(payload)
-        return self._make_update()
+                    update = self._upload(submit)
+        return update if update is not None else self._upload(submit)
 
-    def _make_update(self) -> ClientUpdate:
-        return ClientUpdate(
-            client_id=self.client_id,
-            weights=pack_shared(self.params),
-            version=self.version,
-        )
+    def _upload(self, submit: Callable[[ClientUpdate], None] | None) -> ClientUpdate:
+        self.version += 1
+        update = ClientUpdate(self.client_id, pack_shared(self.params), self.version)
+        if submit is not None:
+            submit(update)
+        return update
 
     @property
     def mean_round_loss(self) -> float:

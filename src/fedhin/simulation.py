@@ -2,16 +2,25 @@
 
 The deterministic scheduler advances virtual time in ticks.  On each tick
 every client whose speed multiplier divides the tick trains locally and
-uploads; all uploads of a tick are recorded before any aggregation, so
-with equal speeds every aggregation sees equal versions.  A client with
-multiplier ``s`` therefore submits once per ``s`` ticks, which is what
-makes version gaps (and the staleness discount) actually occur.
+uploads; with ``granularity="round"`` all uploads of a tick are recorded
+before any aggregation, so with equal speeds every aggregation sees equal
+versions, and with ``granularity="batch"`` each upload after a local batch
+is aggregated on arrival.  A client with multiplier ``s`` therefore trains
+once per ``s`` ticks, which is what makes version gaps (and the staleness
+discount) actually occur.
 
 A free-running concurrent mode drives the same server from one thread
-per client; arrival order is then real, so runs are reproducible only in
-expectation.  In both modes a client whose training goes non-finite
-aborts the run with ``TrainingDiverged``, and any other failure of a
-client thread reaches the caller as ``SimulationError``.
+per client, honouring ``granularity`` too; arrival order is then real, so
+runs are reproducible only in expectation.
+
+Every mode shares one client round and one delivery rule (``Delivery``).
+After the server handles an upload, each uploader installs the aggregate
+at once and loses any download still pending for it; after a broadcast
+every other client gets the aggregate in a pending slot, where the latest
+broadcast wins, and installs it when its next round starts.  A client
+whose training goes non-finite aborts the run with ``TrainingDiverged``;
+any other failure of a client thread reaches the caller as
+``SimulationError``.
 """
 
 from __future__ import annotations
@@ -59,18 +68,6 @@ def _diverged(
         save_checkpoint(checkpoint_path, client.params, allow_non_finite=True)
         message = f"{message}; parameters saved to {checkpoint_path}"
     return TrainingDiverged(message, checkpoint_path=checkpoint_path)
-
-
-def _train_round(
-    client: FederatedClient, config: ExperimentConfig, tick: int, diagnostics_dir, submit=None
-) -> ClientUpdate:
-    """One local round of ``client``; a non-finite gradient aborts the run."""
-    try:
-        return client.run_round(None, config.local_epochs, config.batch_size, submit=submit)
-    except NonFiniteGradient as exc:
-        raise _diverged(
-            f"client {client.client_id}: {exc} at round {tick}", client, tick, diagnostics_dir
-        ) from exc
 
 
 # -- partitioning -------------------------------------------------------------
@@ -399,20 +396,86 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
     )
 
 
-def _untrained_record(config: ExperimentConfig, setup: ExperimentSetup) -> RoundMetrics:
-    """Round 0: test scores and mean training loss of the initial parameters."""
-    params, nodes = setup.initial_params, setup.split.train_nodes
+def _evaluated_record(
+    config: ExperimentConfig, setup: ExperimentSetup, round_: int, loss, elapsed: float
+) -> RoundMetrics:
+    """A round's record: test scores of the server's current aggregate."""
+    params = setup.initial_params.copy()
+    unpack_shared(setup.server.current_aggregate(), params)
     micro, macro = evaluate(setup.model, params, setup.labels, setup.split)
-    loss, _ = setup.model.loss(params, nodes, setup.labels, rng=None)
     return RoundMetrics(
-        round=0,
+        round=round_,
         aggregator=config.aggregator,
-        loss=loss / nodes.size,
+        loss=loss,
         micro_f1=micro,
         macro_f1=macro,
         max_version_gap=setup.server.max_version_gap(),
-        elapsed=0.0,
+        elapsed=elapsed,
     )
+
+
+def _untrained_record(config: ExperimentConfig, setup: ExperimentSetup) -> RoundMetrics:
+    """Round 0: test scores and mean training loss of the initial parameters."""
+    nodes = setup.split.train_nodes
+    loss, _ = setup.model.loss(setup.initial_params, nodes, setup.labels, rng=None)
+    return _evaluated_record(config, setup, 0, loss / nodes.size, 0.0)
+
+
+class Delivery:
+    """The delivery rule of the module docstring.  Pending slots are read and
+    written under ``lock``, so client threads may share one ``Delivery``."""
+
+    def __init__(self, server: ParameterServer, clients: list[FederatedClient]):
+        self.server, self.clients = server, clients
+        self.pending: dict[int, np.ndarray] = {}
+        self.lock = threading.Lock()
+
+    def deliver(self, updates: list[ClientUpdate], tick: int | None = None) -> None:
+        """Hand ``updates`` to the server; uploaders install its aggregate now,
+        and after a broadcast every other client finds it in its pending slot."""
+        with self.lock:
+            decisions = self.server.handle(updates, tick=tick)
+            uploaders = {int(update.client_id) for update in updates}
+            for cid in uploaders:
+                self.pending.pop(cid, None)
+                self.clients[cid].install(decisions[0].payload)
+            if any(decision.is_broadcast for decision in decisions):
+                for client in self.clients:
+                    if client.client_id not in uploaders:
+                        self.pending[client.client_id] = decisions[0].payload
+
+    def download(self, client: FederatedClient) -> None:
+        """Install the client's pending broadcast, if one is waiting."""
+        with self.lock:
+            aggregate = self.pending.pop(client.client_id, None)
+        if aggregate is not None:
+            client.install(aggregate)
+
+
+def _client_round(
+    client: FederatedClient, config: ExperimentConfig, round_: int, delivery: Delivery,
+    submit, diagnostics_dir,
+) -> None:
+    """One local round: download, train, and upload through ``submit`` after
+    every batch (``granularity="batch"``) or once at the end.  A non-finite
+    gradient or loss raises ``TrainingDiverged`` with this client's checkpoint."""
+    delivery.download(client)
+    per_batch = config.granularity == "batch"
+    try:
+        update = client.run_round(
+            config.local_epochs, config.batch_size, submit=submit if per_batch else None
+        )
+    except NonFiniteGradient as exc:
+        raise _diverged(
+            f"client {client.client_id}: {exc} at round {round_}", client, round_, diagnostics_dir
+        ) from exc
+    if not math.isfinite(client.last_loss_sum):
+        raise _diverged(
+            f"client {client.client_id}: non-finite training loss at round {round_}",
+            client, round_, diagnostics_dir,
+        )
+    if not per_batch:
+        submit(update)
 
 
 def run_experiment(
@@ -436,64 +499,28 @@ def run_experiment(
         yield from _run_concurrent(config, setup, diagnostics_dir)
         return
 
-    model, server, clients = setup.model, setup.server, setup.clients
-    eval_params = setup.initial_params.copy()
-
+    delivery = Delivery(setup.server, setup.clients)
     yield _untrained_record(config, setup)
-
     speeds = config.speeds()
     for tick in range(1, config.rounds + 1):
-        due = [c for c in clients if tick % speeds[c.client_id] == 0]
+        # round granularity delivers the tick's uploads together at its end
+        updates: list[ClientUpdate] = []
 
-        loss_sum = 0.0
-        examples = 0
-        if config.granularity == "batch":
-            # fine-grained mode: upload after every batch
-            for client in due:
-                def per_batch_submit(update: ClientUpdate, _client=client) -> np.ndarray:
-                    (decision,) = server.handle([update], tick=tick)
-                    if decision.is_broadcast:
-                        for other in clients:
-                            if other is not _client:
-                                other.install(decision.payload)
-                    return decision.payload
-
-                _train_round(client, config, tick, diagnostics_dir, submit=per_batch_submit)
-                loss_sum += client.last_loss_sum
-                examples += client.last_examples
-        else:
-            # all due clients train and upload before any aggregation
-            updates = []
-            for client in due:
-                update = _train_round(client, config, tick, diagnostics_dir)
-                loss_sum += client.last_loss_sum
-                examples += client.last_examples
-                updates.append(update)
-            decisions = server.handle(updates, tick=tick)
-            # every decision carries the same aggregate; a broadcast reaches
-            # each client once
-            if any(decision.is_broadcast for decision in decisions):
-                receivers = clients
+        def submit(update: ClientUpdate) -> None:
+            if config.granularity == "batch":
+                delivery.deliver([update], tick)
             else:
-                receivers = [clients[decision.client_id] for decision in decisions]
-            for client in receivers:
-                client.install(decisions[0].payload)
+                updates.append(update)
 
-        if examples and not math.isfinite(loss_sum):
-            bad = max(due, key=lambda c: 0.0 if math.isfinite(c.last_loss_sum) else 1.0)
-            raise _diverged(f"non-finite training loss at round {tick}", bad, tick, diagnostics_dir)
-
-        unpack_shared(server.current_aggregate(), eval_params)
-        micro, macro = evaluate(model, eval_params, setup.labels, setup.split)
-        yield RoundMetrics(
-            round=tick,
-            aggregator=config.aggregator,
-            loss=(loss_sum / examples) if examples else None,
-            micro_f1=micro,
-            macro_f1=macro,
-            max_version_gap=server.max_version_gap(),
-            elapsed=float(tick),
-        )
+        loss_sum, examples = 0.0, 0
+        for client in setup.clients:
+            if tick % speeds[client.client_id] == 0:
+                _client_round(client, config, tick, delivery, submit, diagnostics_dir)
+                loss_sum += client.last_loss_sum
+                examples += client.last_examples
+        delivery.deliver(updates, tick)
+        loss = (loss_sum / examples) if examples else None
+        yield _evaluated_record(config, setup, tick, loss, float(tick))
 
 
 def run_experiment_list(
@@ -505,75 +532,51 @@ def run_experiment_list(
 def _run_concurrent(
     config: ExperimentConfig, setup: ExperimentSetup, diagnostics_dir=None
 ) -> Iterator[RoundMetrics]:
-    """Free-running mode: one thread per client, server calls serialized by a lock.
+    """Free-running mode: one thread per client, honouring ``granularity``.
 
-    Broadcast payloads reach other clients through per-client mailboxes,
-    applied between local rounds, so parameter tensors are never written
-    while another thread trains on them.  The first failure of a client
-    thread stops the others before their next round and is raised here
-    once all threads have ended.
+    Each upload goes alone through the shared ``Delivery``: the uploader
+    installs the answer at once, and a broadcast reaches another client
+    when that client's next round starts, so no thread writes parameters
+    another thread trains on.  The first failure of a client thread stops
+    the others before their next round and is raised here once all threads
+    have ended.
     """
-    model, server, clients = setup.model, setup.server, setup.clients
-    lock = threading.Lock()
-    mailbox: dict[int, np.ndarray] = {}
-    failures: list[tuple[FederatedClient, int, Exception]] = []
+    delivery = Delivery(setup.server, setup.clients)
+    failures: list[tuple[FederatedClient, Exception]] = []
     stop = threading.Event()
     start = time.perf_counter()
     speeds = config.speeds()
 
     def client_loop(client: FederatedClient):
-        n_rounds = config.rounds // speeds[client.client_id]
-        round_ = 0
         try:
-            for round_ in range(1, n_rounds + 1):
+            for round_ in range(1, config.rounds // speeds[client.client_id] + 1):
                 if stop.is_set():
                     return
-                with lock:
-                    pending = mailbox.pop(client.client_id, None)
-                if pending is not None:
-                    client.install(pending)
-                update = client.run_round(None, config.local_epochs, config.batch_size)
-                if not math.isfinite(client.last_loss_sum):
-                    raise TrainingDiverged("non-finite training loss")
-                with lock:
-                    (decision,) = server.handle([update])
-                    if decision.is_broadcast:
-                        for other in clients:
-                            if other is not client:
-                                mailbox[other.client_id] = decision.payload
-                client.install(decision.payload)
+                _client_round(
+                    client, config, round_, delivery, lambda u: delivery.deliver([u]),
+                    diagnostics_dir,
+                )
         except Exception as exc:  # handed to the caller after join
-            with lock:
-                failures.append((client, round_, exc))
+            with delivery.lock:
+                failures.append((client, exc))
             stop.set()
 
     yield _untrained_record(config, setup)
-    threads = [threading.Thread(target=client_loop, args=(c,)) for c in clients]
+    threads = [threading.Thread(target=client_loop, args=(c,)) for c in setup.clients]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
     if failures:
-        client, round_, exc = failures[0]
-        if isinstance(exc, (NonFiniteGradient, TrainingDiverged)):
-            raise _diverged(
-                f"client {client.client_id}: {exc} in its round {round_}",
-                client, round_, diagnostics_dir,
-            ) from exc
+        client, exc = failures[0]
+        if isinstance(exc, TrainingDiverged):
+            raise exc
         raise SimulationError(f"client {client.client_id} failed: {exc!r}") from exc
 
-    eval_params = setup.initial_params.copy()
-    unpack_shared(server.current_aggregate(), eval_params)
-    micro, macro = evaluate(model, eval_params, setup.labels, setup.split)
-    losses = [c.mean_round_loss for c in clients if c.last_examples]
-    yield RoundMetrics(
-        round=len(server.decision_log),
-        aggregator=config.aggregator,
-        loss=float(np.mean(losses)) if losses else None,
-        micro_f1=micro,
-        macro_f1=macro,
-        max_version_gap=server.max_version_gap(),
-        elapsed=time.perf_counter() - start,
+    losses = [c.mean_round_loss for c in setup.clients if c.last_examples]
+    loss = float(np.mean(losses)) if losses else None
+    yield _evaluated_record(
+        config, setup, len(setup.server.decision_log), loss, time.perf_counter() - start
     )
 
 

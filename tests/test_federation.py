@@ -108,6 +108,17 @@ class TestStalenessAggregation:
         with pytest.raises(EmptyRecords):
             make_server().aggregate_staleness_weighted()
 
+    @pytest.mark.parametrize("aggregator", ["staleness", "fedavg", "ema"])
+    def test_aggregate_before_any_upload_is_the_initial_weights(self, aggregator):
+        initial = np.array([0.5, -1.5])
+        server = make_server(aggregator=aggregator, initial_weights=initial)
+        aggregate = server.current_aggregate()
+        np.testing.assert_array_equal(aggregate, initial)
+        aggregate[0] = 9.0  # a copy: the server's initial weights stay put
+        np.testing.assert_array_equal(server.current_aggregate(), initial)
+        with pytest.raises(EmptyRecords):
+            make_server(aggregator=aggregator).current_aggregate()
+
     def test_coefficients_on_simplex_and_monotone_in_version(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
@@ -305,22 +316,23 @@ class TestClientRound:
         build, params = training_client
         client = build()
         shared = pack_shared(params) + 0.125
-        update = client.run_round(shared, epochs=0, batch_size=4)
+        client.install(shared)
+        update = client.run_round(epochs=0, batch_size=4)
         assert update.version == 1
         np.testing.assert_array_equal(update.weights, shared)
 
     def test_one_epoch_full_batch_is_single_step(self, training_client):
         build, _ = training_client
         client = build()
-        client.run_round(None, epochs=1, batch_size=10_000)
+        client.run_round(epochs=1, batch_size=10_000)
         assert client.adam.step == 1
-        client.run_round(None, epochs=1, batch_size=4)
+        client.run_round(epochs=1, batch_size=4)
         assert client.adam.step > 2  # several mini-batches
 
     def test_fixed_seed_rounds_are_byte_identical(self, training_client):
         build, _ = training_client
-        a = build(seed=42).run_round(None, epochs=1, batch_size=6)
-        b = build(seed=42).run_round(None, epochs=1, batch_size=6)
+        a = build(seed=42).run_round(epochs=1, batch_size=6)
+        b = build(seed=42).run_round(epochs=1, batch_size=6)
         assert a.weights.tobytes() == b.weights.tobytes()
         assert a.version == b.version == 1
 
@@ -328,7 +340,7 @@ class TestClientRound:
         build, _ = training_client
         client = build()
         for expected in (1, 2, 3):
-            update = client.run_round(None, epochs=1, batch_size=8)
+            update = client.run_round(epochs=1, batch_size=8)
             assert update.version == expected
 
     def test_per_batch_submission_mode(self, training_client):
@@ -340,6 +352,6 @@ class TestClientRound:
             seen.append(update.version)
             return None
 
-        client.run_round(None, epochs=1, batch_size=5, submit=collect)
+        client.run_round(epochs=1, batch_size=5, submit=collect)
         assert seen == list(range(1, len(seen) + 1))
         assert len(seen) >= 2  # multiple batches, one upload each

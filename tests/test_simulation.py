@@ -187,6 +187,62 @@ class TestRunExperiment:
             (6, 0, 6, b, 4), (6, 1, 6, b, 4), (6, 2, 2, b, 4),
         ]
 
+    def test_batch_mode_decision_log_is_pinned(self, small_graph):
+        from fedhin.simulation import build_experiment, run_experiment
+
+        # two 8-node batches per client and tick; client 2 first uploads on
+        # tick 3, six versions behind, and every upload broadcasts from then on
+        cfg = small_config(rounds=6, speed_multipliers=(1, 1, 3), gap_threshold=4,
+                           granularity="batch", batch_size=8)
+        setup = build_experiment(cfg, small_graph)
+        list(run_experiment(cfg, small_graph, setup=setup))
+        log = [(e["tick"], e["client"], e["version"], e["mode"], e["max_gap"])
+               for e in setup.server.decision_log]
+        t, b = "targeted", "broadcast"
+        assert log == [
+            (1, 0, 1, t, 0), (1, 0, 2, t, 0), (1, 1, 1, t, 1), (1, 1, 2, t, 0),
+            (2, 0, 3, t, 1), (2, 0, 4, t, 2), (2, 1, 3, t, 1), (2, 1, 4, t, 0),
+            (3, 0, 5, t, 1), (3, 0, 6, t, 2), (3, 1, 5, t, 1), (3, 1, 6, t, 0),
+            (3, 2, 1, b, 5), (3, 2, 2, b, 4),
+            (4, 0, 7, b, 5), (4, 0, 8, b, 6), (4, 1, 7, b, 6), (4, 1, 8, b, 6),
+            (5, 0, 9, b, 7), (5, 0, 10, b, 8), (5, 1, 9, b, 8), (5, 1, 10, b, 8),
+            (6, 0, 11, b, 9), (6, 0, 12, b, 10), (6, 1, 11, b, 10), (6, 1, 12, b, 10),
+            (6, 2, 3, b, 9), (6, 2, 4, b, 8),
+        ]
+
+    def test_no_client_due_on_the_first_tick(self, small_graph):
+        # nobody uploads on tick 1: its record evaluates the initial weights
+        records = run_experiment_list(
+            small_config(clients=2, rounds=3, speed_multipliers=(2, 3)), small_graph
+        )
+        assert [r.round for r in records] == [0, 1, 2, 3]
+        assert records[1].loss is None
+        assert (records[1].micro_f1, records[1].macro_f1) == (
+            records[0].micro_f1, records[0].macro_f1
+        )
+        assert all(r.loss is not None for r in records[2:])
+
+    def test_concurrent_run_without_uploads_completes(self, small_graph):
+        cfg = small_config(clients=2, rounds=1, speed_multipliers=(2, 3), scheduling="concurrent")
+        records = run_experiment_list(cfg, small_graph)
+        assert [r.round for r in records] == [0, 0]
+        assert records[1].loss is None
+        assert records[1].micro_f1 == records[0].micro_f1
+
+    def test_concurrent_batch_granularity_uploads_per_batch(self):
+        from fedhin.simulation import build_experiment, run_experiment
+
+        graph = synthetic_hin(n_authors=120, n_papers=300, n_venues=8, classes=3, seed=2)
+        cfg = small_config(clients=2, rounds=2, batch_size=16, granularity="batch",
+                           scheduling="concurrent")
+        setup = build_experiment(cfg, graph)
+        list(run_experiment(cfg, graph, setup=setup))
+        batches = sum(-(-c.train_nodes.size // 16) for c in setup.clients)
+        assert len(setup.server.decision_log) == cfg.rounds * batches
+        assert [c.version for c in setup.clients] == [
+            cfg.rounds * -(-c.train_nodes.size // 16) for c in setup.clients
+        ]
+
     def test_round_records_have_expected_fields(self, small_graph):
         records = run_experiment_list(small_config(rounds=2), small_graph)
         obj = records[-1].to_json_obj()
@@ -237,6 +293,82 @@ class TestRunExperiment:
         configs = preset_aggregator_comparison()
         assert [c.aggregator for c in configs] == ["staleness", "fedavg", "ema"]
         assert all(c.speed_multipliers == (1, 1, 3) for c in configs)
+
+
+class TestDelivery:
+    """The one delivery rule, driven directly with hand-made uploads."""
+
+    def test_uploader_keeps_its_newer_aggregate(self, small_graph):
+        from fedhin import ClientUpdate, pack_shared
+        from fedhin.simulation import Delivery, build_experiment
+
+        setup = build_experiment(small_config(rounds=1, gap_threshold=2), small_graph)
+        clients, server = setup.clients, setup.server
+        delivery = Delivery(server, clients)
+        rng = np.random.default_rng(0)
+
+        def upload(cid, version):
+            size = server.initial_weights.size
+            return ClientUpdate(cid, rng.normal(size=size), version)
+
+        delivery.deliver([upload(0, 1), upload(1, 1), upload(2, 1)], tick=1)
+        first = server.current_aggregate()
+        assert delivery.pending == {}
+        for client in clients:
+            np.testing.assert_array_equal(pack_shared(client.params), first)
+
+        # client 0 runs two versions ahead: a broadcast waits for 1 and 2
+        delivery.deliver([upload(0, 3)], tick=2)
+        broadcast = server.current_aggregate()
+        assert set(delivery.pending) == {1, 2}
+        np.testing.assert_array_equal(pack_shared(clients[0].params), broadcast)
+        np.testing.assert_array_equal(pack_shared(clients[1].params), first)
+
+        # client 1 uploads before downloading that broadcast: the answer to its
+        # own upload installs at once and the older queued broadcast is dropped
+        delivery.deliver([upload(1, 3)], tick=3)
+        newer = server.current_aggregate()
+        assert server.decision_log[-1]["mode"] == "broadcast"
+        assert set(delivery.pending) == {0, 2}
+        delivery.download(clients[1])
+        np.testing.assert_array_equal(pack_shared(clients[1].params), newer)
+
+        # a client that did not upload installs the latest broadcast when its
+        # round starts
+        delivery.download(clients[2])
+        np.testing.assert_array_equal(pack_shared(clients[2].params), newer)
+        assert set(delivery.pending) == {0}
+
+
+    def test_concurrent_uploads_survive_frequent_thread_switches(self, small_graph):
+        import sys
+        import threading
+
+        from fedhin.simulation import build_experiment, run_experiment
+
+        # more client threads than cores, switching every few microseconds:
+        # a lost or doubled upload breaks the per-client version sequence
+        cfg = small_config(clients=6, rounds=3, batch_size=4, granularity="batch",
+                           scheduling="concurrent")
+        setup = build_experiment(cfg, small_graph)
+        records = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner = threading.Thread(
+                target=lambda: records.extend(run_experiment(cfg, small_graph, setup=setup))
+            )
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert len(records) == 2 and np.isfinite(records[-1].loss)
+        for client in setup.clients:
+            versions = [e["version"] for e in setup.server.decision_log
+                        if e["client"] == client.client_id]
+            assert versions == list(range(1, client.version + 1))
+            assert client.version == cfg.rounds * -(-client.train_nodes.size // 4)
 
 
 class TestDefaults:

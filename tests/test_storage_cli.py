@@ -269,6 +269,20 @@ class TestCli:
         assert payload["aggregate"] == [2.0, 2.0]
         assert payload["max_version_gap"] == 2
 
+    def test_train_with_no_client_due_on_the_first_tick(self, dataset_dir, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "clients": 2, "rounds": 3, "speed_multipliers": [2, 3], "batch_size": 16,
+            "embedding_dim": 6, "preference_dim": 3, "seed": 1,
+        }))
+        out = tmp_path / "out"
+        code = main([
+            "train", "--data", str(dataset_dir), "--config", str(config_path), "--out", str(out),
+        ])
+        assert code == 0
+        assert (out / "checkpoint.npz").exists()
+        assert len(read_jsonl(out / "metrics.jsonl")) == 4
+
     def test_failure_prints_machine_readable_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"nope": 1}))
