@@ -17,24 +17,25 @@ def show(alpha):
         client_ids=[0, 1, 2], aggregator="staleness",
         staleness_exponent=alpha, gap_threshold=5,
     )
-    server.submit(ClientUpdate(0, np.array([1.0, 0.0]), version=8))
-    server.submit(ClientUpdate(1, np.array([0.0, 1.0]), version=7))
-    server.submit(ClientUpdate(2, np.array([4.0, 4.0]), version=2))
-    ids, coeffs = server.staleness_coefficients()
-    agg = server.aggregate_staleness_weighted()
+    # one call carrying three uploads gets one answer: (aggregate, mode)
+    agg, mode = server.handle([
+        ClientUpdate(0, np.array([1.0, 0.0]), version=8),
+        ClientUpdate(1, np.array([0.0, 1.0]), version=7),
+        ClientUpdate(2, np.array([4.0, 4.0]), version=2),
+    ])
+    _, coeffs = server.staleness_coefficients()
     print(f"alpha={alpha:>4}: coefficients {np.round(coeffs, 4).tolist()} "
           f"aggregate {np.round(agg, 3).tolist()}")
-    return server
+    return server, mode
 
 print("versions (8, 7, 2): client 2 is five versions stale\n")
 for alpha in (0.0, 0.5, 1.0, 2.0):
-    server = show(alpha)
+    server, mode = show(alpha)
 print("\nalpha=0 ignores staleness (plain average); larger alpha mutes client 2.")
 
 # The dispatch rule: gap 6 >= threshold 5, so the answer is a broadcast.
-decision = server.dispatch(server.aggregate_staleness_weighted(), uploader_id=0)
 print(f"\nmax version gap {server.max_version_gap()} >= threshold 5 "
-      f"-> dispatch mode: {decision.mode}")
+      f"-> dispatch mode: {mode}")
 
 # The textbook two-client case: versions (5, 3) with alpha=1 give raw
 # weights (1, 1/3), i.e. normalized (0.75, 0.25).

@@ -13,7 +13,6 @@ from .evaluation import EvalSplit, curve_extract, evaluate, f1_scores, make_spli
 from .federation import (
     AGGREGATORS,
     ClientUpdate,
-    DispatchDecision,
     FederatedClient,
     FederationError,
     ParameterServer,

@@ -55,12 +55,15 @@ def _load_dataset(data_dir: str, config: ExperimentConfig) -> HeterogeneousGraph
     data = Path(data_dir)
     schema_path = data / "schema.json"
     with open(schema_path) as fh:
-        schema_doc = json.load(fh)
+        text = fh.read()
+    try:
+        schema_doc = json.loads(text)
+        schema = [tuple(t) for t in schema_doc["triples"]]
+        target_type = schema_doc.get("target_type", config.target_type)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GraphError(f"{schema_path}: malformed schema file: {exc!r}") from None
     return load_graph(
-        data / "nodes.csv",
-        data / "edges.csv",
-        schema=[tuple(t) for t in schema_doc["triples"]],
-        target_type=schema_doc.get("target_type", config.target_type),
+        data / "nodes.csv", data / "edges.csv", schema=schema, target_type=target_type
     )
 
 
@@ -189,35 +192,36 @@ def cmd_export_embeddings(args) -> int:
 def cmd_aggregate_demo(args) -> int:
     """Replay the staleness-weighted aggregation on a supplied record table."""
     with open(args.records) as fh:
-        doc = json.load(fh)
-    records = doc["records"]
-    alpha = float(doc.get("alpha", args.alpha))
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+        updates = [
+            ClientUpdate(int(r["client"]), np.asarray(r["weights"], dtype=np.float64),
+                         int(r["version"]))
+            for r in doc["records"]
+        ]
+        alpha = float(doc.get("alpha", args.alpha))
+        gap_threshold = int(doc.get("gap_threshold", 5))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FederationError(f"{args.records}: malformed records file: {exc!r}") from None
     server = ParameterServer(
-        client_ids=[r["client"] for r in records],
+        client_ids=[update.client_id for update in updates],
         aggregator="staleness",
         staleness_exponent=alpha,
-        gap_threshold=doc.get("gap_threshold", 5),
+        gap_threshold=gap_threshold,
     )
-    for r in records:
-        server.submit(
-            ClientUpdate(
-                client_id=r["client"],
-                weights=np.asarray(r["weights"], dtype=np.float64),
-                version=int(r["version"]),
-            )
-        )
+    aggregate, _ = server.handle(updates)
     ids, coeffs = server.staleness_coefficients()
     latest = server.latest_version()
-    aggregated = server.aggregate_staleness_weighted()
     print(
         json.dumps(
             {
                 "alpha": alpha,
                 "latest_version": latest,
                 "clients": ids,
-                "version_gaps": [latest - server.version_records[c] for c in ids],
+                "version_gaps": (latest - server.versions).tolist(),
                 "coefficients": coeffs.tolist(),
-                "aggregate": aggregated.tolist(),
+                "aggregate": aggregate.tolist(),
                 "max_version_gap": server.max_version_gap(),
             }
         )

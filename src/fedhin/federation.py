@@ -1,26 +1,37 @@
 """Federated protocol: server-side records, aggregation rules, dispatch, clients.
 
-The parameter server keeps two records per participating client: its
-latest uploaded flat weight vector and its latest version number (a
-monotone upload counter starting at 1).  Three aggregation rules are
-provided:
+The parameter server keeps one record table: a float64 array ``records``
+with one row per registered client (in ``roster`` order) holding that
+client's latest uploaded flat weight vector, and an int64 vector
+``versions`` aligned with it holding the latest version number (a
+monotone upload counter starting at 1; 0 means nothing recorded yet).
+The table's width is fixed by the initial weights, or else by the first
+upload.  Three aggregation rules are provided:
 
-* ``staleness`` — each stored vector is weighted by
+* ``staleness`` — each recorded vector is weighted by
   ``(gap + 1) ** -alpha`` where ``gap`` is how many versions the record
-  lags behind the newest one, then weights are renormalized.  Fresh
-  records dominate, stale ones fade smoothly.
-* ``fedavg`` — the plain unweighted mean of stored vectors.
+  lags behind the newest one, then weights are renormalized; a client
+  with no record weighs 0.  Fresh records dominate, stale ones fade
+  smoothly (FedAsync's polynomial staleness function).  The aggregate is
+  that coefficient vector times the table.
+* ``fedavg`` — the plain unweighted mean of recorded vectors.
 * ``ema`` — a server-held running vector updated as
   ``beta * server + (1 - beta) * update`` on every submission.
 
-After each aggregation the server either answers only the uploading
-client or, when the largest version gap reaches the configured
-threshold, broadcasts to everyone so stragglers resynchronize.
+``handle`` takes the uploads of one call, checks every one of them before
+it records any (registered client, version above the record and above any
+earlier upload by that client in the call, vector of the table's width),
+aggregates once and gives one answer, ``(aggregate, mode)``: the mode is
+``targeted`` (only the uploaders install it) or, when the largest version
+gap reaches the configured threshold, ``broadcast`` (everyone does, so
+stragglers resynchronize).  Each upload gets one decision-log entry.  A
+call that fails a check raises and changes nothing: no record, version,
+running vector or log entry.
 
-The server is a serialized state machine: submissions and aggregations
-are applied one at a time in arrival order. Message types double as a
-wire format (flat vector + shape manifest + id + version) so the
-simulator can later be split into networked processes.
+The server is a serialized state machine: calls are applied one at a time
+in arrival order.  Message types double as a wire format (flat vector +
+shape manifest + id + version) so the simulator can later be split into
+networked processes.
 """
 
 from __future__ import annotations
@@ -98,21 +109,8 @@ class ClientUpdate:
         return cls(client_id=client_id, weights=weights, version=version), manifest
 
 
-@dataclass
-class DispatchDecision:
-    """Server answer after aggregation: targeted to the uploader or broadcast."""
-
-    mode: str  # "targeted" | "broadcast"
-    client_id: int | None
-    payload: np.ndarray
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.mode == "broadcast"
-
-
 class ParameterServer:
-    """Keeps per-client weight/version records and applies one aggregation rule."""
+    """Keeps the record table and applies one aggregation rule."""
 
     def __init__(
         self,
@@ -138,67 +136,80 @@ class ParameterServer:
         self.staleness_exponent = staleness_exponent
         self.gap_threshold = gap_threshold
         self.ema_beta = ema_beta
-        self.weight_records: dict[int, np.ndarray] = {}
-        self.version_records: dict[int, int] = {}
         self.initial_weights: np.ndarray | None = (
             None if initial_weights is None else np.array(initial_weights, dtype=np.float64)
         )
+        # zeros, not empty: absent rows are weighted 0, and 0 * nan is nan
+        self.records: np.ndarray | None = None
+        if self.initial_weights is not None:
+            self.records = np.zeros((len(self.roster), self.initial_weights.size))
+        self.versions = np.zeros(len(self.roster), dtype=np.int64)
         self._ema_vector = self.initial_weights  # rebound by updates, never written in place
         self.decision_log: list[dict] = []
 
     # -- record keeping ------------------------------------------------------
 
+    def _check(self, updates: Sequence[ClientUpdate]) -> None:
+        """Raise unless every upload, taken in order, may be recorded; writes nothing."""
+        width = self.records.shape[1] if self.records is not None else np.size(updates[0].weights)
+        seen: dict[int, int] = {}
+        for update in updates:
+            cid = int(update.client_id)
+            if cid not in self.roster:
+                raise UnknownClient(f"client {cid} is not registered with this server")
+            current = seen.get(cid, int(self.versions[self.roster.index(cid)]))
+            if update.version <= current:
+                raise StalenessRejected(
+                    f"client {cid} submitted version {update.version}, record already at {current}"
+                )
+            if update.version > np.iinfo(np.int64).max:
+                raise FederationError(f"client {cid} version {update.version} exceeds int64")
+            weights = np.asarray(update.weights)
+            if weights.shape != (width,) or not np.can_cast(weights.dtype, np.float64):
+                raise FederationError(f"client {cid} uploaded {weights.dtype} weights of shape "
+                                      f"{weights.shape}, the table holds {width} float64 values")
+            seen[cid] = int(update.version)
+
     def submit(self, update: ClientUpdate) -> None:
-        """Record an upload; only the uploader's records change."""
-        cid = int(update.client_id)
-        if cid not in self.roster:
-            raise UnknownClient(f"client {cid} is not registered with this server")
-        current = self.version_records.get(cid, 0)
-        if update.version <= current:
-            raise StalenessRejected(
-                f"client {cid} submitted version {update.version}, record already at {current}"
-            )
-        self.weight_records[cid] = np.array(update.weights, dtype=np.float64)
-        self.version_records[cid] = int(update.version)
+        """Record one upload; only the uploader's row and version change."""
+        self._check((update,))
+        if self.records is None:
+            self.records = np.zeros((len(self.roster), np.size(update.weights)))
+        row = self.roster.index(int(update.client_id))
+        self.records[row] = update.weights
+        self.versions[row] = update.version
         if self.aggregator == "ema":
             self._apply_ema(update)
 
     def latest_version(self) -> int:
-        return max(self.version_records.values()) if self.version_records else 0
+        return int(self.versions.max(initial=0))
 
     def max_version_gap(self) -> int:
-        if not self.version_records:
-            return 0
-        latest = self.latest_version()
-        return latest - min(self.version_records.values())
+        recorded = self.versions[self.versions > 0]
+        return int(recorded.max() - recorded.min()) if recorded.size else 0
 
     def staleness_coefficients(self, exponent: float | None = None) -> tuple[list[int], np.ndarray]:
-        """Client ids (sorted) and their normalized staleness weights, under
-        the configured exponent unless ``exponent`` is given."""
-        if not self.weight_records:
+        """The roster and its normalized staleness weights, aligned with it
+        (0 for a client with no record), under the configured exponent
+        unless ``exponent`` is given."""
+        if not self.versions.any():
             raise EmptyRecords("no client records to aggregate")
         if exponent is None:
             exponent = self.staleness_exponent
-        ids = sorted(self.weight_records)
-        latest = self.latest_version()
-        raw = np.array(
-            [float(latest - self.version_records[cid] + 1) ** (-exponent) for cid in ids]
-        )
-        return ids, raw / raw.sum()
+        gaps = self.latest_version() - self.versions
+        raw = np.where(self.versions > 0, (gaps + 1.0) ** -exponent, 0.0)
+        return list(self.roster), raw / raw.sum()
 
     # -- aggregation rules -----------------------------------------------------
 
     def aggregate_staleness_weighted(self, exponent: float | None = None) -> np.ndarray:
-        """Version-gap-discounted weighted mean of the stored client vectors.
+        """Version-gap-discounted weighted mean of the recorded client vectors.
 
         The reference version is the newest recorded one; switching to the
         uploader's own version is a one-line change here.
         """
-        ids, coeffs = self.staleness_coefficients(exponent)
-        out = np.zeros_like(self.weight_records[ids[0]])
-        for cid, c in zip(ids, coeffs):
-            out += c * self.weight_records[cid]
-        return out
+        _, coeffs = self.staleness_coefficients(exponent)
+        return coeffs @ self.records
 
     def aggregate_fedavg(self) -> np.ndarray:
         """The plain mean: staleness weighting with exponent 0 gives every
@@ -220,7 +231,7 @@ class ParameterServer:
     def current_aggregate(self) -> np.ndarray:
         """The global model under the configured rule, given current records;
         a copy of the initial weights while no client has submitted."""
-        if not self.version_records:
+        if not self.versions.any():
             if self.initial_weights is None:
                 raise EmptyRecords("no client records to aggregate and no initial weights")
             return self.initial_weights.copy()
@@ -232,30 +243,29 @@ class ParameterServer:
 
     # -- dispatch ---------------------------------------------------------------
 
-    def dispatch(self, aggregated: np.ndarray, uploader_id: int) -> DispatchDecision:
-        """Targeted answer to the uploader, or broadcast once the gap is too wide."""
-        if self.max_version_gap() >= self.gap_threshold:
-            return DispatchDecision(mode="broadcast", client_id=None, payload=aggregated)
-        return DispatchDecision(mode="targeted", client_id=int(uploader_id), payload=aggregated)
+    def dispatch(self) -> str:
+        """``"broadcast"`` once the widest version gap reaches the threshold,
+        else ``"targeted"`` (only the uploaders get the answer)."""
+        return "broadcast" if self.max_version_gap() >= self.gap_threshold else "targeted"
 
     def handle(
         self, updates: Sequence[ClientUpdate], tick: int | None = None
-    ) -> list[DispatchDecision]:
-        """Submit every upload, aggregate once, then dispatch per upload, with
-        one JSON-friendly decision log entry each."""
+    ) -> tuple[np.ndarray, str]:
+        """Check every upload, record them all, aggregate once and answer
+        ``(aggregate, mode)``, with one JSON-friendly decision-log entry per
+        upload.  A call that fails a check raises and changes nothing."""
         if not updates:
-            return []
+            raise FederationError("a call to handle needs at least one upload")
+        self._check(updates)
         for update in updates:
             self.submit(update)
-        aggregated = self.current_aggregate()
-        decisions = [self.dispatch(aggregated, update.client_id) for update in updates]
-        max_gap = self.max_version_gap()
+        aggregate, mode, max_gap = self.current_aggregate(), self.dispatch(), self.max_version_gap()
         self.decision_log.extend(
             {"tick": tick, "client": int(update.client_id), "version": int(update.version),
-             "mode": decision.mode, "max_gap": max_gap}
-            for update, decision in zip(updates, decisions)
+             "mode": mode, "max_gap": max_gap}
+            for update in updates
         )
-        return decisions
+        return aggregate, mode
 
 
 # -- client ------------------------------------------------------------------

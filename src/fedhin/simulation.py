@@ -432,17 +432,20 @@ class Delivery:
 
     def deliver(self, updates: list[ClientUpdate], tick: int | None = None) -> None:
         """Hand ``updates`` to the server; uploaders install its aggregate now,
-        and after a broadcast every other client finds it in its pending slot."""
+        and after a broadcast every other client finds it in its pending slot.
+        An empty call is skipped."""
+        if not updates:
+            return
         with self.lock:
-            decisions = self.server.handle(updates, tick=tick)
+            aggregate, mode = self.server.handle(updates, tick=tick)
             uploaders = {int(update.client_id) for update in updates}
             for cid in uploaders:
                 self.pending.pop(cid, None)
-                self.clients[cid].install(decisions[0].payload)
-            if any(decision.is_broadcast for decision in decisions):
+                self.clients[cid].install(aggregate)
+            if mode == "broadcast":
                 for client in self.clients:
                     if client.client_id not in uploaders:
-                        self.pending[client.client_id] = decisions[0].payload
+                        self.pending[client.client_id] = aggregate
 
     def download(self, client: FederatedClient) -> None:
         """Install the client's pending broadcast, if one is waiting."""
@@ -539,7 +542,8 @@ def _run_concurrent(
     when that client's next round starts, so no thread writes parameters
     another thread trains on.  The first failure of a client thread stops
     the others before their next round and is raised here once all threads
-    have ended.
+    have ended.  The final record is numbered ``config.rounds``, like the
+    deterministic stream's last; a budget of 0 yields round 0 alone.
     """
     delivery = Delivery(setup.server, setup.clients)
     failures: list[tuple[FederatedClient, Exception]] = []
@@ -562,6 +566,8 @@ def _run_concurrent(
             stop.set()
 
     yield _untrained_record(config, setup)
+    if config.rounds == 0:
+        return
     threads = [threading.Thread(target=client_loop, args=(c,)) for c in setup.clients]
     for t in threads:
         t.start()
@@ -575,9 +581,7 @@ def _run_concurrent(
 
     losses = [c.mean_round_loss for c in setup.clients if c.last_examples]
     loss = float(np.mean(losses)) if losses else None
-    yield _evaluated_record(
-        config, setup, len(setup.server.decision_log), loss, time.perf_counter() - start
-    )
+    yield _evaluated_record(config, setup, config.rounds, loss, time.perf_counter() - start)
 
 
 # -- experiment presets ------------------------------------------------------------

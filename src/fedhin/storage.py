@@ -172,8 +172,8 @@ def write_manifest(path, manifest: RunManifest) -> None:
 
 def read_manifest(path) -> RunManifest:
     with open(path) as fh:
-        raw = json.load(fh)
+        text = fh.read()
     try:
-        return RunManifest.from_dict(raw)
-    except TypeError as exc:
+        return RunManifest.from_dict(json.loads(text))
+    except (TypeError, ValueError) as exc:
         raise StorageError(f"manifest {path}: {exc}") from None

@@ -345,3 +345,18 @@ def reference_adam_step(
         m_hat = m[name] / correction1
         v_hat = v[name] / correction2
         tensor -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def reference_staleness_aggregate(
+    records: dict[int, tuple[np.ndarray, int]], exponent: float
+) -> np.ndarray:
+    """Staleness-weighted mean of ``{client: (vector, version)}``, one client
+    at a time in id order: the loop the server's coefficient-vector-times-table
+    product must match to rounding."""
+    latest = max(version for _, version in records.values())
+    raw = {cid: float(latest - version + 1) ** (-exponent) for cid, (_, version) in records.items()}
+    total = sum(raw.values())
+    out = np.zeros_like(next(iter(records.values()))[0], dtype=np.float64)
+    for cid in sorted(records):
+        out += (raw[cid] / total) * records[cid][0]
+    return out

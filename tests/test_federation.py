@@ -32,8 +32,8 @@ class TestSubmit:
     def test_first_submission_creates_records(self):
         server = make_server()
         server.submit(up(0, [1.0, 2.0], 1))
-        assert server.version_records == {0: 1}
-        np.testing.assert_array_equal(server.weight_records[0], [1.0, 2.0])
+        assert server.versions.tolist() == [1, 0]
+        np.testing.assert_array_equal(server.records[0], [1.0, 2.0])
 
     def test_duplicate_version_rejected(self):
         server = make_server()
@@ -46,20 +46,27 @@ class TestSubmit:
         with pytest.raises(UnknownClient):
             server.submit(up(7, [1.0], 1))
 
+    def test_wrong_width_rejected(self):
+        server = make_server(initial_weights=np.zeros(2))
+        with pytest.raises(FederationError, match="shape"):
+            server.submit(up(0, [1.0, 2.0, 3.0], 1))
+        server = make_server()
+        server.submit(up(0, [1.0, 2.0], 1))
+        with pytest.raises(FederationError, match="shape"):
+            server.submit(up(1, [1.0], 1))
+        assert server.versions.tolist() == [1, 0]
+
     def test_rejected_replay_leaves_state_bit_identical(self):
         server = make_server()
         server.submit(up(0, [1.0, 2.0], 1))
         server.submit(up(1, [3.0, 4.0], 1))
-        snapshot = {
-            cid: server.weight_records[cid].tobytes() for cid in server.weight_records
-        }
-        versions = dict(server.version_records)
+        snapshot = server.records.tobytes()
+        versions = server.versions.tolist()
         for _ in range(3):
             with pytest.raises(StalenessRejected):
                 server.submit(up(0, [5.0, 6.0], 1))
-        assert dict(server.version_records) == versions
-        for cid, blob in snapshot.items():
-            assert server.weight_records[cid].tobytes() == blob
+        assert server.versions.tolist() == versions
+        assert server.records.tobytes() == snapshot
 
     def test_interleaved_submissions_match_replay_log(self):
         # replay-log oracle: apply the same event stream to plain dicts
@@ -70,9 +77,22 @@ class TestSubmit:
             server.submit(up(cid, w, v))
             log_w[cid] = list(w)
             log_v[cid] = v
-        assert dict(server.version_records) == log_v
+        assert server.versions.tolist() == [log_v[0], log_v[1]]
         for cid in log_w:
-            np.testing.assert_array_equal(server.weight_records[cid], log_w[cid])
+            np.testing.assert_array_equal(server.records[cid], log_w[cid])
+
+    def test_handle_gives_one_answer_per_call(self):
+        server = make_server(gap_threshold=2)
+        aggregate, mode = server.handle([up(0, [1.0], 3), up(1, [3.0], 1)], tick=4)
+        assert mode == "broadcast"
+        np.testing.assert_array_equal(aggregate, server.current_aggregate())
+        assert [(e["tick"], e["client"], e["mode"]) for e in server.decision_log] == [
+            (4, 0, "broadcast"), (4, 1, "broadcast"),
+        ]
+
+    def test_empty_call_rejected(self):
+        with pytest.raises(FederationError, match="at least one upload"):
+            make_server().handle([])
 
 
 class TestStalenessAggregation:
@@ -213,21 +233,19 @@ class TestDispatch:
         server = make_server(gap_threshold=5)
         server.submit(up(0, [1.0], 3))
         server.submit(up(1, [1.0], 3))
-        decision = server.dispatch(np.array([1.0]), uploader_id=1)
-        assert decision.mode == "targeted"
-        assert decision.client_id == 1
+        assert server.dispatch() == "targeted"
 
     def test_wide_gap_broadcasts(self):
         server = make_server(gap_threshold=5)
         server.submit(up(0, [1.0], 9))
         server.submit(up(1, [1.0], 1))
-        assert server.dispatch(np.array([1.0]), 0).mode == "broadcast"
+        assert server.dispatch() == "broadcast"
 
     def test_gap_just_under_threshold_targeted(self):
         server = make_server(gap_threshold=5)
         server.submit(up(0, [1.0], 9))
         server.submit(up(1, [1.0], 5))
-        assert server.dispatch(np.array([1.0]), 0).mode == "targeted"
+        assert server.dispatch() == "targeted"
 
     def test_rule_over_random_version_maps(self):
         rng = np.random.default_rng(5)
@@ -238,9 +256,8 @@ class TestDispatch:
             versions = rng.integers(1, 20, size=n)
             for cid in range(n):
                 server.submit(up(cid, [0.0], int(versions[cid])))
-            decision = server.dispatch(np.array([0.0]), 0)
             expected_broadcast = (versions.max() - versions.min()) >= threshold
-            assert decision.is_broadcast == expected_broadcast
+            assert (server.dispatch() == "broadcast") == expected_broadcast
 
 
 class TestWireFormat:

@@ -283,14 +283,64 @@ class TestCli:
         assert (out / "checkpoint.npz").exists()
         assert len(read_jsonl(out / "metrics.jsonl")) == 4
 
-    def test_failure_prints_machine_readable_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"nope": 1}))
-        code = main(["train", "--data", str(tmp_path), "--config", str(bad), "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize(
+        "files, argv, error, fragment",
+        [
+            pytest.param(
+                {"bad.json": json.dumps({"nope": 1})},
+                ["train", "--data", "{tmp}", "--config", "{tmp}/bad.json", "--out", "{tmp}/o"],
+                "ConfigError", "nope", id="unknown-config-key",
+            ),
+            pytest.param(
+                {"schema.json": "{not json"},
+                ["train", "--data", "{tmp}", "--out", "{tmp}/o"],
+                "GraphError", "schema.json", id="schema-not-json",
+            ),
+            pytest.param(
+                {"schema.json": json.dumps({"target_type": "author"})},
+                ["train", "--data", "{tmp}", "--out", "{tmp}/o"],
+                "GraphError", "triples", id="schema-without-triples",
+            ),
+            pytest.param(
+                {"manifest.json": "not json"},
+                ["train", "--manifest", "{tmp}/manifest.json", "--out", "{tmp}/o"],
+                "StorageError", "manifest", id="manifest-not-json",
+            ),
+            pytest.param(
+                {"records.json": "{not json"},
+                ["aggregate-demo", "--records", "{tmp}/records.json"],
+                "FederationError", "records", id="records-not-json",
+            ),
+            pytest.param(
+                {"records.json": json.dumps([{"client": 0, "version": 1, "weights": [1.0]}])},
+                ["aggregate-demo", "--records", "{tmp}/records.json"],
+                "FederationError", "records", id="records-not-an-object",
+            ),
+            pytest.param(
+                {"records.json": json.dumps({"records": [{"client": 0, "weights": [1.0]}]})},
+                ["aggregate-demo", "--records", "{tmp}/records.json"],
+                "FederationError", "version", id="record-without-version",
+            ),
+            pytest.param(
+                {"records.json": json.dumps({"records": [
+                    {"client": 0, "version": 2, "weights": [1.0, 2.0]},
+                    {"client": 1, "version": 1, "weights": [3.0]},
+                ]})},
+                ["aggregate-demo", "--records", "{tmp}/records.json"],
+                "FederationError", "shape", id="records-unequal-length",
+            ),
+        ],
+    )
+    def test_failure_prints_machine_readable_error(
+        self, tmp_path, capsys, files, argv, error, fragment
+    ):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "ConfigError"
-        assert "nope" in err["message"]
+        assert err["error"] == error
+        assert fragment in err["message"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_prints_machine_readable_error(self, dataset_dir, tmp_path, capsys):
