@@ -428,41 +428,27 @@ class AttentionModel:
         """Per path, the batch's neighbor lists; lists longer than
         ``sample_size`` are replaced by a sorted uniform sample."""
         sampling = rng is not None and self.sample_size is not None
-        layouts, starts, degrees = [], [], []
+        layouts = []
         for mat in self.matrices:
             start = mat.indptr[batch]
             degree = mat.indptr[batch + 1] - start
-            counts = np.minimum(degree, self.sample_size) if sampling else degree
             # segment offsets share the CSR index dtype, so sparse matrices
             # over the layout are built without conversion
             indptr = np.zeros(batch.size + 1, dtype=mat.indices.dtype)
-            np.cumsum(counts, out=indptr[1:])
-            owner = np.repeat(np.arange(batch.size), counts)
-            # a sampled segment starts as the head of its list and is overwritten below
+            np.cumsum(degree, out=indptr[1:])
+            owner = np.repeat(np.arange(batch.size), degree)
             offsets = start[owner] + np.arange(indptr[-1]) - indptr[owner]
-            idx = mat.indices[offsets]
-            layouts.append(NeighborSegments(idx=idx, indptr=indptr, owner=owner))
-            starts.append(start)
-            degrees.append(degree)
-        if sampling:
-            # one draw per oversized list, node-major and path-minor: the
-            # order of a node-by-node pass, so seeded runs draw the same
-            # samples.  choice(n) picks the positions choice(list) picks for a
-            # list of length n.
-            size = self.sample_size
-            oversized = np.argwhere(np.stack(degrees, axis=1) > size)
-            n_listed = [degree.tolist() for degree in degrees]
-            picks = [
-                rng.choice(n_listed[p][b], size=size, replace=False)
-                for b, p in oversized.tolist()
-            ]
-            if picks:
-                picks = np.array(picks)
-                for p, (mat, seg) in enumerate(zip(self.matrices, layouts)):
-                    mine = oversized[:, 1] == p
-                    rows = oversized[mine, 0]
-                    sample = mat.indices[starts[p][rows][:, None] + picks[mine]]
-                    seg.idx[seg.indptr[rows][:, None] + np.arange(size)] = np.sort(sample, axis=1)
+            if sampling:
+                # each entry draws a uniform key and each segment keeps its
+                # sample_size smallest keys, so a sample is uniform without
+                # replacement; 2 * owner keeps segments apart where owner + key
+                # would round up to owner + 1
+                order = np.argsort(2 * owner + rng.random(owner.size))
+                keep = np.zeros(owner.size, dtype=bool)
+                keep[order[np.arange(owner.size) - indptr[owner] < self.sample_size]] = True
+                offsets, owner = offsets[keep], owner[keep]
+                np.cumsum(np.minimum(degree, self.sample_size), out=indptr[1:])
+            layouts.append(NeighborSegments(idx=mat.indices[offsets], indptr=indptr, owner=owner))
         return layouts
 
     def forward(

@@ -252,23 +252,21 @@ def fuse(embeddings, coeffs) -> np.ndarray:
     return c @ emb
 
 
-def reference_forward(model, params, batch, labels=None, rng=None) -> list[dict]:
+def reference_forward(model, params, batch, labels=None, samples=None) -> list[dict]:
     """The whole two-level pass, composed node by node from the ops above.
 
-    Sampling draws one ``rng.choice`` per neighbor list longer than the
-    model's sample size, node-major and path-minor.  Returns one dict per
-    batch node with its sampled neighbors, sims, coeffs, path coeffs,
+    ``samples`` gives, per batch node, the neighbor ids each meta path
+    attends over (a sampled pass's ``[node.samples for node in
+    trace.nodes]``); by default every neighbor takes part.  Returns one
+    dict per batch node with its neighbors, sims, coeffs, path coeffs,
     fused embedding, probabilities, loss and count of degenerate cosines.
     """
-    sample_size = model.sample_size if rng is not None else None
     out = []
-    for i in batch:
+    for b, i in enumerate(batch):
         i = int(i)
         node = {"samples": [], "sims": [], "coeffs": [], "embeddings": [], "zero_norm_events": 0}
         for p in range(model.dims.n_paths):
-            ids = neighbors(model, p, i)
-            if sample_size is not None and ids.size > sample_size:
-                ids = np.sort(rng.choice(ids, size=sample_size, replace=False))
+            ids = neighbors(model, p, i) if samples is None else np.asarray(samples[b][p])
             coeffs = node_attention(model, params, p, i, ids)
             own = transform_features(model, params, p, i)
             sims = [cosine(own, transform_features(model, params, p, int(j))) for j in ids]

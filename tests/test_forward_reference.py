@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+
+from fedhin.graph import MetaPathAdjacency, MetaPathSpec
 from fedhin.model import AttentionModel, init_params
 
-from oracles import edge_case_adjacencies, reference_forward
+from oracles import edge_case_adjacencies, neighbors, reference_forward
 
 TOL = 1e-12
 
@@ -35,8 +38,11 @@ def test_batched_forward_equals_per_node_reference(seed, sample_size):
     trace = model.forward(
         params, batch, labels, rng=np.random.default_rng(seed) if sampled else None
     )
+    # a sampled pass is checked on the neighbors it drew; the draw itself
+    # is checked by the sampler tests below
     expected = reference_forward(
-        model, params, batch, labels, rng=np.random.default_rng(seed) if sampled else None
+        model, params, batch, labels,
+        samples=[node.samples for node in trace.nodes] if sampled else None,
     )
 
     assert len(trace.nodes) == batch.size
@@ -57,6 +63,45 @@ def test_batched_forward_equals_per_node_reference(seed, sample_size):
     if not sampled:
         assert 3 in trace.nodes[0].samples[0]
         assert not trace.nodes[2].sim_valid[0][list(trace.nodes[2].samples[0]).index(1)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sampled_segments_are_sorted_subsets(seed):
+    model, params, labels = build(seed, 2)
+    batch = np.concatenate([[3, 0, 2, 1, 3], np.arange(4, model.dims.n_targets)])
+    trace = model.forward(params, batch, labels, rng=np.random.default_rng(seed))
+    whole = cut = 0
+    for node in trace.nodes:
+        for p in range(model.dims.n_paths):
+            full, got = neighbors(model, p, node.index), node.samples[p]
+            assert np.all(np.diff(got) > 0)  # sorted, no repeats
+            assert np.isin(got, full).all()
+            if full.size <= model.sample_size:
+                np.testing.assert_array_equal(got, full)
+                whole += 1
+            else:
+                assert got.size == model.sample_size
+                cut += 1
+    assert whole and cut
+
+
+def test_sampled_inclusion_frequency_is_uniform():
+    # node 0 has 69 neighbors; each should be drawn with probability k/deg
+    deg, k, draws = 69, 16, 4000
+    dense = np.zeros((deg + 1, deg + 1), dtype=np.int64)
+    dense[0, 1:] = dense[1:, 0] = 1
+    adj = MetaPathAdjacency(
+        metapath=MetaPathSpec.from_string("APA"), matrix=sp.csr_matrix(dense), mode="counts",
+        node_ids=np.arange(deg + 1),
+    )
+    model = AttentionModel([adj], n_labels=2, embedding_dim=3, preference_dim=2, sample_size=k)
+    params = init_params(model.dims, np.random.default_rng(0))
+    trace = model.forward(params, np.zeros(draws, dtype=np.int64), rng=np.random.default_rng(12))
+    samples = [node.samples[0] for node in trace.nodes]
+    assert all(s.size == k for s in samples)
+    freq = np.bincount(np.concatenate(samples), minlength=deg + 1)[1:] / draws
+    p = k / deg
+    assert np.abs(freq - p).max() <= 5 * np.sqrt(p * (1 - p) / draws)
 
 
 def test_node_views_are_read_only():
