@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-
 import scipy.sparse as sp
 
 from fedhin.graph import MetaPathAdjacency, MetaPathSpec
@@ -27,24 +26,15 @@ def build(seed, sample_size):
     return model, params, labels
 
 
-@pytest.mark.parametrize("sample_size", [None, 2])
-@pytest.mark.parametrize("seed", range(6))
-def test_batched_forward_equals_per_node_reference(seed, sample_size):
-    model, params, labels = build(seed, sample_size)
-    n = model.dims.n_targets
-    # isolated node 0, zero-norm neighbor of 2, self loop at 3, node 3 twice
-    batch = np.concatenate([[3, 0, 2, 1, 3], np.arange(4, n)])
-    sampled = sample_size is not None
-    trace = model.forward(
-        params, batch, labels, rng=np.random.default_rng(seed) if sampled else None
-    )
-    # a sampled pass is checked on the neighbors it drew; the draw itself
-    # is checked by the sampler tests below
+def forward_against_reference(model, params, batch, labels, rng):
+    """The batched pass, checked node by node against the reference; a
+    sampled pass is checked on the neighbors it drew (the draw itself is
+    checked by the sampler tests below)."""
+    trace = model.forward(params, batch, labels, rng=rng)
     expected = reference_forward(
         model, params, batch, labels,
-        samples=[node.samples for node in trace.nodes] if sampled else None,
+        samples=[node.samples for node in trace.nodes] if rng is not None else None,
     )
-
     assert len(trace.nodes) == batch.size
     for node, ref in zip(trace.nodes, expected):
         for p in range(model.dims.n_paths):
@@ -57,12 +47,58 @@ def test_batched_forward_equals_per_node_reference(seed, sample_size):
         assert node.loss == pytest.approx(ref["loss"], rel=TOL, abs=TOL)
     assert trace.total_loss == pytest.approx(math.fsum(r["loss"] for r in expected), rel=TOL)
     assert trace.zero_norm_events == sum(r["zero_norm_events"] for r in expected)
+    return trace
+
+
+@pytest.mark.parametrize("sample_size", [None, 2])
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_forward_equals_per_node_reference(seed, sample_size):
+    model, params, labels = build(seed, sample_size)
+    n = model.dims.n_targets
+    # isolated node 0, zero-norm neighbor of 2, self loop at 3, node 3 twice
+    batch = np.concatenate([[3, 0, 2, 1, 3], np.arange(4, n)])
+    sampled = sample_size is not None
+    trace = forward_against_reference(
+        model, params, batch, labels, np.random.default_rng(seed) if sampled else None
+    )
     assert trace.zero_norm_events > 0
     # the planted cases really occur (sampling may drop the last two)
     assert trace.nodes[1].samples[0].size == 0
     if not sampled:
         assert 3 in trace.nodes[0].samples[0]
         assert not trace.nodes[2].sim_valid[0][list(trace.nodes[2].samples[0]).index(1)]
+
+
+@pytest.mark.parametrize("sample_size", [None, 2])
+@pytest.mark.parametrize("seed", range(3))
+def test_batch_local_forward_equals_per_node_reference(seed, sample_size):
+    # nodes 0-18 on a ring, each linked to the three nodes either side; node
+    # 19 is isolated.  The batch touches at most rows 6-13 and 19, few enough
+    # at this width for the pass to slice them out and work on positions.
+    rng = np.random.default_rng(seed)
+    adjs = []
+    for code in ("APA", "APPA"):
+        dense = np.zeros((20, 20), dtype=np.int64)
+        for i in range(19):
+            for step in (1, 2, 3):
+                dense[i, (i + step) % 19] = dense[i, (i - step) % 19] = rng.integers(1, 4)
+        adjs.append(
+            MetaPathAdjacency(
+                metapath=MetaPathSpec.from_string(code), matrix=sp.csr_matrix(dense),
+                mode="counts", node_ids=np.arange(20),
+            )
+        )
+    model = AttentionModel(
+        adjs, n_labels=3, embedding_dim=32, preference_dim=4, activation="elu",
+        sample_size=sample_size,
+    )
+    params = init_params(model.dims, np.random.default_rng(seed + 100))
+    labels = rng.integers(0, 3, size=20)
+    trace = forward_against_reference(
+        model, params, np.array([9, 10, 19, 9]), labels,
+        np.random.default_rng(seed) if sample_size is not None else None,
+    )
+    assert all(pt.rows.size < model.dims.n_targets for pt in trace.paths)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -112,6 +112,43 @@ class TestBackward:
             rng_factory=lambda: np.random.default_rng(17),
         )
 
+    def test_matches_finite_differences_when_few_rows_are_touched(self):
+        # batch 6 and 7 of 12 nodes: 6 samples 2 of its neighbors 7, 8, 9 and
+        # 7 keeps its whole list 6, 10, so batch node 6 is also a neighbor of
+        # batch node 7 and at most rows 6-10 are touched; rows 8-10 reach the
+        # untouched nodes through their adjacency rows.  At this width the
+        # pass slices the touched rows out, and no batch node's position in
+        # them equals its id.
+        rng = np.random.default_rng(31)
+        rest = [0, 1, 2, 3, 4, 5, 8, 9, 10, 11]
+        adjs = []
+        for code in ("APA", "APPA"):
+            dense = np.zeros((12, 12), dtype=np.int64)
+            dense[6, [7, 8, 9]] = rng.integers(1, 4, size=3)
+            dense[7, [6, 10]] = rng.integers(1, 4, size=2)
+            sparse_counts = rng.integers(0, 4, size=(10, 10)) * (rng.random((10, 10)) < 0.5)
+            dense[np.ix_(rest, rest)] = sparse_counts
+            dense[8:11, 0] += 1  # no zero rows among the touched neighbors
+            adjs.append(
+                MetaPathAdjacency(
+                    metapath=MetaPathSpec.from_string(code), matrix=sp.csr_matrix(dense),
+                    mode="counts", node_ids=np.arange(12),
+                )
+            )
+        model = AttentionModel(
+            adjs, n_labels=3, embedding_dim=24, preference_dim=3, activation="elu", sample_size=2
+        )
+        params = init_params(model.dims, np.random.default_rng(9))
+        labels = np.random.default_rng(10).integers(0, 3, size=12)
+        batch = np.array([6, 7])
+        trace = model.forward(params, batch, labels, rng=np.random.default_rng(5))
+        for pt in trace.paths:
+            assert pt.rows.size < 12 / 2
+        assert 6 in trace.nodes[1].samples[0]
+        check_all_tensors(
+            model, params, labels, batch, coords=40, rng_factory=lambda: np.random.default_rng(5)
+        )
+
     def test_near_stationary_point_has_tiny_gradient(self):
         # saturate the classifier so every batch node is predicted with
         # probability 1: the loss is 0 and so is its gradient
