@@ -189,6 +189,14 @@ def cmd_export_embeddings(args) -> int:
     return 0
 
 
+def _integer(record: dict, field: str) -> int:
+    """``record[field]`` when it is a JSON integer; a bool or a float is not."""
+    value = record[field]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"record {field} {value!r} is not an integer")
+    return value
+
+
 def cmd_aggregate_demo(args) -> int:
     """Replay the staleness-weighted aggregation on a supplied record table."""
     with open(args.records) as fh:
@@ -196,8 +204,8 @@ def cmd_aggregate_demo(args) -> int:
     try:
         doc = json.loads(text)
         updates = [
-            ClientUpdate(int(r["client"]), np.asarray(r["weights"], dtype=np.float64),
-                         int(r["version"]))
+            ClientUpdate(_integer(r, "client"), np.asarray(r["weights"], dtype=np.float64),
+                         _integer(r, "version"))
             for r in doc["records"]
         ]
         alpha = float(doc.get("alpha", args.alpha))

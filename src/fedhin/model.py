@@ -13,26 +13,38 @@ with summed cross-entropy closes the objective.
 
 A batch of B target nodes is computed at once.  Per meta path, the
 batch's neighbor lists (sampled or whole) are laid end to end in one
-flat ``idx`` array of neighbor ids: batch row b owns
-``idx[indptr[b]:indptr[b + 1]]``, and ``owner`` names the batch row of
-every entry.  Whole lists are sliced straight from the adjacency's CSR
-``indptr``/``indices``.  Node-level attention is then a segment softmax
+flat ``idx`` array: batch row b owns ``idx[indptr[b]:indptr[b + 1]]``,
+and ``owner`` names the batch row of every entry.  Whole lists are
+sliced straight from the adjacency's CSR ``indptr``/``indices``.  To
+sample, every entry of the whole lists draws a uniform key (one
+``rng.random(E)`` per path), one ``argsort`` orders the keys within each
+segment, and each segment keeps its ``sample_size`` smallest: a uniform
+sample without replacement, still in ascending neighbor order.
+
+The pass then works on the R rows it touches: the batch and its
+neighbors.  Their adjacency rows ``A[rows]`` are sliced out once and
+transformed into the (R, d) block ``H = A[rows] @ wt.T``, and ``idx``
+and the batch are renumbered to positions in ``rows``.  Slicing copies
+the touched rows' entries, so when most rows are touched (an evaluation
+pass over every node, or a large batch at a small width) the block is
+the whole matrix instead.  Node-level attention is a segment softmax
 (the per-segment max from ``np.maximum.reduceat`` over the non-empty
 segments, the sums from ``np.bincount``), and the neighbor aggregate is
-``C @ H`` with ``C`` the sparse (B, N) matrix of attention coefficients.
-Cosine numerators are read from the (B, N) block ``H[batch] @ H.T``,
+``C @ H`` with ``C`` the sparse (B, R) matrix of attention coefficients.
+Cosine numerators are read from the (B, R) block ``H[own] @ H.T``,
 computed a fixed number of rows at a time, so no (entries x d) gather
 over the neighbor lists is ever built.  The meta-path level is
 (B, M, .) array algebra.
 
 ``backward`` mirrors the forward pass with scatters that stay correct
 when a neighbor or a batch node repeats: the sparse transposes
-``C.T @ dU`` and ``W.T @ H[batch]``, ``np.bincount`` over neighbor ids
-and ``np.add.at`` over batch rows, then ``dH.T @ A`` for the transform
-weights.  It returns exact reverse-mode gradients of the batch loss with
-respect to every parameter tensor; they are hand-derived for this fixed
-architecture and checked against central finite differences in the test
-suite, as is the forward pass against a per-node reference.
+``C.T @ dU`` and ``W.T @ H[own]``, ``np.bincount`` over neighbor
+positions and ``np.add.at`` over batch positions, then
+``dH.T @ A[rows]`` for the transform weights.  It returns exact
+reverse-mode gradients of the batch loss with respect to every parameter
+tensor; they are hand-derived for this fixed architecture and checked
+against central finite differences in the test suite, as is the forward
+pass against a per-node reference.
 
 All arithmetic is float64.
 """

@@ -10,7 +10,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -161,7 +161,13 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunManifest":
-        return cls(**raw)
+        manifest = cls(**raw)
+        for name, kind in get_type_hints(cls).items():
+            value = getattr(manifest, name)
+            # a bool is not an int
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise TypeError(f"field {name!r} must be {kind.__name__}, got {value!r}")
+        return manifest
 
 
 def write_manifest(path, manifest: RunManifest) -> None:

@@ -182,6 +182,15 @@ def train_run(dataset_dir, tmp_path_factory):
     return dataset_dir, run_dir / "out", config_path
 
 
+def _manifest_doc(**fields) -> dict:
+    """A well-formed run manifest with ``fields`` replaced."""
+    doc = {
+        "config": {"rounds": 1}, "seed": 0, "code_version": "0.1.0",
+        "dataset_fingerprint": "0" * 64, "data_dir": "data", "outputs": {},
+    }
+    return {**doc, **fields}
+
+
 class TestCli:
     def test_generate_writes_dataset(self, dataset_dir):
         assert (dataset_dir / "nodes.csv").exists()
@@ -328,6 +337,30 @@ class TestCli:
                 ]})},
                 ["aggregate-demo", "--records", "{tmp}/records.json"],
                 "FederationError", "shape", id="records-unequal-length",
+            ),
+            pytest.param(
+                {"records.json": json.dumps({"records": [
+                    {"client": 0, "version": 1.5, "weights": [1.0]},
+                ]})},
+                ["aggregate-demo", "--records", "{tmp}/records.json"],
+                "FederationError", "version", id="record-version-not-an-integer",
+            ),
+            pytest.param(
+                {"records.json": json.dumps({"records": [
+                    {"client": 0, "version": True, "weights": [1.0]},
+                ]})},
+                ["aggregate-demo", "--records", "{tmp}/records.json"],
+                "FederationError", "version", id="record-version-true",
+            ),
+            pytest.param(
+                {"manifest.json": json.dumps(_manifest_doc(config=5))},
+                ["train", "--manifest", "{tmp}/manifest.json", "--out", "{tmp}/o"],
+                "StorageError", "config", id="manifest-config-not-an-object",
+            ),
+            pytest.param(
+                {"manifest.json": json.dumps(_manifest_doc(data_dir=5))},
+                ["train", "--manifest", "{tmp}/manifest.json", "--out", "{tmp}/o"],
+                "StorageError", "data_dir", id="manifest-data-dir-not-a-string",
             ),
         ],
     )
