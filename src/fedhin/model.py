@@ -299,8 +299,9 @@ def _touched_rows(
     mask[seg.idx] = True
     # the slice copies the touched rows' entries; the transform and its
     # backward then skip ``width`` multiply-adds per entry of the other rows.
-    # Timed on the benchmark graphs, that pays while fewer than about
-    # width / (width + 24) of the rows are touched (0.57 at 32, 0.84 at 128).
+    # Timed on the 400-author benchmark graphs (2-core x86, one BLAS
+    # thread), that pays while fewer than about width / (width + 24) of the
+    # rows are touched (0.57 at width 32, 0.84 at 128).
     if np.count_nonzero(mask) * (width + 24) > n * width:
         return np.arange(n), mat, batch, seg
     rows = np.flatnonzero(mask)
