@@ -32,6 +32,7 @@ from .storage import (
     StorageError,
     dataset_fingerprint,
     export_embeddings,
+    make_output_dir,
     params_from_checkpoint,
     read_manifest,
     save_checkpoint,
@@ -54,17 +55,22 @@ _ERRORS = (
 def _load_dataset(data_dir: str, config: ExperimentConfig) -> HeterogeneousGraph:
     data = Path(data_dir)
     schema_path = data / "schema.json"
-    with open(schema_path) as fh:
-        text = fh.read()
     try:
+        with open(schema_path, encoding="utf-8") as fh:
+            text = fh.read()
         schema_doc = json.loads(text)
         schema = [tuple(t) for t in schema_doc["triples"]]
         target_type = schema_doc.get("target_type", config.target_type)
-    except (KeyError, TypeError, ValueError) as exc:
+    except OSError as exc:  # its message names the file
+        raise GraphError(f"cannot read the dataset: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
         raise GraphError(f"{schema_path}: malformed schema file: {exc!r}") from None
-    return load_graph(
-        data / "nodes.csv", data / "edges.csv", schema=schema, target_type=target_type
-    )
+    try:
+        return load_graph(
+            data / "nodes.csv", data / "edges.csv", schema=schema, target_type=target_type
+        )
+    except OSError as exc:
+        raise GraphError(f"cannot read the dataset: {exc}") from None
 
 
 def cmd_generate(args) -> int:
@@ -77,10 +83,9 @@ def cmd_generate(args) -> int:
         p_out=args.p_out,
         seed=args.seed,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(args.out)
     write_graph(out / "nodes.csv", out / "edges.csv", graph)
-    with open(out / "schema.json", "w") as fh:
+    with open(out / "schema.json", "w", encoding="utf-8") as fh:
         json.dump(
             {"triples": [list(t) for t in sorted(graph.schema)], "target_type": graph.target_type},
             fh,
@@ -121,8 +126,7 @@ def cmd_train(args) -> int:
         raise ConfigError("train needs --data (or a manifest that records it)")
     graph = _load_dataset(data_dir, config)
 
-    run_dir = Path(args.out)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir = make_output_dir(args.out)
     data_files = [Path(data_dir) / n for n in ("nodes.csv", "edges.csv", "schema.json")]
     outputs = {
         "metrics": str(run_dir / "metrics.jsonl"),
@@ -199,9 +203,9 @@ def _integer(record: dict, field: str) -> int:
 
 def cmd_aggregate_demo(args) -> int:
     """Replay the staleness-weighted aggregation on a supplied record table."""
-    with open(args.records) as fh:
-        text = fh.read()
     try:
+        with open(args.records, encoding="utf-8") as fh:
+            text = fh.read()
         doc = json.loads(text)
         updates = [
             ClientUpdate(_integer(r, "client"), np.asarray(r["weights"], dtype=np.float64),
@@ -210,7 +214,9 @@ def cmd_aggregate_demo(args) -> int:
         ]
         alpha = float(doc.get("alpha", args.alpha))
         gap_threshold = int(doc.get("gap_threshold", 5))
-    except (KeyError, TypeError, ValueError) as exc:
+    except OSError as exc:  # its message names the file
+        raise FederationError(f"cannot read the records file: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
         raise FederationError(f"{args.records}: malformed records file: {exc!r}") from None
     server = ParameterServer(
         client_ids=[update.client_id for update in updates],

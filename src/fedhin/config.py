@@ -1,15 +1,21 @@
-"""Experiment configuration: defaults, bounds checking, JSON parsing.
+"""Experiment configuration: defaults, type and bounds checking, JSON parsing.
 
 A config file is a flat JSON object whose keys mirror the
 :class:`ExperimentConfig` fields; an empty file means all defaults.
+Each field must match its annotation before its range is checked: a
+bool is not an integer, an integer is a number, a float field must be
+finite, and a tuple field is a JSON list.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .federation import AGGREGATORS
 from .graph import DEFAULT_TYPE_ALPHABET
@@ -18,6 +24,47 @@ from .model import ACTIVATIONS
 
 class ConfigError(Exception):
     pass
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# plain annotation types: (test, singular name, plural name)
+_PLAIN = {
+    int: (_is_int, "an integer", "integers"),
+    float: (
+        lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+        "a finite number", "finite numbers",
+    ),
+    str: (lambda v: isinstance(v, str), "a string", "strings"),
+    type(None): (lambda v: v is None, "null", "nulls"),
+}
+
+
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` has the type annotation ``hint`` of a config field."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType):
+        return any(_conforms(value, arg) for arg in args)
+    if origin is tuple:  # tuple[X, ...]
+        return isinstance(value, tuple) and all(_conforms(v, args[0]) for v in value)
+    if origin is Mapping:
+        return isinstance(value, Mapping) and all(
+            _conforms(k, args[0]) and _conforms(v, args[1]) for k, v in value.items()
+        )
+    return _PLAIN[hint][0](value)
+
+
+def _describe(hint, plural: bool = False) -> str:
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType):
+        return " or ".join(_describe(arg, plural) for arg in args)
+    if origin is tuple:
+        return f"{'lists' if plural else 'a list'} of {_describe(args[0], plural=True)}"
+    if origin is Mapping:
+        return f"{'objects' if plural else 'an object'} of {_describe(args[1], plural=True)}"
+    return _PLAIN[hint][2 if plural else 1]
 
 
 @dataclass
@@ -55,6 +102,10 @@ class ExperimentConfig:
             if not cond:
                 raise ConfigError(message)
 
+        for name, hint in get_type_hints(type(self)).items():
+            value = getattr(self, name)
+            require(_conforms(value, hint), f"{name} must be {_describe(hint)}, got {value!r}")
+
         require(self.clients >= 1, f"clients must be >= 1, got {self.clients}")
         require(self.rounds >= 0, f"rounds must be >= 0, got {self.rounds}")
         require(self.local_epochs >= 0, f"local_epochs must be >= 0, got {self.local_epochs}")
@@ -62,7 +113,7 @@ class ExperimentConfig:
         require(self.learning_rate > 0, f"learning_rate must be > 0, got {self.learning_rate}")
         require(self.embedding_dim >= 1, f"embedding_dim must be >= 1, got {self.embedding_dim}")
         require(self.preference_dim >= 1, f"preference_dim must be >= 1, got {self.preference_dim}")
-        require(len(self.metapaths) >= 1, "at least one meta path is required")
+        require(len(self.metapaths) >= 1, "metapaths must list at least one meta path")
         require(
             self.adjacency_mode in ("counts", "binary"),
             f"adjacency_mode must be 'counts' or 'binary', got {self.adjacency_mode!r}",
@@ -91,7 +142,7 @@ class ExperimentConfig:
                 f"speed_multipliers length {len(self.speed_multipliers)} != clients {self.clients}",
             )
             require(
-                all(isinstance(s, int) and s >= 1 for s in self.speed_multipliers),
+                all(s >= 1 for s in self.speed_multipliers),
                 "speed_multipliers must be positive integers",
             )
         require(
@@ -111,6 +162,7 @@ class ExperimentConfig:
             0.0 < self.train_fraction < 1.0,
             f"train_fraction must lie in (0, 1), got {self.train_fraction}",
         )
+        require(self.seed >= 0, f"seed must be a non-negative integer, got {self.seed}")
 
     def speeds(self) -> tuple[int, ...]:
         if self.speed_multipliers is None:
@@ -132,11 +184,12 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-        kwargs = dict(raw)
-        if "metapaths" in kwargs:
-            kwargs["metapaths"] = tuple(kwargs["metapaths"])
-        if kwargs.get("speed_multipliers") is not None:
-            kwargs["speed_multipliers"] = tuple(kwargs["speed_multipliers"])
+        # JSON lists become the tuple fields; anything else is left for
+        # validate to reject
+        kwargs = {
+            name: tuple(value) if isinstance(value, list) else value
+            for name, value in raw.items()
+        }
         try:
             return cls(**kwargs)
         except TypeError as exc:
@@ -145,8 +198,11 @@ class ExperimentConfig:
 
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a config file; empty or blank files mean defaults."""
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read the config file: {exc}") from None
     if not text.strip():
         return ExperimentConfig()
     try:

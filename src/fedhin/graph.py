@@ -295,9 +295,12 @@ EDGE_HEADER = ["src", "dst", "relation"]
 
 
 def _read_rows(path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
+        try:
+            rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: empty table", line=1)
     first_line, header = rows[0]
@@ -374,13 +377,13 @@ def load_graph(
 
 def write_graph(nodes_path, edges_path, graph: HeterogeneousGraph) -> None:
     """Write a graph back to the tabular format accepted by :func:`load_graph`."""
-    with open(nodes_path, "w", newline="") as fh:
+    with open(nodes_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(NODE_HEADER)
         for nid in range(graph.num_nodes):
             label = graph.labels[nid]
             writer.writerow([nid, graph.node_type[nid], "" if label < 0 else int(label)])
-    with open(edges_path, "w", newline="") as fh:
+    with open(edges_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(EDGE_HEADER)
         for src, dst, rel in graph.edges:

@@ -22,15 +22,16 @@ segment, and each segment keeps its ``sample_size`` smallest: a uniform
 sample without replacement, still in ascending neighbor order.
 
 The pass then works on the R rows it touches: the batch and its
-neighbors.  Their adjacency rows ``A[rows]`` are sliced out once and
-transformed into the (R, d) block ``H = A[rows] @ wt.T``, and ``idx``
-and the batch are renumbered to positions in ``rows``.  Slicing copies
-the touched rows' entries, so when most rows are touched (an evaluation
-pass over every node, or a large batch at a small width) the block is
-the whole matrix instead.  Node-level attention is a segment softmax
-(the per-segment max from ``np.maximum.reduceat`` over the non-empty
-segments, the sums from ``np.bincount``), and the neighbor aggregate is
-``C @ H`` with ``C`` the sparse (B, R) matrix of attention coefficients.
+neighbors.  Their adjacency rows ``A[rows]`` are sliced out once, as the
+CSR arrays ``(indptr, indices, data)``, and transformed into the (R, d)
+block ``H = A[rows] @ wt.T``, and ``idx`` and the batch are renumbered
+to positions in ``rows``.  Slicing copies the touched rows' entries, so
+when most rows are touched (an evaluation pass over every node, or a
+large batch at a small width) the block is the whole matrix instead.
+Node-level attention is a segment softmax (the per-segment max from
+``np.maximum.reduceat`` over the non-empty segments, the sums from
+``np.bincount``), and the neighbor aggregate is ``C @ H`` with ``C`` the
+sparse (B, R) matrix of attention coefficients laid out by the segments.
 Cosine numerators are read from the (B, R) block ``H[own] @ H.T``,
 computed a fixed number of rows at a time, so no (entries x d) gather
 over the neighbor lists is ever built.  The meta-path level is
@@ -40,11 +41,21 @@ over the neighbor lists is ever built.  The meta-path level is
 when a neighbor or a batch node repeats: the sparse transposes
 ``C.T @ dU`` and ``W.T @ H[own]``, ``np.bincount`` over neighbor
 positions and ``np.add.at`` over batch positions, then
-``dH.T @ A[rows]`` for the transform weights.  It returns exact
+``A[rows].T @ dH`` for the transform weights.  It returns exact
 reverse-mode gradients of the batch loss with respect to every parameter
 tensor; they are hand-derived for this fixed architecture and checked
 against central finite differences in the test suite, as is the forward
 pass against a per-node reference.
+
+Every per-batch sparse-dense product (``A[rows] @ wt.T``, ``C @ H``,
+``C.T @ dU``, ``W @ H``, ``W.T @ H[own]`` and ``A[rows].T @ dH``, with
+``W`` the (B, R) matrix of the cosine gradients' per-entry weights)
+calls scipy's compiled kernels on the segment or adjacency arrays
+directly: ``csr_matvecs``, and ``csc_matvecs`` for a transpose, since a
+CSR matrix's arrays read as CSC are its transpose.  These are the
+kernels ``csr_matrix.__matmul__`` calls, so the sums are scipy's, bit
+for bit, and no sparse matrix object is built per batch.  Only the
+model's adjacency matrices, built once, are scipy objects.
 
 All arithmetic is float64.
 """
@@ -58,6 +69,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .graph import MetaPathAdjacency
 
@@ -234,6 +246,47 @@ def unpack_shared(flat: np.ndarray, params: ModelParams) -> ModelParams:
     return params
 
 
+# -- sparse products -----------------------------------------------------------
+
+# A CSR matrix as its arrays (indptr, indices, data).
+CsrArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _check_operands(indptr: np.ndarray, indices: np.ndarray, x: np.ndarray) -> None:
+    # the kernels take x as a flat C-order buffer: a strided x would be
+    # copied by ravel() and another dtype converted on every call
+    if x.dtype != np.float64 or not x.flags.c_contiguous or indptr.dtype != indices.dtype:
+        raise ModelError(
+            "sparse products need a C-contiguous float64 operand and one CSR index dtype"
+        )
+
+
+def _csr_matmul(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """``M @ x`` for the CSR matrix M held as ``(indptr, indices, data)``,
+    with ``x.shape[0]`` columns; ``x`` is a C-contiguous float64 (n, k) array."""
+    _check_operands(indptr, indices, x)
+    n_rows, (n_cols, k) = indptr.size - 1, x.shape
+    out = np.zeros((n_rows, k))
+    _sparsetools.csr_matvecs(n_rows, n_cols, k, indptr, indices, data, x.ravel(), out.ravel())
+    return out
+
+
+def _csr_matmul_t(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, x: np.ndarray, n_cols: int
+) -> np.ndarray:
+    """``M.T @ x`` for the CSR matrix M (n_cols columns) held as
+    ``(indptr, indices, data)``: its arrays read as CSC are M.T."""
+    _check_operands(indptr, indices, x)
+    n_rows, k = indptr.size - 1, x.shape[1]
+    if x.shape[0] != n_rows:
+        raise ModelError(f"M.T @ x needs {n_rows} rows in x, got {x.shape[0]}")
+    out = np.zeros((n_cols, k))
+    _sparsetools.csc_matvecs(n_cols, n_rows, k, indptr, indices, data, x.ravel(), out.ravel())
+    return out
+
+
 # -- neighbor segments -------------------------------------------------------
 
 # Batch rows per (rows x N) similarity block: bounds the block's memory for
@@ -247,7 +300,9 @@ class NeighborSegments:
 
     Batch row b owns ``idx[indptr[b]:indptr[b + 1]]``; ``owner[e]`` is the
     batch row of entry e.  A segment never repeats a neighbor and lists its
-    neighbors in ascending order.
+    neighbors in ascending order.  ``indptr`` and ``idx`` share the CSR
+    index dtype, so with a value per entry they are the CSR arrays of a
+    sparse (B, .) matrix S holding the values at (owner, idx).
     """
 
     idx: np.ndarray     # (E,) neighbor ids, or their positions in the touched rows
@@ -258,9 +313,13 @@ class NeighborSegments:
     def n_rows(self) -> int:
         return self.indptr.size - 1
 
-    def matrix(self, values: np.ndarray, n_cols: int) -> sp.csr_matrix:
-        """The sparse (B, n_cols) matrix holding ``values`` at (owner, idx)."""
-        return sp.csr_matrix((values, self.idx, self.indptr), shape=(self.n_rows, n_cols))
+    def matmul(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``S @ x`` for S holding ``values`` at (owner, idx)."""
+        return _csr_matmul(self.indptr, self.idx, values, x)
+
+    def matmul_t(self, values: np.ndarray, x: np.ndarray, n_cols: int) -> np.ndarray:
+        """``S.T @ x``, an (n_cols, .) array, for S holding ``values`` at (owner, idx)."""
+        return _csr_matmul_t(self.indptr, self.idx, values, x, n_cols)
 
     def sums(self, values: np.ndarray) -> np.ndarray:
         """Per-segment sums of an (E,) array; 0 for empty segments."""
@@ -288,10 +347,11 @@ class NeighborSegments:
 
 def _touched_rows(
     mat: sp.csr_matrix, batch: np.ndarray, seg: NeighborSegments, width: int
-) -> tuple[np.ndarray, sp.csr_matrix, np.ndarray, NeighborSegments]:
+) -> tuple[np.ndarray, CsrArrays, np.ndarray, NeighborSegments]:
     """The rows one path's pass reads, sliced out when that pays: ``rows``,
-    the sorted union of the batch and its neighbors; their adjacency rows;
-    and the batch and the segments renumbered to positions in ``rows``.
+    the sorted union of the batch and its neighbors; their adjacency rows
+    as CSR arrays; and the batch and the segments renumbered to positions
+    in ``rows``.
     When slicing does not pay, ``rows`` is every row and nothing changes."""
     n = mat.shape[0]
     mask = np.zeros(n, dtype=bool)
@@ -303,14 +363,14 @@ def _touched_rows(
     # thread), that pays while fewer than about width / (width + 24) of the
     # rows are touched (0.57 at width 32, 0.84 at 128).
     if np.count_nonzero(mask) * (width + 24) > n * width:
-        return np.arange(n), mat, batch, seg
+        return np.arange(n), (mat.indptr, mat.indices, mat.data), batch, seg
     rows = np.flatnonzero(mask)
     local = np.cumsum(mask, dtype=mat.indices.dtype) - 1
     degree = np.diff(mat.indptr)
     entries = np.repeat(mask, degree)  # the CSR entries of the touched rows
     indptr = np.zeros(rows.size + 1, dtype=mat.indices.dtype)
     np.cumsum(degree[rows], out=indptr[1:])
-    block = sp.csr_matrix((mat.data[entries], mat.indices[entries], indptr), shape=(rows.size, n))
+    block = (indptr, mat.indices[entries], mat.data[entries])
     return rows, block, local[batch], replace(seg, idx=local[seg.idx])
 
 
@@ -322,7 +382,7 @@ class PathTrace:
     """One meta path's part of a batch forward pass, over the R rows it touches."""
 
     rows: np.ndarray            # (R,) the batch and its sampled neighbors, or all N rows
-    adjacency: sp.csr_matrix    # (R, N) their adjacency rows A[rows]
+    adjacency: CsrArrays        # (R, N) their adjacency rows A[rows]
     transformed: np.ndarray     # (R, d) transformed features H = A[rows] @ wt.T
     norms: np.ndarray           # (R,) row norms of H
     own: np.ndarray             # (B,) each batch node's position in rows
@@ -468,8 +528,8 @@ class AttentionModel:
         for mat in self.matrices:
             start = mat.indptr[batch]
             degree = mat.indptr[batch + 1] - start
-            # segment offsets share the CSR index dtype, so sparse matrices
-            # over the layout are built without conversion
+            # segment offsets share the CSR index dtype, as the sparse
+            # products require
             indptr = np.zeros(batch.size + 1, dtype=mat.indices.dtype)
             np.cumsum(degree, out=indptr[1:])
             owner = np.repeat(np.arange(batch.size), degree)
@@ -520,7 +580,8 @@ class AttentionModel:
         path_embed = np.empty((n_batch, n_paths, dims.embedding_dim))
         for p, (mat, seg) in enumerate(zip(self.matrices, segments)):
             rows, adjacency, own, seg = _touched_rows(mat, batch, seg, dims.embedding_dim)
-            h = np.asarray(adjacency @ params.wt[p].T)  # (R, d); row r = wt @ A[rows[r]]
+            # (R, d); row r = wt @ A[rows[r]]
+            h = _csr_matmul(*adjacency, np.ascontiguousarray(params.wt[p].T))
             norm = np.linalg.norm(h, axis=1)
             hb = h[own]
             denom = norm[own][seg.owner] * norm[seg.idx]
@@ -529,7 +590,7 @@ class AttentionModel:
             sims[valid] = seg.gather(hb, h)[valid] / denom[valid]
             zero_events += int((~valid).sum())
             coeffs = seg.softmax(sims)
-            u = seg.matrix(coeffs, rows.size) @ h
+            u = seg.matmul(coeffs, h)
             a = self._act(u)
             path_embed[:, p] = np.concatenate([a, hb], axis=1) @ params.wc[p].T
             paths.append(
@@ -640,7 +701,7 @@ class AttentionModel:
             dhb = dstacked[:, d:]
             # a = act(u), u = C @ H
             du = dstacked[:, :d] * self._act_grad(pt.preact)
-            dh = np.asarray(seg.matrix(pt.coeffs, r).T @ du)  # (R, d)
+            dh = seg.matmul_t(pt.coeffs, du, r)  # (R, d)
 
             # coeffs = segment softmax(sims)
             dcoeffs = seg.gather(du, h)
@@ -650,15 +711,15 @@ class AttentionModel:
             # d cos(hi, hj) / d hi and / d hj; degenerate cosines are constants
             nb = norm[own]
             nn = np.where(pt.sim_valid, norm[seg.idx], 1.0)
-            wmat = seg.matrix(dsims / np.where(pt.sim_valid, nb[seg.owner] * nn, 1.0), r)
+            wvals = dsims / np.where(pt.sim_valid, nb[seg.owner] * nn, 1.0)
             nb = np.where(nb > 0.0, nb, 1.0)
-            dhb = dhb + wmat @ h - (seg.sums(dsims * pt.sims) / nb**2)[:, None] * hb
-            dh += wmat.T @ hb
+            dhb = dhb + seg.matmul(wvals, h) - (seg.sums(dsims * pt.sims) / nb**2)[:, None] * hb
+            dh += seg.matmul_t(wvals, hb, r)
             dh -= np.bincount(seg.idx, weights=dsims * pt.sims / nn**2, minlength=r)[:, None] * h
             np.add.at(dh, own, dhb)
 
             # h = A[rows] @ wt.T, so d wt = dH.T @ A[rows]
-            grads.wt[p] = (pt.adjacency.T @ dh).T
+            grads.wt[p] = _csr_matmul_t(*pt.adjacency, dh, dims.n_targets).T
         return grads
 
     # -- inference helpers ----------------------------------------------------

@@ -129,6 +129,17 @@ def read_jsonl(path) -> list[dict]:
 # -- run manifests -------------------------------------------------------------
 
 
+def make_output_dir(path) -> Path:
+    """Create the output directory ``path`` and its parents unless it exists;
+    ``StorageError`` when it cannot be, e.g. because ``path`` names a file."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise StorageError(f"cannot create the output directory {out}: {exc}") from None
+    return out
+
+
 def dataset_fingerprint(paths: Sequence) -> str:
     """SHA-256 over the concatenated bytes of the dataset files, sorted by name."""
     digest = hashlib.sha256()
@@ -177,9 +188,9 @@ def write_manifest(path, manifest: RunManifest) -> None:
 
 
 def read_manifest(path) -> RunManifest:
-    with open(path) as fh:
-        text = fh.read()
     try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
         return RunManifest.from_dict(json.loads(text))
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
         raise StorageError(f"manifest {path}: {exc}") from None

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedhin import (
     ExperimentConfig,
@@ -23,6 +25,14 @@ from fedhin.storage import StorageError, dataset_fingerprint, export_embeddings
 def random_params(seed=0, n=6, m=2, d=3, k=2, labels=3):
     dims = ModelDims(n_targets=n, n_paths=m, embedding_dim=d, preference_dim=k, n_labels=labels)
     return init_params(dims, np.random.default_rng(seed))
+
+
+# any value json.loads can return (NaN and infinities included)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 def with_bad_pref(path, pref) -> None:
@@ -72,6 +82,17 @@ class TestParseConfig:
         path.write_text(json.dumps({"clients": 3, "speed_multipliers": [1, 2]}))
         with pytest.raises(ConfigError, match="speed_multipliers"):
             parse_config(path)
+
+    @given(field=st.sampled_from(sorted(ExperimentConfig().to_dict())), value=JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_value_gives_a_config_or_config_error(self, field, value):
+        raw = {**ExperimentConfig().to_dict(), field: value}
+        try:
+            cfg = ExperimentConfig.from_dict(raw)
+        except ConfigError as exc:
+            assert field in str(exc)
+        else:
+            assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestCheckpoint:
@@ -180,6 +201,23 @@ def train_run(dataset_dir, tmp_path_factory):
     ])
     assert code == 0
     return dataset_dir, run_dir / "out", config_path
+
+
+# a dataset small enough to load, for failures after the data is read
+TINY_DATASET = {
+    "schema.json": json.dumps({"triples": [["author", "writes", "paper"]], "target_type": "author"}),
+    "nodes.csv": "id,type,label\n0,author,0\n1,paper,\n",
+    "edges.csv": "src,dst,relation\n0,1,writes\n",
+}
+
+
+def _config_case(field, value) -> pytest.param:
+    """A train run whose config sets ``field`` to ``value``, which must be refused."""
+    return pytest.param(
+        {"bad.json": json.dumps({field: value})},
+        ["train", "--data", "{tmp}", "--config", "{tmp}/bad.json", "--out", "{tmp}/o"],
+        "ConfigError", field, id=f"config-{field}-{json.dumps(value)}",
+    )
 
 
 def _manifest_doc(**fields) -> dict:
@@ -362,13 +400,61 @@ class TestCli:
                 ["train", "--manifest", "{tmp}/manifest.json", "--out", "{tmp}/o"],
                 "StorageError", "data_dir", id="manifest-data-dir-not-a-string",
             ),
+            _config_case("embedding_dim", 2.5),
+            _config_case("batch_size", 1.5),
+            _config_case("clients", True),
+            _config_case("neighbor_sample_size", 2.5),
+            _config_case("rounds", "ten"),
+            _config_case("seed", -1),
+            pytest.param(
+                {"afile": "not a directory"},
+                ["train", "--data", "{tmp}/afile", "--out", "{tmp}/o"],
+                "GraphError", "afile", id="data-names-a-file",
+            ),
+            pytest.param(
+                {**TINY_DATASET, "nodes.csv": b"id,type,label\n0,author,0\n1,\xff\xfepaper,\n"},
+                ["train", "--data", "{tmp}", "--out", "{tmp}/o"],
+                "ParseError", "nodes.csv", id="nodes-not-utf8",
+            ),
+            pytest.param(
+                TINY_DATASET,
+                ["train", "--data", "{tmp}", "--out", "{tmp}/nodes.csv"],
+                "StorageError", "nodes.csv", id="out-names-a-file",
+            ),
+            pytest.param(
+                {}, ["train", "--data", "{tmp}", "--config", "{tmp}", "--out", "{tmp}/o"],
+                "ConfigError", "config file", id="config-names-a-directory",
+            ),
+            pytest.param(
+                {"bad.json": b'{"seed": "\xff"}'},
+                ["train", "--data", "{tmp}", "--config", "{tmp}/bad.json", "--out", "{tmp}/o"],
+                "ConfigError", "bad.json", id="config-not-utf8",
+            ),
+            pytest.param(
+                {"manifest.json": b"\xff"},
+                ["train", "--manifest", "{tmp}/manifest.json", "--out", "{tmp}/o"],
+                "StorageError", "manifest", id="manifest-not-utf8",
+            ),
+            pytest.param(
+                {}, ["aggregate-demo", "--records", "{tmp}"],
+                "FederationError", "records", id="records-names-a-directory",
+            ),
+            pytest.param(
+                {"records.json": b"\xff"},
+                ["aggregate-demo", "--records", "{tmp}/records.json"],
+                "FederationError", "records", id="records-not-utf8",
+            ),
         ],
     )
     def test_failure_prints_machine_readable_error(
         self, tmp_path, capsys, files, argv, error, fragment
     ):
-        for name, text in files.items():
-            (tmp_path / name).write_text(text)
+        for name, content in files.items():
+            path = tmp_path / name
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(content)
         code = main([arg.format(tmp=tmp_path) for arg in argv])
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
