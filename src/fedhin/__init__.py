@@ -27,6 +27,7 @@ from .graph import (
     MetaPathSpec,
     ParseError,
     SchemaViolation,
+    graph_from_records,
     load_graph,
     metapath_adjacency,
     neighbors_along,

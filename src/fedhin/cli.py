@@ -33,6 +33,7 @@ from .storage import (
     dataset_fingerprint,
     export_embeddings,
     make_output_dir,
+    open_output,
     params_from_checkpoint,
     read_manifest,
     save_checkpoint,
@@ -107,7 +108,7 @@ def cmd_partition(args) -> int:
         dirichlet_alpha=config.dirichlet_alpha,
     )
     doc = {str(cid): nodes.tolist() for cid, nodes in enumerate(part.client_nodes)}
-    with open(args.out, "w") as fh:
+    with open_output(args.out) as fh:
         json.dump(doc, fh)
         fh.write("\n")
     print(json.dumps({"clients": part.n_clients, "out": args.out}))

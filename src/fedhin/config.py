@@ -3,8 +3,8 @@
 A config file is a flat JSON object whose keys mirror the
 :class:`ExperimentConfig` fields; an empty file means all defaults.
 Each field must match its annotation before its range is checked: a
-bool is not an integer, an integer is a number, a float field must be
-finite, and a tuple field is a JSON list.
+bool is not an integer, an integer must fit in 64 bits, an integer is a
+number, a float field must be finite, and a tuple field is a JSON list.
 """
 
 from __future__ import annotations
@@ -30,9 +30,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_INT64 = (-(2**63), 2**63 - 1)
+
 # plain annotation types: (test, singular name, plural name)
 _PLAIN = {
-    int: (_is_int, "an integer", "integers"),
+    int: (
+        lambda v: _is_int(v) and _INT64[0] <= v <= _INT64[1],
+        "a 64-bit integer", "64-bit integers",
+    ),
     float: (
         lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
         "a finite number", "finite numbers",

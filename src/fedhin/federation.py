@@ -110,7 +110,11 @@ class ClientUpdate:
 
 
 class ParameterServer:
-    """Keeps the record table and applies one aggregation rule."""
+    """Keeps the record table and applies one aggregation rule.
+
+    The server owns the ``initial_weights`` array it is given (it is not
+    copied) and never writes it; the caller must not write it either.
+    """
 
     def __init__(
         self,
@@ -137,7 +141,7 @@ class ParameterServer:
         self.gap_threshold = gap_threshold
         self.ema_beta = ema_beta
         self.initial_weights: np.ndarray | None = (
-            None if initial_weights is None else np.array(initial_weights, dtype=np.float64)
+            None if initial_weights is None else np.asarray(initial_weights, dtype=np.float64)
         )
         # zeros, not empty: absent rows are weighted 0, and 0 * nan is nan
         self.records: np.ndarray | None = None

@@ -7,6 +7,15 @@ its adjacency matrix counts the typed walks connecting each node pair
 along that sequence and is the structural feature consumed by the
 embedding model.
 
+A graph is held in arrays.  Node i has the type ``types[type_code[i]]``
+and the label ``labels[i]`` (-1 when unlabeled); edge e runs from
+``src[e]`` to ``dst[e]`` under the relation ``relations[rel[e]]``.  The
+schema check is one lookup per edge into a boolean (type, relation, type)
+table, and a typed biadjacency is a mask over the edges plus one sparse
+COO build over per-type local indices (``local_index``).  ``load_graph``
+reads the node and edge tables into these arrays, and ``edges`` gives the
+``(src, dst, relation)`` tuples back in input order.
+
 Graphs and adjacencies are immutable after construction and safe to
 share read-only across concurrent workers.
 """
@@ -104,74 +113,105 @@ class MetaPathSpec:
 class HeterogeneousGraph:
     """Typed nodes, typed directed edges, and the schema they must satisfy.
 
-    Node ids are dense integers 0..N-1.  Labels (class indices >= 0) may
-    appear only on nodes of ``target_type``; unlabeled nodes carry -1.
+    Node ids are dense integers 0..N-1.  ``types`` names the node types and
+    ``type_code[i]`` is the index into it of node i's type; ``relations``
+    names the relations and edge e runs from ``src[e]`` to ``dst[e]`` under
+    relation ``relations[rel[e]]``.  Labels (class indices >= 0) may appear
+    only on nodes of ``target_type``; unlabeled nodes carry -1.  The graph
+    takes the arrays it is given and makes them read-only.
     """
 
     def __init__(
         self,
-        nodes: Sequence[tuple[int, str, int | None]],
-        edges: Sequence[tuple[int, int, str]],
+        types: Sequence[str],
+        type_code: np.ndarray,
+        labels: np.ndarray,
+        relations: Sequence[str],
+        src: np.ndarray,
+        dst: np.ndarray,
+        rel: np.ndarray,
         schema: Iterable[Triple],
         target_type: str = "author",
     ):
         self.schema: frozenset[Triple] = frozenset(tuple(t) for t in schema)
         self.target_type = target_type
+        self.types: tuple[str, ...] = tuple(types)
+        self.relations: tuple[str, ...] = tuple(relations)
+        for kind, names in (("node type", self.types), ("relation", self.relations)):
+            if len(set(names)) != len(names):
+                raise ValidationError(f"{kind} names must be distinct, got {names}")
+        self._type_index = {t: i for i, t in enumerate(self.types)}
 
-        n = len(nodes)
-        node_type: list[str] = [""] * n
-        labels = np.full(n, -1, dtype=np.int64)
-        seen = np.zeros(n, dtype=bool)
-        for nid, ntype, label in nodes:
-            if not 0 <= nid < n or seen[nid]:
-                raise ValidationError(
-                    f"node ids must be dense 0..{n - 1} without repeats, got {nid}"
-                )
-            seen[nid] = True
-            node_type[nid] = ntype
-            if label is not None and label >= 0:
-                if ntype != target_type:
-                    raise ValidationError(
-                        f"node {nid} of type {ntype!r} carries a label; labels are "
-                        f"restricted to target type {target_type!r}"
-                    )
-                labels[nid] = label
-        self.node_type = node_type
-        self.labels = labels
-        self.labels.setflags(write=False)
+        self.type_code = _read_only(type_code)
+        self.labels = _read_only(np.where(np.asarray(labels) >= 0, labels, -1))
+        n = self.type_code.size
+        if self.type_code.shape != (n,) or self.labels.shape != (n,):
+            raise ValidationError("type codes and labels must be one value per node")
+        _check_codes("node type", self.type_code, len(self.types))
+        target = self._type_index.get(target_type, -1)
+        stray = np.flatnonzero((self.labels >= 0) & (self.type_code != target))
+        if stray.size:
+            nid = int(stray[0])
+            raise ValidationError(
+                f"node {nid} of type {self.types[self.type_code[nid]]!r} carries a label; "
+                f"labels are restricted to target type {target_type!r}"
+            )
+
+        self.src, self.dst, self.rel = (_read_only(a) for a in (src, dst, rel))
+        m = self.src.size
+        if not self.src.shape == self.dst.shape == self.rel.shape == (m,):
+            raise ValidationError("src, dst and rel must be one value per edge")
+        _check_codes("relation", self.rel, len(self.relations))
+        # allowed[s, r, d]: the schema has the triple (types[s], relations[r], types[d])
+        allowed = np.zeros((len(self.types), len(self.relations), len(self.types)), dtype=bool)
+        rel_index = {r: i for i, r in enumerate(self.relations)}
+        for s, r, d in self.schema:
+            if s in self._type_index and r in rel_index and d in self._type_index:
+                allowed[self._type_index[s], rel_index[r], self._type_index[d]] = True
+        known = (self.src >= 0) & (self.src < n) & (self.dst >= 0) & (self.dst < n)
+        # an unknown endpoint reads a clipped type here and fails on ``known``
+        ok = known & allowed[
+            self.type_code.take(self.src, mode="clip"),
+            self.rel,
+            self.type_code.take(self.dst, mode="clip"),
+        ] if n else known
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            e = int(bad[0])
+            edge = f"edge ({self.src[e]}, {self.dst[e]}, {self.relations[self.rel[e]]!r})"
+            if not known[e]:
+                raise ValidationError(f"{edge} references unknown node id")
+            raise SchemaViolation(
+                f"{edge} with endpoint types ({self.types[self.type_code[self.src[e]]]!r}, "
+                f"{self.types[self.type_code[self.dst[e]]]!r}) matches no schema triple"
+            )
 
         self._pair_relations: set[tuple[str, str]] = {(s, d) for s, _, d in self.schema}
-        self.edges: list[tuple[int, int, str]] = []
-        for src, dst, rel in edges:
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ValidationError(f"edge ({src}, {dst}, {rel!r}) references unknown node id")
-            triple = (node_type[src], rel, node_type[dst])
-            if triple not in self.schema:
-                raise SchemaViolation(
-                    f"edge ({src}, {dst}, {rel!r}) with endpoint types "
-                    f"({triple[0]!r}, {triple[2]!r}) matches no schema triple"
-                )
-            self.edges.append((src, dst, rel))
-
-        self._nodes_of_type: dict[str, np.ndarray] = {}
-        for t in set(node_type):
-            ids = np.flatnonzero(np.array([nt == t for nt in node_type]))
-            ids.setflags(write=False)
-            self._nodes_of_type[t] = ids
-        self._local_index: dict[str, dict[int, int]] = {
-            t: {int(g): i for i, g in enumerate(ids)} for t, ids in self._nodes_of_type.items()
+        self._nodes_of_type = {
+            t: _read_only(np.flatnonzero(self.type_code == i)) for i, t in enumerate(self.types)
         }
+        # position of each node among the nodes of its type
+        local = np.empty(n, dtype=np.int64)
+        for ids in self._nodes_of_type.values():
+            local[ids] = np.arange(ids.size)
+        self.local_index = _read_only(local)
         self._biadjacency_cache: dict[tuple[str, str], sp.csr_matrix] = {}
 
     # -- basic accessors -------------------------------------------------
 
     @property
     def num_nodes(self) -> int:
-        return len(self.node_type)
+        return self.type_code.size
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.src.size
+
+    @property
+    def edges(self) -> list[tuple[int, int, str]]:
+        """The edges as ``(src, dst, relation name)`` tuples, in input order."""
+        names = [self.relations[r] for r in self.rel.tolist()]
+        return list(zip(self.src.tolist(), self.dst.tolist(), names))
 
     def nodes_of_type(self, t: str) -> np.ndarray:
         """Global ids of all nodes with type ``t``, sorted ascending."""
@@ -193,16 +233,6 @@ class HeterogeneousGraph:
 
     # -- adjacency construction ------------------------------------------
 
-    def relation_adjacency(self, relation: str) -> sp.csr_matrix:
-        """N x N binary matrix with a 1 exactly where a ``relation`` edge exists."""
-        rows = [s for s, _, r in self.edges if r == relation]
-        cols = [d for _, d, r in self.edges if r == relation]
-        data = np.ones(len(rows), dtype=np.int64)
-        mat = sp.coo_matrix((data, (rows, cols)), shape=(self.num_nodes, self.num_nodes))
-        mat = mat.tocsr()
-        mat.data[:] = 1  # collapse parallel edges
-        return mat
-
     def biadjacency(self, src_type: str, dst_type: str) -> sp.csr_matrix:
         """|src_type| x |dst_type| indicator of any edge between the two types.
 
@@ -213,23 +243,33 @@ class HeterogeneousGraph:
         cached = self._biadjacency_cache.get(key)
         if cached is not None:
             return cached
-        src_index = self._local_index.get(src_type, {})
-        dst_index = self._local_index.get(dst_type, {})
-        pairs = {
-            (src_index[s], dst_index[d])
-            for s, d, _ in self.edges
-            if s in src_index and d in dst_index
-        }
+        keep = (self.type_code[self.src] == self._type_index.get(src_type, -1)) & (
+            self.type_code[self.dst] == self._type_index.get(dst_type, -1)
+        )
+        rows = self.local_index[self.src[keep]]
+        cols = self.local_index[self.dst[keep]]
         shape = (self.type_count(src_type), self.type_count(dst_type))
-        if pairs:
-            rows, cols = zip(*sorted(pairs))
-            mat = sp.coo_matrix(
-                (np.ones(len(pairs), dtype=np.int64), (rows, cols)), shape=shape
-            ).tocsr()
-        else:
-            mat = sp.csr_matrix(shape, dtype=np.int64)
+        mat = sp.coo_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=shape)
+        mat = mat.tocsr()
+        mat.sum_duplicates()
+        mat.data[:] = 1
         self._biadjacency_cache[key] = mat
         return mat
+
+
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only int64 array, without a copy when it already is one."""
+    out = np.asarray(values, dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
+def _check_codes(kind: str, codes: np.ndarray, count: int) -> None:
+    bad = np.flatnonzero((codes < 0) | (codes >= count))
+    if bad.size:
+        raise ValidationError(
+            f"{kind} code {codes[bad[0]]} at position {bad[0]} is outside 0..{count - 1}"
+        )
 
 
 @dataclass(frozen=True)
@@ -292,6 +332,7 @@ def neighbors_along(adj: MetaPathAdjacency, i: int) -> set[int]:
 
 NODE_HEADER = ["id", "type", "label"]
 EDGE_HEADER = ["src", "dst", "relation"]
+_WRITE_BLOCK = 1 << 16  # table rows per csv.writer call
 
 
 def _read_rows(path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
@@ -372,19 +413,68 @@ def load_graph(
                 schema.add((type_of[dst], f"{rel}_rev", type_of[src]))
         edges.extend(reversed_edges)
 
-    return HeterogeneousGraph(nodes, edges, schema, target_type=target_type)
+    return graph_from_records(nodes, edges, schema, target_type=target_type)
+
+
+def graph_from_records(
+    nodes: Sequence[tuple[int, str, int | None]],
+    edges: Sequence[tuple[int, int, str]],
+    schema: Iterable[Triple],
+    target_type: str = "author",
+) -> HeterogeneousGraph:
+    """A graph from ``(id, type, label)`` node records and ``(src, dst,
+    relation)`` edge records, the rows of the two tables :func:`load_graph`
+    reads.  Node ids must be dense 0..N-1 in any order; a label of ``None``
+    marks an unlabeled node.  Type and relation codes follow the order in
+    which the records first name them."""
+    n = len(nodes)
+    seen = np.zeros(n, dtype=bool)
+    types: dict[str, int] = {}
+    type_code = np.empty(n, dtype=np.int64)
+    labels = np.full(n, -1, dtype=np.int64)
+    for nid, ntype, label in nodes:
+        if not 0 <= nid < n or seen[nid]:
+            raise ValidationError(
+                f"node ids must be dense 0..{n - 1} without repeats, got {nid}"
+            )
+        seen[nid] = True
+        type_code[nid] = types.setdefault(ntype, len(types))
+        if label is not None:
+            labels[nid] = label
+    relations: dict[str, int] = {}
+    rel = [relations.setdefault(r, len(relations)) for _, _, r in edges]
+    return HeterogeneousGraph(
+        types=list(types),
+        type_code=type_code,
+        labels=labels,
+        relations=list(relations),
+        src=np.array([s for s, _, _ in edges], dtype=np.int64),
+        dst=np.array([d for _, d, _ in edges], dtype=np.int64),
+        rel=np.array(rel, dtype=np.int64),
+        schema=schema,
+        target_type=target_type,
+    )
 
 
 def write_graph(nodes_path, edges_path, graph: HeterogeneousGraph) -> None:
     """Write a graph back to the tabular format accepted by :func:`load_graph`."""
-    with open(nodes_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(NODE_HEADER)
-        for nid in range(graph.num_nodes):
-            label = graph.labels[nid]
-            writer.writerow([nid, graph.node_type[nid], "" if label < 0 else int(label)])
-    with open(edges_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EDGE_HEADER)
-        for src, dst, rel in graph.edges:
-            writer.writerow([src, dst, rel])
+
+    def node_rows(lo: int, hi: int):
+        types = [graph.types[c] for c in graph.type_code[lo:hi].tolist()]
+        labels = ["" if label < 0 else label for label in graph.labels[lo:hi].tolist()]
+        return zip(range(lo, hi), types, labels)
+
+    def edge_rows(lo: int, hi: int):
+        relations = [graph.relations[r] for r in graph.rel[lo:hi].tolist()]
+        return zip(graph.src[lo:hi].tolist(), graph.dst[lo:hi].tolist(), relations)
+
+    for path, header, count, rows in (
+        (nodes_path, NODE_HEADER, graph.num_nodes, node_rows),
+        (edges_path, EDGE_HEADER, graph.num_edges, edge_rows),
+    ):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            # a block of rows at a time, so no Python list spans the table
+            for lo in range(0, count, _WRITE_BLOCK):
+                writer.writerows(rows(lo, min(lo + _WRITE_BLOCK, count)))

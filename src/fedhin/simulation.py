@@ -147,6 +147,11 @@ SYNTHETIC_SCHEMA = (
     ("paper", "published_in", "venue"),
     ("venue", "publishes", "paper"),
 )
+# relation codes of the synthetic graph: each relation is followed by its reverse
+_WRITES, _CITES, _PUBLISHED_IN = 0, 2, 4
+
+# author pairs drawn per ``rng.random`` call; bounds the pair arrays in memory
+_PAIR_BLOCK = 1 << 18
 
 
 def synthetic_hin(
@@ -167,7 +172,8 @@ def synthetic_hin(
     and appears in one venue, both biased toward its own group by the
     ratio ``p_in / (p_in + p_out)``.  All relations are emitted in both
     directions so meta-path products behave undirectedly.  Deterministic
-    given the seed.
+    given the seed.  Time grows linearly with the number of author pairs
+    and of papers; memory with the number of papers.
     """
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise SimulationError(
@@ -176,99 +182,179 @@ def synthetic_hin(
     if classes < 1 or n_authors < classes:
         raise SimulationError("need at least one author per class")
     rng = np.random.default_rng(seed)
+    # The draws are scalar ``random()`` and ``integers(0, size)`` calls in a
+    # fixed order.  A draw from a pool keeps its index and is mapped to a node
+    # id afterwards in one array pass; ``pool[rng.integers(0, pool.size)]`` is
+    # the same draw as ``rng.choice(pool)`` (tests/test_simulation.py checks it).
+    random, integers = rng.random, rng.integers
 
     sizes = np.full(classes, n_authors // classes)
     sizes[: n_authors % classes] += 1
     author_class = np.repeat(np.arange(classes), sizes)
+    class_start = np.cumsum(sizes) - sizes
 
     # co-write events: one paper per successful pair draw
-    paper_authors: list[tuple[int, ...]] = []
-    iu, ju = np.triu_indices(n_authors, k=1)
-    same = author_class[iu] == author_class[ju]
-    probs = np.where(same, p_in, p_out)
-    hits = rng.random(iu.size) < probs
-    for a, b in zip(iu[hits], ju[hits]):
-        paper_authors.append((int(a), int(b)))
+    first, second = _coauthor_pairs(rng, author_class, p_in, p_out)
     within_bias = p_in / (p_in + p_out) if (p_in + p_out) > 0 else 0.5
     # guarantee one co-authored paper per author (class-biased like regular
     # co-writes) so no node is featureless; then pad the paper count with
     # solo papers
+    lonely: list[int] = []
+    partners: list[int] = []
     if p_in > 0:
-        covered = {a for authors in paper_authors for a in authors}
-        for a in range(n_authors):
-            if a in covered:
-                continue
-            own_group = np.flatnonzero(author_class == author_class[a])
-            own_group = own_group[own_group != a]
-            other_groups = np.flatnonzero(author_class != author_class[a])
-            pool = (
-                own_group
-                if (rng.random() < within_bias or other_groups.size == 0)
-                else other_groups
-            )
+        covered = np.zeros(n_authors, dtype=bool)
+        covered[first] = covered[second] = True
+        for a in np.flatnonzero(~covered).tolist():
+            start, size = int(class_start[author_class[a]]), int(sizes[author_class[a]])
+            # the own pool is the class without ``a``, the other pool every
+            # author outside it, each in ascending id order
+            own = random() < within_bias or size == n_authors
             if p_out == 0.0:
-                pool = own_group
-            if pool.size:
-                paper_authors.append((a, int(rng.choice(pool))))
-    while len(paper_authors) < n_papers:
-        paper_authors.append((int(rng.integers(0, n_authors)),))
+                own = True
+            pool_size = size - 1 if own else n_authors - size
+            if pool_size:
+                k = int(integers(0, pool_size))
+                lonely.append(a)
+                if own:
+                    partners.append(start + k + (start + k >= a))
+                else:
+                    partners.append(k if k < start else k + size)
+    first = np.concatenate([first, np.array(lonely, dtype=np.int64)])
+    second = np.concatenate([second, np.array(partners, dtype=np.int64)])
+    solo = np.array(
+        [int(integers(0, n_authors)) for _ in range(n_papers - first.size)], dtype=np.int64
+    )
 
-    n_paper_nodes = len(paper_authors)
-    paper_class = np.array([author_class[authors[0]] for authors in paper_authors])
+    n_paper_nodes = first.size + solo.size
+    paper_class = author_class[np.concatenate([first, solo])]
+    class_papers = np.bincount(paper_class, minlength=classes)
+    by_class = np.argsort(paper_class, kind="stable")
+    class_offset = np.cumsum(class_papers) - class_papers
+    rank = np.empty(n_paper_nodes, dtype=np.int64)  # a paper's place within its class
+    rank[by_class] = np.arange(n_paper_nodes) - class_offset[paper_class[by_class]]
 
     # citations: 2 per paper, class-biased, no self-citations, deduplicated
-    cite_pairs: set[tuple[int, int]] = set()
-    papers_by_class = [np.flatnonzero(paper_class == c) for c in range(classes)]
-    for p in range(n_paper_nodes):
-        cls = paper_class[p]
+    own_src: list[int] = []
+    own_k: list[int] = []
+    other_src: list[int] = []
+    other_k: list[int] = []
+    for p, size, r in zip(range(n_paper_nodes), class_papers[paper_class].tolist(), rank.tolist()):
         for _ in range(2):
-            if rng.random() < within_bias:
-                pool = papers_by_class[cls]
-            else:
-                pool = np.flatnonzero(paper_class != cls)
-            if pool.size == 0 or (pool.size == 1 and pool[0] == p):
-                continue
-            q = int(rng.choice(pool))
-            while q == p:
-                q = int(rng.choice(pool))
-            cite_pairs.add((p, q))
+            if random() < within_bias:
+                if size == 1:  # the paper is alone in its class
+                    continue
+                k = int(integers(0, size))
+                while k == r:
+                    k = int(integers(0, size))
+                own_src.append(p)
+                own_k.append(k)
+            elif size < n_paper_nodes:
+                other_src.append(p)
+                other_k.append(int(integers(0, n_paper_nodes - size)))
+    cite_src = np.array(own_src + other_src, dtype=np.int64)
+    n_own = len(own_src)
+    cite_dst = np.concatenate([
+        by_class[class_offset[paper_class[cite_src[:n_own]]] + np.array(own_k, dtype=np.int64)],
+        _kth_outside_class(paper_class, paper_class[cite_src[n_own:]], other_k, classes),
+    ])
+    cite_src, cite_dst = np.divmod(np.unique(cite_src * n_paper_nodes + cite_dst), n_paper_nodes)
 
-    venue_class = np.arange(n_venues) % classes if n_venues else np.empty(0, dtype=int)
-    paper_venue = np.full(n_paper_nodes, -1)
+    # venues: one per paper, drawn from its class's venues or from the others
+    paper_venue = np.empty(n_paper_nodes, dtype=np.int64)
     if n_venues:
-        for p in range(n_paper_nodes):
-            cls = paper_class[p]
-            own = np.flatnonzero(venue_class == cls)
-            other = np.flatnonzero(venue_class != cls)
-            if own.size and (not other.size or rng.random() < within_bias):
-                paper_venue[p] = int(rng.choice(own))
-            elif other.size:
-                paper_venue[p] = int(rng.choice(other))
+        venue_class = np.arange(n_venues) % classes
+        class_venues = np.bincount(venue_class, minlength=classes)
+        picks = np.empty(n_paper_nodes, dtype=np.int64)
+        own_pick = np.zeros(n_paper_nodes, dtype=bool)
+        for p, own in enumerate(class_venues[paper_class].tolist()):
+            other = n_venues - own
+            if own and (not other or random() < within_bias):
+                own_pick[p] = True
+                picks[p] = integers(0, own)
+            else:
+                picks[p] = integers(0, other)
+        # the venues of class c are c, c + classes, c + 2 * classes, ...
+        paper_venue[own_pick] = paper_class[own_pick] + picks[own_pick] * classes
+        paper_venue[~own_pick] = _kth_outside_class(
+            venue_class, paper_class[~own_pick], picks[~own_pick], classes
+        )
 
     paper_base = n_authors
     venue_base = n_authors + n_paper_nodes
-    nodes: list[tuple[int, str, int | None]] = [
-        (a, "author", int(author_class[a])) for a in range(n_authors)
+    papers = paper_base + np.arange(n_paper_nodes)
+    n_pairs = second.size
+    edges = [
+        _both_ways(
+            np.concatenate([np.stack([first, second], axis=1).ravel(), solo]),
+            np.concatenate([np.repeat(papers[:n_pairs], 2), papers[n_pairs:]]),
+            _WRITES,
+        ),
+        _both_ways(paper_base + cite_src, paper_base + cite_dst, _CITES),
     ]
-    nodes += [(paper_base + p, "paper", None) for p in range(n_paper_nodes)]
-    nodes += [(venue_base + v, "venue", None) for v in range(n_venues)]
+    if n_venues:
+        edges.append(_both_ways(papers, venue_base + paper_venue, _PUBLISHED_IN))
+    src, dst, rel = (np.concatenate(column) for column in zip(*edges))
+    del edges  # the per-relation blocks; the graph checks the whole arrays next
+    return HeterogeneousGraph(
+        types=("author", "paper", "venue"),
+        type_code=np.repeat(np.arange(3), [n_authors, n_paper_nodes, n_venues]),
+        labels=np.concatenate([author_class, np.full(n_paper_nodes + n_venues, -1)]),
+        relations=[relation for _, relation, _ in SYNTHETIC_SCHEMA],
+        src=src,
+        dst=dst,
+        rel=rel,
+        schema=SYNTHETIC_SCHEMA,
+        target_type="author",
+    )
 
-    edges: list[tuple[int, int, str]] = []
-    for p, authors in enumerate(paper_authors):
-        pid = paper_base + p
-        for a in authors:
-            edges.append((a, pid, "writes"))
-            edges.append((pid, a, "written_by"))
-    for p, q in sorted(cite_pairs):
-        edges.append((paper_base + p, paper_base + q, "cites"))
-        edges.append((paper_base + q, paper_base + p, "cited_by"))
-    for p in range(n_paper_nodes):
-        if paper_venue[p] >= 0:
-            vid = venue_base + paper_venue[p]
-            edges.append((paper_base + p, vid, "published_in"))
-            edges.append((vid, paper_base + p, "publishes"))
 
-    return HeterogeneousGraph(nodes, edges, SYNTHETIC_SCHEMA, target_type="author")
+def _coauthor_pairs(
+    rng: np.random.Generator, author_class: np.ndarray, p_in: float, p_out: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The author pairs i < j that co-write, in row-major order of the upper
+    triangle: one uniform draw per pair, below ``p_in`` for a same-class pair
+    and below ``p_out`` for a cross-class one.  The draws come a block of rows
+    at a time, which gives the same doubles as one ``rng.random`` call over
+    all pairs (tests/test_simulation.py checks it) without holding them all."""
+    n = author_class.size
+    rows_per_block = max(1, _PAIR_BLOCK // max(n - 1, 1))
+    firsts, seconds = [], []
+    for r0 in range(0, n, rows_per_block):
+        rows = np.arange(r0, min(r0 + rows_per_block, n))
+        counts = n - 1 - rows
+        i = np.repeat(rows, counts)
+        j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        hit = rng.random(i.size) < np.where(author_class[i] == author_class[j], p_in, p_out)
+        firsts.append(i[hit])
+        seconds.append(j[hit])
+    return np.concatenate(firsts), np.concatenate(seconds)
+
+
+def _kth_outside_class(class_of: np.ndarray, cls: np.ndarray, k, n_classes: int) -> np.ndarray:
+    """For each query i, the ``k[i]``-th index (from 0, ascending) whose class
+    ``class_of`` differs from ``cls[i]``; ``k[i]`` must be below their count."""
+    k = np.asarray(k, dtype=np.int64)
+    counts = np.bincount(class_of, minlength=n_classes)
+    offset = np.cumsum(counts) - counts
+    order = np.argsort(class_of, kind="stable")
+    # members of each class in ascending order; before[i] counts the indices
+    # outside the class that precede member i
+    sorted_class = class_of[order]
+    before = order - (np.arange(order.size) - offset[sorted_class])
+    span = class_of.size + 1
+    members_at_or_before = (
+        np.searchsorted(sorted_class * span + before, cls * span + k, side="right") - offset[cls]
+    )
+    return k + members_at_or_before
+
+
+def _both_ways(a: np.ndarray, b: np.ndarray, relation: int) -> tuple[np.ndarray, ...]:
+    """Edges a[i] -> b[i] under ``relation`` and b[i] -> a[i] under the code
+    after it, interleaved pair by pair."""
+    src = np.stack([a, b], axis=1).ravel()
+    dst = np.stack([b, a], axis=1).ravel()
+    rel = np.tile(np.array([relation, relation + 1], dtype=np.int64), a.size)
+    return src, dst, rel
 
 
 # -- round metrics --------------------------------------------------------------
@@ -340,9 +426,7 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
         sample_size=config.neighbor_sample_size,
     )
 
-    target_ids = graph.nodes_of_type(config.target_type)
-    global_to_local = {int(g): i for i, g in enumerate(target_ids)}
-    local_labels = graph.labels[target_ids]
+    local_labels = graph.labels[graph.nodes_of_type(config.target_type)]
 
     split = make_split(local_labels, fraction=config.train_fraction, seed=split_seed)
     part = partition(
@@ -354,17 +438,13 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
     )
 
     params0 = init_params(model.dims, init_rng)
-    train_set = set(split.train_nodes.tolist())
+    is_train = np.zeros(local_labels.size, dtype=bool)
+    is_train[split.train_nodes] = True
     clients = []
     for cid in range(config.clients):
-        local_nodes = np.array(
-            sorted(
-                global_to_local[int(g)]
-                for g in part.client_nodes[cid]
-                if global_to_local[int(g)] in train_set
-            ),
-            dtype=np.int64,
-        )
+        # labeled nodes are target nodes, so their local index is a target index
+        local_nodes = np.sort(graph.local_index[part.client_nodes[cid]])
+        local_nodes = local_nodes[is_train[local_nodes]]
         clients.append(
             FederatedClient(
                 client_id=cid,

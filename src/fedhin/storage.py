@@ -95,13 +95,22 @@ def params_from_checkpoint(path, expected_manifest: list[dict] | None = None) ->
 # -- embeddings & metrics ----------------------------------------------------
 
 
+def open_output(path):
+    """``path`` opened for writing UTF-8 text; ``StorageError`` when it cannot
+    be, e.g. because it names a directory."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise StorageError(f"cannot write {path}: {exc}") from None
+
+
 def export_embeddings(path, node_ids: Sequence[int], embeddings: np.ndarray) -> None:
     """One row per target node: node_id, e_1..e_d."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if embeddings.ndim != 2 or len(node_ids) != embeddings.shape[0]:
         raise StorageError("embeddings must be 2-D with one row per node id")
     d = embeddings.shape[1]
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write("node_id," + ",".join(f"e_{j + 1}" for j in range(d)) + "\n")
         for nid, row in zip(node_ids, embeddings):
             fh.write(f"{int(nid)}," + ",".join(repr(float(v)) for v in row) + "\n")

@@ -13,7 +13,13 @@ from collections import defaultdict
 import numpy as np
 import scipy.sparse as sp
 
-from fedhin.graph import HeterogeneousGraph, MetaPathAdjacency, MetaPathSpec, metapath_adjacency
+from fedhin.graph import (
+    HeterogeneousGraph,
+    MetaPathAdjacency,
+    MetaPathSpec,
+    graph_from_records,
+    metapath_adjacency,
+)
 
 
 def enumerate_typed_walks(graph: HeterogeneousGraph, type_sequence) -> np.ndarray:
@@ -38,7 +44,7 @@ def enumerate_typed_walks(graph: HeterogeneousGraph, type_sequence) -> np.ndarra
             return
         want = type_sequence[depth + 1]
         for nxt in out_neighbors[node]:
-            if graph.node_type[nxt] == want:
+            if graph.types[graph.type_code[nxt]] == want:
                 walk(nxt, depth + 1, row)
 
     for row, start in enumerate(first_ids):
@@ -81,7 +87,95 @@ def random_hin(rng: np.random.Generator, max_nodes: int = 40) -> HeterogeneousGr
                 edges.append((n_authors + p, n_authors + n_papers + v, "published_in"))
             if rng.random() < 0.3:
                 edges.append((n_authors + n_papers + v, n_authors + p, "publishes"))
-    return HeterogeneousGraph(nodes, edges, schema, target_type="author")
+    return graph_from_records(nodes, edges, schema, target_type="author")
+
+
+def synthetic_hin_loops(
+    n_authors, n_papers, n_venues, classes, p_in, p_out, seed
+) -> tuple[list[tuple[int, str, int | None]], list[tuple[int, int, str]]]:
+    """The synthetic academic graph as node and edge records, drawn one pool
+    at a time with ``rng.choice`` over every author pair at once.  Its draws
+    are the ones ``synthetic_hin`` documents, so the two must agree record
+    for record; this form costs time quadratic in the paper count."""
+    rng = np.random.default_rng(seed)
+    sizes = np.full(classes, n_authors // classes)
+    sizes[: n_authors % classes] += 1
+    author_class = np.repeat(np.arange(classes), sizes)
+
+    paper_authors: list[tuple[int, ...]] = []
+    iu, ju = np.triu_indices(n_authors, k=1)
+    probs = np.where(author_class[iu] == author_class[ju], p_in, p_out)
+    hits = rng.random(iu.size) < probs
+    for a, b in zip(iu[hits], ju[hits]):
+        paper_authors.append((int(a), int(b)))
+    within_bias = p_in / (p_in + p_out) if (p_in + p_out) > 0 else 0.5
+    if p_in > 0:
+        covered = {a for authors in paper_authors for a in authors}
+        for a in range(n_authors):
+            if a in covered:
+                continue
+            own_group = np.flatnonzero(author_class == author_class[a])
+            own_group = own_group[own_group != a]
+            other_groups = np.flatnonzero(author_class != author_class[a])
+            pool = (
+                own_group
+                if (rng.random() < within_bias or other_groups.size == 0)
+                else other_groups
+            )
+            if p_out == 0.0:
+                pool = own_group
+            if pool.size:
+                paper_authors.append((a, int(rng.choice(pool))))
+    while len(paper_authors) < n_papers:
+        paper_authors.append((int(rng.integers(0, n_authors)),))
+
+    n_paper_nodes = len(paper_authors)
+    paper_class = np.array([author_class[authors[0]] for authors in paper_authors])
+    cite_pairs: set[tuple[int, int]] = set()
+    for p in range(n_paper_nodes):
+        cls = paper_class[p]
+        for _ in range(2):
+            if rng.random() < within_bias:
+                pool = np.flatnonzero(paper_class == cls)
+            else:
+                pool = np.flatnonzero(paper_class != cls)
+            if pool.size == 0 or (pool.size == 1 and pool[0] == p):
+                continue
+            q = int(rng.choice(pool))
+            while q == p:
+                q = int(rng.choice(pool))
+            cite_pairs.add((p, q))
+
+    venue_class = np.arange(n_venues) % classes if n_venues else np.empty(0, dtype=int)
+    paper_venue = np.full(n_paper_nodes, -1)
+    if n_venues:
+        for p in range(n_paper_nodes):
+            own = np.flatnonzero(venue_class == paper_class[p])
+            other = np.flatnonzero(venue_class != paper_class[p])
+            if own.size and (not other.size or rng.random() < within_bias):
+                paper_venue[p] = int(rng.choice(own))
+            elif other.size:
+                paper_venue[p] = int(rng.choice(other))
+
+    paper_base = n_authors
+    venue_base = n_authors + n_paper_nodes
+    nodes = [(a, "author", int(author_class[a])) for a in range(n_authors)]
+    nodes += [(paper_base + p, "paper", None) for p in range(n_paper_nodes)]
+    nodes += [(venue_base + v, "venue", None) for v in range(n_venues)]
+    edges: list[tuple[int, int, str]] = []
+    for p, authors in enumerate(paper_authors):
+        for a in authors:
+            edges.append((a, paper_base + p, "writes"))
+            edges.append((paper_base + p, a, "written_by"))
+    for p, q in sorted(cite_pairs):
+        edges.append((paper_base + p, paper_base + q, "cites"))
+        edges.append((paper_base + q, paper_base + p, "cited_by"))
+    for p in range(n_paper_nodes):
+        if paper_venue[p] >= 0:
+            vid = venue_base + int(paper_venue[p])
+            edges.append((paper_base + p, vid, "published_in"))
+            edges.append((vid, paper_base + p, "publishes"))
+    return nodes, edges
 
 
 def matvec_loops(matrix, vector):

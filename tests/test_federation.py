@@ -139,6 +139,10 @@ class TestStalenessAggregation:
         with pytest.raises(EmptyRecords):
             make_server(aggregator=aggregator).current_aggregate()
 
+    def test_server_owns_the_initial_weights_it_is_given(self):
+        initial = np.array([0.5, -1.5])
+        assert make_server(initial_weights=initial).initial_weights is initial
+
     def test_coefficients_on_simplex_and_monotone_in_version(self):
         rng = np.random.default_rng(1)
         for _ in range(200):

@@ -10,6 +10,7 @@ from fedhin.graph import (
     ParseError,
     SchemaViolation,
     ValidationError,
+    graph_from_records,
     load_graph,
     metapath_adjacency,
     neighbors_along,
@@ -24,7 +25,7 @@ class TestGraphConstruction:
     def test_minimal_valid_graph(self):
         nodes = [(0, "author", 0), (1, "author", 1), (2, "author", 0), (3, "paper", None)]
         edges = [(0, 3, "writes"), (1, 3, "writes"), (2, 3, "writes")]
-        g = HeterogeneousGraph(nodes, edges, [("author", "writes", "paper")])
+        g = graph_from_records(nodes, edges, [("author", "writes", "paper")])
         assert g.num_nodes == 4
         assert g.num_edges == 3
         assert g.schema == frozenset({("author", "writes", "paper")})
@@ -32,26 +33,74 @@ class TestGraphConstruction:
     def test_schema_violating_edge_rejected(self):
         nodes = [(0, "venue", None), (1, "author", 0)]
         with pytest.raises(SchemaViolation, match=r"\(0, 1, 'writes'\)"):
-            HeterogeneousGraph(nodes, [(0, 1, "writes")], [("author", "writes", "paper")])
+            graph_from_records(nodes, [(0, 1, "writes")], [("author", "writes", "paper")])
 
     def test_ids_must_be_dense(self):
         with pytest.raises(ValidationError, match="dense"):
-            HeterogeneousGraph([(0, "author", 0), (2, "author", 1)], [], COAUTHOR_SCHEMA)
+            graph_from_records([(0, "author", 0), (2, "author", 1)], [], COAUTHOR_SCHEMA)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError):
-            HeterogeneousGraph([(0, "author", 0), (0, "author", 1)], [], COAUTHOR_SCHEMA)
+            graph_from_records([(0, "author", 0), (0, "author", 1)], [], COAUTHOR_SCHEMA)
 
     def test_label_on_non_target_type_rejected(self):
         with pytest.raises(ValidationError, match="label"):
-            HeterogeneousGraph([(0, "paper", 2)], [], COAUTHOR_SCHEMA, target_type="author")
+            graph_from_records([(0, "paper", 2)], [], COAUTHOR_SCHEMA, target_type="author")
 
-    def test_relation_adjacency_is_indicator(self, toy_graph):
-        mat = toy_graph.relation_adjacency("writes")
+    def test_edge_arrays_hold_relation_codes(self, toy_graph):
+        writes = toy_graph.rel == toy_graph.relations.index("writes")
         expected = {(0, 3), (1, 3), (2, 4)}
+        assert set(zip(toy_graph.src[writes].tolist(), toy_graph.dst[writes].tolist())) == expected
+        assert toy_graph.edges[:2] == [(0, 3, "writes"), (1, 3, "writes")]
+        assert [toy_graph.types[c] for c in toy_graph.type_code] == ["author"] * 3 + ["paper"] * 2
+        assert not toy_graph.src.flags.writeable and not toy_graph.type_code.flags.writeable
+
+    def test_array_constructor_checks_codes_and_names(self):
+        def build(types=("author", "paper"), type_code=(0, 1), relations=("writes",), rel=(0,)):
+            return HeterogeneousGraph(
+                types=types, type_code=np.array(type_code), labels=np.array([0, -1]),
+                relations=relations, src=np.array([0]), dst=np.array([1]), rel=np.array(rel),
+                schema=[("author", "writes", "paper")],
+            )
+
+        assert build().edges == [(0, 1, "writes")]
+        with pytest.raises(ValidationError, match="node type code 2"):
+            build(type_code=(0, 2))
+        with pytest.raises(ValidationError, match="relation code -1"):
+            build(rel=(-1,))
+        with pytest.raises(ValidationError, match="distinct"):
+            build(types=("author", "author"))
+
+    def test_biadjacency_is_indicator(self):
+        # a parallel edge and a second relation between one pair collapse to one 1
+        nodes = [(0, "author", 0), (1, "paper", None), (2, "paper", None)]
+        schema = [("author", "writes", "paper"), ("author", "reviews", "paper")]
+        edges = [(0, 1, "writes"), (0, 1, "writes"), (0, 1, "reviews"), (0, 2, "reviews")]
+        mat = graph_from_records(nodes, edges, schema).biadjacency("author", "paper")
         coo = mat.tocoo()
-        assert {(int(r), int(c)) for r, c in zip(coo.row, coo.col)} == expected
+        assert {(int(r), int(c)) for r, c in zip(coo.row, coo.col)} == {(0, 0), (0, 1)}
         assert set(coo.data) == {1}
+
+    def test_schema_error_names_the_first_bad_edge_in_input_order(self):
+        nodes = [(0, "venue", None), (1, "author", 0), (2, "paper", None)]
+        edges = [(1, 2, "writes"), (2, 1, "writes"), (0, 1, "writes")]
+        with pytest.raises(SchemaViolation, match=r"\(2, 1, 'writes'\)"):
+            graph_from_records(nodes, edges, [("author", "writes", "paper")])
+
+    def test_unknown_node_id_rejected(self):
+        nodes = [(0, "author", 0), (1, "paper", None)]
+        with pytest.raises(ValidationError, match=r"\(0, 7, 'writes'\) references unknown node id"):
+            graph_from_records(nodes, [(0, 1, "writes"), (0, 7, "writes")], COAUTHOR_SCHEMA)
+        with pytest.raises(ValidationError, match="unknown node id"):
+            graph_from_records([], [(0, 0, "writes")], COAUTHOR_SCHEMA)
+
+    def test_biadjacency_matches_walk_enumeration_for_every_type_pair(self):
+        for seed in range(4):
+            g = random_hin(np.random.default_rng(seed))
+            for a in g.types:
+                for b in g.types:
+                    expected = enumerate_typed_walks(g, (a, b))
+                    assert np.array_equal(g.biadjacency(a, b).toarray(), expected)
 
 
 class TestLoader:
@@ -150,7 +199,7 @@ class TestMetaPathSpec:
     def test_missing_schema_hop_rejected(self):
         nodes = [(0, "author", 0), (1, "paper", None), (2, "venue", None)]
         edges = [(1, 2, "published_in")]
-        g = HeterogeneousGraph(nodes, edges, COAUTHOR_SCHEMA)
+        g = graph_from_records(nodes, edges, COAUTHOR_SCHEMA)
         spec = MetaPathSpec(name="AVA", type_sequence=("author", "venue", "author"))
         with pytest.raises(SchemaViolation, match="no relation from 'author' to 'venue'"):
             metapath_adjacency(g, spec)
@@ -166,7 +215,7 @@ class TestMetaPathAdjacency:
         assert neighbors_along(adj, 0) == {1}
 
     def test_no_paper_nodes_means_empty_type(self):
-        g = HeterogeneousGraph(
+        g = graph_from_records(
             [(0, "author", 0), (1, "author", 1)], [], COAUTHOR_SCHEMA
         )
         with pytest.raises(EmptyTypeError):
@@ -209,7 +258,7 @@ class TestMetaPathAdjacency:
                 if rng.random() < 0.4:
                     edges.append((a, n_a + p, "writes"))
                     edges.append((n_a + p, a, "written_by"))
-        g = HeterogeneousGraph(nodes, edges, COAUTHOR_SCHEMA)
+        g = graph_from_records(nodes, edges, COAUTHOR_SCHEMA)
         adj = metapath_adjacency(g, MetaPathSpec.from_string("APA"))
         dense = adj.matrix.toarray()
         assert np.array_equal(dense, dense.T)

@@ -1,7 +1,11 @@
 """Partitioning, the synthetic generator, and experiment scheduling."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedhin import (
     ExperimentConfig,
@@ -12,9 +16,32 @@ from fedhin import (
     run_experiment_list,
     synthetic_hin,
 )
+from fedhin.graph import write_graph
 from fedhin.simulation import SimulationError, preset_synthetic_config
 
-from oracles import enumerate_typed_walks
+from oracles import enumerate_typed_walks, synthetic_hin_loops
+
+# sha256 of write_graph's nodes.csv bytes followed by its edges.csv bytes,
+# computed with the generator as it stood before the graph was held in arrays
+# (one rng.choice per draw over pools rebuilt per draw, all author pairs at once)
+GOLDEN_GRAPHS = [
+    (dict(n_authors=120, n_papers=300, n_venues=8, classes=3, seed=1),
+     "d3429a90776cb432923c8d58ba8de6c6d59882ffec8518b925957be3ea6c1add"),
+    (dict(n_authors=400, seed=3),
+     "7e2406b7db587b81bdaf74016d0ec33e71a488836e1ea54df31b2060f4461116"),
+    (dict(n_authors=1000, n_papers=2000, n_venues=30, classes=5, seed=7),
+     "358b7efbcc172664ab66312889921027d4f36f08d3b592f82754e13c0bab1e45"),
+    (dict(n_authors=200, n_papers=400, n_venues=10, classes=4, p_in=0.06, p_out=0.0, seed=2),
+     "bf424e8b634978eaa8d4f87377f39f99f87e12f093d359eeb943a5a8116fce4f"),
+    (dict(n_authors=150, n_papers=300, n_venues=0, classes=3, seed=4),
+     "5d406705337392423b887379b4c7be42b101fb221cb390185151ab92eb0920c4"),
+    (dict(n_authors=60, n_papers=100, n_venues=5, classes=1, seed=6),
+     "c11fac7ae6aa35e1f101a2ebb294873936ee57b72c3214fe67524e247c69cda8"),
+    (dict(n_authors=50, n_papers=80, n_venues=4, classes=2, p_in=0.0, p_out=0.0, seed=8),
+     "fd43aaa8ea8277f064c2541c621fd5fd4221bdf299f8b79a976790db835f39b9"),
+    (dict(n_authors=30, n_papers=10, n_venues=3, classes=3, p_in=1.0, p_out=1.0, seed=9),
+     "5ee670c9f5654fe7c0686c8f7ad11df0f9ac401a1fbc176095d84a5fd2d532ff"),
+]
 
 
 class TestPartition:
@@ -112,6 +139,62 @@ class TestSyntheticHin:
             expected = enumerate_typed_walks(g, spec.type_sequence)
             np.fill_diagonal(expected, 0)
             assert np.array_equal(adj.matrix.toarray(), expected)
+
+    @pytest.mark.parametrize("kwargs, digest", GOLDEN_GRAPHS, ids=[
+        "-".join(f"{k}={v}" for k, v in kwargs.items()) for kwargs, _ in GOLDEN_GRAPHS])
+    def test_written_tables_match_golden_hashes(self, tmp_path, kwargs, digest):
+        nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+        write_graph(nodes, edges, synthetic_hin(**kwargs))
+        assert hashlib.sha256(nodes.read_bytes() + edges.read_bytes()).hexdigest() == digest
+
+    @given(
+        n_authors=st.integers(1, 40),
+        n_papers=st.integers(0, 60),
+        n_venues=st.integers(0, 7),
+        classes=st.integers(1, 6),
+        p=st.sampled_from([(0.0, 0.0), (0.2, 0.0), (0.3, 0.05), (0.1, 0.1), (1.0, 1.0), (1.0, 0.0)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_loop_reference(self, n_authors, n_papers, n_venues, classes, p, seed):
+        classes = min(classes, n_authors)
+        args = (n_authors, n_papers, n_venues, classes, p[0], p[1], seed)
+        g = synthetic_hin(*args)
+        nodes, edges = synthetic_hin_loops(*args)
+        assert g.edges == edges
+        assert [(nid, g.types[g.type_code[nid]], None if g.labels[nid] < 0 else g.labels[nid])
+                for nid in range(g.num_nodes)] == nodes
+
+
+class TestRandomStreamIdentities:
+    """The two identities of numpy's PCG64 ``Generator`` that keep
+    ``synthetic_hin`` equal to its loop reference and its golden hashes."""
+
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        size=st.one_of(st.integers(1, 1000), st.integers(1, 2**31)),
+        draws=st.integers(1, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_choice_is_an_integers_draw(self, seed, size, draws):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(draws):
+            # interleaved with doubles, as the generator's draws are
+            assert a.random() == b.random()
+            assert a.choice(size) == b.integers(0, size)
+        pool = np.arange(7, 7 + 3 * min(size, 1000), 3)
+        assert a.choice(pool) == pool[b.integers(0, pool.size)]
+
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        chunks=st.lists(st.integers(0, 300), min_size=1, max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_chunked_random_equals_one_call(self, seed, chunks):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        pieces = np.concatenate([a.random(n) for n in chunks])
+        assert np.array_equal(pieces, b.random(sum(chunks)))
+        assert a.random() == b.random()  # and both streams stand at the same place
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +377,27 @@ class TestRunExperiment:
         configs = preset_aggregator_comparison()
         assert [c.aggregator for c in configs] == ["staleness", "fedavg", "ema"]
         assert all(c.speed_multipliers == (1, 1, 3) for c in configs)
+
+
+class TestBuildExperiment:
+    def test_server_initial_weights_share_no_memory_with_clients(self, small_graph):
+        from fedhin.simulation import build_experiment
+
+        setup = build_experiment(small_config(), small_graph)
+        initial = setup.server.initial_weights
+        for params in [setup.initial_params] + [c.params for c in setup.clients]:
+            assert not np.shares_memory(initial, params.buffer)
+
+    def test_client_train_nodes_are_target_indices_of_their_partition(self, small_graph):
+        from fedhin.simulation import build_experiment
+
+        setup = build_experiment(small_config(), small_graph)
+        authors = small_graph.nodes_of_type("author").tolist()
+        train = set(setup.split.train_nodes.tolist())
+        for client, owned in zip(setup.clients, setup.part.client_nodes):
+            expected = sorted(authors.index(g) for g in owned.tolist() if authors.index(g) in train)
+            assert client.train_nodes.tolist() == expected
+            assert client.train_nodes.dtype == np.int64
 
 
 class TestDelivery:

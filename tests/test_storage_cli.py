@@ -220,6 +220,18 @@ def _config_case(field, value) -> pytest.param:
     )
 
 
+def _small_run(root) -> None:
+    """A generated dataset in ``root/data``, its config in ``root/config.json``
+    and its untrained model's checkpoint in ``root/run``."""
+    root.mkdir()
+    assert main(["generate", "--out", str(root / "data"), "--authors", "30", "--papers", "60",
+                 "--venues", "3", "--classes", "2"]) == 0
+    (root / "config.json").write_text(json.dumps({"rounds": 0, "embedding_dim": 4,
+                                                  "preference_dim": 2}))
+    assert main(["train", "--data", str(root / "data"), "--config", str(root / "config.json"),
+                 "--out", str(root / "run")]) == 0
+
+
 def _manifest_doc(**fields) -> dict:
     """A well-formed run manifest with ``fields`` replaced."""
     doc = {
@@ -406,6 +418,18 @@ class TestCli:
             _config_case("neighbor_sample_size", 2.5),
             _config_case("rounds", "ten"),
             _config_case("seed", -1),
+            _config_case("embedding_dim", 10**20),
+            pytest.param(
+                TINY_DATASET, ["partition", "--data", "{tmp}", "--out", "{tmp}", "--clients", "1"],
+                "StorageError", "cannot write", id="partition-out-names-a-directory",
+            ),
+            pytest.param(
+                {"small": _small_run},
+                ["export-embeddings", "--data", "{tmp}/small/data",
+                 "--checkpoint", "{tmp}/small/run/checkpoint.npz",
+                 "--config", "{tmp}/small/config.json", "--out", "{tmp}/small"],
+                "StorageError", "cannot write", id="export-out-names-a-directory",
+            ),
             pytest.param(
                 {"afile": "not a directory"},
                 ["train", "--data", "{tmp}/afile", "--out", "{tmp}/o"],
@@ -451,7 +475,9 @@ class TestCli:
     ):
         for name, content in files.items():
             path = tmp_path / name
-            if isinstance(content, bytes):
+            if callable(content):
+                content(path)
+            elif isinstance(content, bytes):
                 path.write_bytes(content)
             else:
                 path.write_text(content)
