@@ -21,12 +21,14 @@ upload.  Three aggregation rules are provided:
 ``handle`` takes the uploads of one call, checks every one of them before
 it records any (registered client, version above the record and above any
 earlier upload by that client in the call, vector of the table's width),
-aggregates once and gives one answer, ``(aggregate, mode)``: the mode is
-``targeted`` (only the uploaders install it) or, when the largest version
-gap reaches the configured threshold, ``broadcast`` (everyone does, so
-stragglers resynchronize).  Each upload gets one decision-log entry.  A
-call that fails a check raises and changes nothing: no record, version,
-running vector or log entry.
+aggregates once and gives one answer, ``(aggregate, mode)``.  The
+aggregate is read-only, and the server hands out the same array until
+the next upload changes its records.  The mode is ``targeted`` (only the
+uploaders install it) or, when the largest version gap reaches the
+configured threshold, ``broadcast`` (everyone does, so stragglers
+resynchronize).  Each upload gets one decision-log entry.  A call that
+fails a check raises and changes nothing: no record, version, running
+vector or log entry.
 
 The server is a serialized state machine: calls are applied one at a time
 in arrival order.  Message types double as a wire format (flat vector +
@@ -42,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import ModelParams, pack_shared, unpack_shared
+from .model import ModelParams, _readonly, pack_shared, unpack_shared
 from .optim import AdamState, adam_step
 
 AGGREGATORS = ("staleness", "fedavg", "ema")
@@ -149,6 +151,7 @@ class ParameterServer:
             self.records = np.zeros((len(self.roster), self.initial_weights.size))
         self.versions = np.zeros(len(self.roster), dtype=np.int64)
         self._ema_vector = self.initial_weights  # rebound by updates, never written in place
+        self._aggregate: np.ndarray | None = None  # current_aggregate's answer until a submit
         self.decision_log: list[dict] = []
 
     # -- record keeping ------------------------------------------------------
@@ -182,6 +185,7 @@ class ParameterServer:
         row = self.roster.index(int(update.client_id))
         self.records[row] = update.weights
         self.versions[row] = update.version
+        self._aggregate = None
         if self.aggregator == "ema":
             self._apply_ema(update)
 
@@ -234,15 +238,24 @@ class ParameterServer:
 
     def current_aggregate(self) -> np.ndarray:
         """The global model under the configured rule, given current records;
-        a copy of the initial weights while no client has submitted."""
+        the initial weights while no client has submitted.
+
+        The answer is computed once per change of the records and returned
+        read-only, so every caller until the next ``submit`` gets the same
+        array."""
+        if self._aggregate is None:
+            self._aggregate = _readonly(self._compute_aggregate())
+        return self._aggregate
+
+    def _compute_aggregate(self) -> np.ndarray:
         if not self.versions.any():
             if self.initial_weights is None:
                 raise EmptyRecords("no client records to aggregate and no initial weights")
-            return self.initial_weights.copy()
+            return self.initial_weights
         if self.aggregator == "fedavg":
             return self.aggregate_fedavg()
         if self.aggregator == "ema":
-            return self.aggregate_ema()
+            return self._ema_vector
         return self.aggregate_staleness_weighted()
 
     # -- dispatch ---------------------------------------------------------------

@@ -24,7 +24,7 @@ sample without replacement, still in ascending neighbor order.
 The pass then works on the R rows it touches: the batch and its
 neighbors.  Their adjacency rows ``A[rows]`` are sliced out once, as the
 CSR arrays ``(indptr, indices, data)``, and transformed into the (R, d)
-block ``H = A[rows] @ wt.T``, and ``idx`` and the batch are renumbered
+block ``H = A[rows] @ wt``, and ``idx`` and the batch are renumbered
 to positions in ``rows``.  Slicing copies the touched rows' entries, so
 when most rows are touched (an evaluation pass over every node, or a
 large batch at a small width) the block is the whole matrix instead.
@@ -41,13 +41,13 @@ over the neighbor lists is ever built.  The meta-path level is
 when a neighbor or a batch node repeats: the sparse transposes
 ``C.T @ dU`` and ``W.T @ H[own]``, ``np.bincount`` over neighbor
 positions and ``np.add.at`` over batch positions, then
-``A[rows].T @ dH`` for the transform weights.  It returns exact
-reverse-mode gradients of the batch loss with respect to every parameter
-tensor; they are hand-derived for this fixed architecture and checked
-against central finite differences in the test suite, as is the forward
-pass against a per-node reference.
+``A[rows].T @ dH`` for the transform weights, added straight into the
+gradient buffer.  It returns exact reverse-mode gradients of the batch
+loss with respect to every parameter tensor; they are hand-derived for
+this fixed architecture and checked against central finite differences
+in the test suite, as is the forward pass against a per-node reference.
 
-Every per-batch sparse-dense product (``A[rows] @ wt.T``, ``C @ H``,
+Every per-batch sparse-dense product (``A[rows] @ wt``, ``C @ H``,
 ``C.T @ dU``, ``W @ H``, ``W.T @ H[own]`` and ``A[rows].T @ dH``, with
 ``W`` the (B, R) matrix of the cosine gradients' per-entry weights)
 calls scipy's compiled kernels on the segment or adjacency arrays
@@ -129,7 +129,7 @@ def _layout(dims: ModelDims) -> list[tuple[str, tuple[int, int]]]:
     """Tensor names and shapes in buffer order: the shared tensors, then ``pref``."""
     d, m = dims.embedding_dim, dims.n_paths
     return (
-        [(f"wt_{p}", (d, dims.n_targets)) for p in range(m)]
+        [(f"wt_{p}", (dims.n_targets, d)) for p in range(m)]
         + [(f"wc_{p}", (d, 2 * d)) for p in range(m)]
         + [("wp", (dims.preference_dim, d)), ("wo", (dims.n_labels, d))]
         + [("pref", (dims.n_targets, dims.preference_dim))]
@@ -137,13 +137,19 @@ def _layout(dims: ModelDims) -> list[tuple[str, tuple[int, int]]]:
 
 
 def _manifest(dims: ModelDims) -> list[dict]:
-    return [{"name": name, "shape": list(shape)} for name, shape in _layout(dims)[:-1]]
+    manifest = [{"name": name, "shape": list(shape)} for name, shape in _layout(dims)[:-1]]
+    # the key tells the node-major transforms from the (d, N) transforms of
+    # older checkpoints, whose shapes are the same when d == N
+    for entry in manifest[: dims.n_paths]:
+        entry["layout"] = "node-major"
+    return manifest
 
 
 class ModelParams:
     """All learnable tensors, as named views into one contiguous float64 buffer.
 
-    ``wt[p]`` (d x N) transforms adjacency vectors of meta path p;
+    ``wt[p]`` (N x d) transforms adjacency vectors of meta path p, stored
+    node-major so that ``A @ wt[p]`` reads it as it lies;
     ``wc[p]`` (d x 2d) recombines the aggregated-neighbor / self
     concatenation; ``wp`` (k x d) projects per-path embeddings into the
     preference space; ``wo`` (L x d) is the classifier head; ``pref``
@@ -163,13 +169,18 @@ class ModelParams:
     def __init__(self, dims: ModelDims):
         layout = _layout(dims)
         sizes = [rows * cols for _, (rows, cols) in layout]
-        buffer = np.zeros(sum(sizes))
+        try:
+            buffer = np.zeros(sum(sizes))
+        except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+            raise ModelError(
+                f"cannot allocate the model's {sum(sizes)} float64 parameters: {exc}"
+            ) from None
         bounds = np.cumsum([0] + sizes).tolist()
         views = [buffer[a:b].reshape(shape) for (_, shape), a, b in zip(layout, bounds, bounds[1:])]
         d, m = dims.embedding_dim, dims.n_paths
         fields = dict(
             dims=dims, buffer=buffer, n_shared=bounds[-2],
-            wt=buffer[: bounds[m]].reshape(m, d, dims.n_targets),
+            wt=buffer[: bounds[m]].reshape(m, dims.n_targets, d),
             wc=buffer[bounds[m] : bounds[2 * m]].reshape(m, d, 2 * d),
             wp=views[-3], wo=views[-2], pref=views[-1],
             _items=tuple((name, view) for (name, _), view in zip(layout, views)),
@@ -201,9 +212,10 @@ class ModelParams:
 
 def init_params(dims: ModelDims, rng: np.random.Generator) -> ModelParams:
     """Random initialization: uniform +-1/sqrt(fan_in) for matrices, unit-norm
-    Gaussian rows for preference vectors."""
+    Gaussian rows for preference vectors.  Each transform is drawn as its
+    (d, N) transpose, with fan-in N."""
     params = ModelParams(dims)
-    for _, w in params.tensor_items()[:-1]:
+    for w in [*(wt.T for wt in params.wt), *params.wc, params.wp, params.wo]:
         bound = 1.0 / math.sqrt(w.shape[1])
         w[...] = rng.uniform(-bound, bound, size=w.shape)
     params.pref[...] = rng.standard_normal(params.pref.shape) / math.sqrt(dims.preference_dim)
@@ -220,7 +232,7 @@ def dims_from_manifest(manifest: list[dict]) -> ModelDims:
     """The dims whose shared tensors ``manifest`` lists, the inverse of
     ``shape_manifest``; ``ModelError`` when it is no model's layout."""
     try:
-        (d, n), (k, _), (n_labels, _) = (manifest[i]["shape"] for i in (0, -2, -1))
+        (n, d), (k, _), (n_labels, _) = (manifest[i]["shape"] for i in (0, -2, -1))
         # n_targets, n_paths, embedding_dim, preference_dim, n_labels
         dims = ModelDims(n, (len(manifest) - 2) // 2, d, k, n_labels)
         if min(d, n, k, n_labels) >= 1 and _manifest(dims) == manifest:
@@ -274,15 +286,29 @@ def _csr_matmul(
 
 
 def _csr_matmul_t(
-    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, x: np.ndarray, n_cols: int
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    x: np.ndarray,
+    n_cols: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``M.T @ x`` for the CSR matrix M (n_cols columns) held as
-    ``(indptr, indices, data)``: its arrays read as CSC are M.T."""
+    ``(indptr, indices, data)``: its arrays read as CSC are M.T.  Given
+    ``out``, a C-contiguous float64 (n_cols, k) array, the product is added
+    into it and ``out`` is returned."""
     _check_operands(indptr, indices, x)
     n_rows, k = indptr.size - 1, x.shape[1]
     if x.shape[0] != n_rows:
         raise ModelError(f"M.T @ x needs {n_rows} rows in x, got {x.shape[0]}")
-    out = np.zeros((n_cols, k))
+    if out is None:
+        out = np.zeros((n_cols, k))
+    elif out.shape != (n_cols, k) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        # ravel() would copy such an array, and the product would be lost
+        raise ModelError(
+            f"M.T @ x adds into a C-contiguous float64 array of shape {(n_cols, k)}, "
+            f"got {out.dtype} of shape {out.shape}"
+        )
     _sparsetools.csc_matvecs(n_cols, n_rows, k, indptr, indices, data, x.ravel(), out.ravel())
     return out
 
@@ -383,7 +409,7 @@ class PathTrace:
 
     rows: np.ndarray            # (R,) the batch and its sampled neighbors, or all N rows
     adjacency: CsrArrays        # (R, N) their adjacency rows A[rows]
-    transformed: np.ndarray     # (R, d) transformed features H = A[rows] @ wt.T
+    transformed: np.ndarray     # (R, d) transformed features H = A[rows] @ wt
     norms: np.ndarray           # (R,) row norms of H
     own: np.ndarray             # (B,) each batch node's position in rows
     segments: NeighborSegments  # sampled neighbor lists, as positions in rows
@@ -580,8 +606,8 @@ class AttentionModel:
         path_embed = np.empty((n_batch, n_paths, dims.embedding_dim))
         for p, (mat, seg) in enumerate(zip(self.matrices, segments)):
             rows, adjacency, own, seg = _touched_rows(mat, batch, seg, dims.embedding_dim)
-            # (R, d); row r = wt @ A[rows[r]]
-            h = _csr_matmul(*adjacency, np.ascontiguousarray(params.wt[p].T))
+            # (R, d); row r = A[rows[r]] @ wt
+            h = _csr_matmul(*adjacency, params.wt[p])
             norm = np.linalg.norm(h, axis=1)
             hb = h[own]
             denom = norm[own][seg.owner] * norm[seg.idx]
@@ -718,8 +744,8 @@ class AttentionModel:
             dh -= np.bincount(seg.idx, weights=dsims * pt.sims / nn**2, minlength=r)[:, None] * h
             np.add.at(dh, own, dhb)
 
-            # h = A[rows] @ wt.T, so d wt = dH.T @ A[rows]
-            grads.wt[p] = _csr_matmul_t(*pt.adjacency, dh, dims.n_targets).T
+            # h = A[rows] @ wt, so d wt = A[rows].T @ dH, added into the zeros
+            _csr_matmul_t(*pt.adjacency, dh, dims.n_targets, out=grads.wt[p])
         return grads
 
     # -- inference helpers ----------------------------------------------------

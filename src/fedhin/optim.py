@@ -14,6 +14,12 @@ import numpy as np
 from .model import ModelParams
 
 
+# Values per block of the Adam step.  One block of the four buffers plus the
+# two scratch blocks is 1.5 MB; of 2**11 to 2**16 values and the whole
+# buffer, this was fastest at 177k parameters (2-core Xeon, 2 MB L2 per core).
+_BLOCK = 32768
+
+
 class NonFiniteGradient(Exception):
     """A gradient tensor contained NaN or infinity; carries the tensor name."""
 
@@ -38,24 +44,42 @@ class AdamState:
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> tuple[ModelParams, AdamState]:
     """One Adam update, in place, with bias-corrected moments.
 
-    The update runs one tensor view at a time, so its temporaries stay the
-    size of one tensor rather than of the whole buffer.
+    A gradient holding NaN or infinity raises ``NonFiniteGradient``, naming
+    the first tensor that holds it, before anything changes.  The update
+    walks the flat buffers ``_BLOCK`` values at a time through two scratch
+    blocks allocated for this call, so each value goes through the same
+    operations in the same order as a whole-tensor update, with no
+    tensor-sized temporaries.
     """
+    if not np.isfinite(grads.buffer).all():
+        name = next(name for name, g in grads.tensor_items() if not np.isfinite(g).all())
+        raise NonFiniteGradient(f"gradient for tensor {name!r} is not finite")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
     correction1 = 1.0 - b1**t
     correction2 = 1.0 - b2**t
-    for (name, tensor), (_, g), (_, m), (_, v) in zip(
-        params.tensor_items(), grads.tensor_items(), state.m.tensor_items(), state.v.tensor_items()
-    ):
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"gradient for tensor {name!r} is not finite")
+    buffers = (params.buffer, grads.buffer, state.m.buffer, state.v.buffer)
+    size = params.buffer.size
+    scratch_a, scratch_b = np.empty(min(size, _BLOCK)), np.empty(min(size, _BLOCK))
+    for start in range(0, size, _BLOCK):
+        w, g, m, v = (buf[start : start + _BLOCK] for buf in buffers)
+        a, b = scratch_a[: g.size], scratch_b[: g.size]
+        # m = b1 * m + (1 - b1) * g
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=a)
+        m += a
+        # v = b2 * v + (1 - b2) * g**2
         v *= b2
-        v += (1.0 - b2) * np.square(g)
-        m_hat = m / correction1
-        v_hat = v / correction2
-        tensor -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.square(g, out=a)
+        a *= 1.0 - b2
+        v += a
+        # w -= lr * (m / correction1) / (sqrt(v / correction2) + eps)
+        np.divide(m, correction1, out=a)
+        a *= lr
+        np.divide(v, correction2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        w -= a
     return params, state

@@ -287,8 +287,9 @@ def cosine(a, b) -> tuple[float, bool]:
 
 
 def transform_features(model, params, path: int, i: int) -> np.ndarray:
-    """Transformed structural feature: wt[path] @ adjacency_row(i)."""
-    return params.wt[path] @ adjacency_row(model.adjacencies[path], i)
+    """Transformed structural feature: wt[path].T @ adjacency_row(i), with
+    ``wt[path]`` node-major (N x d)."""
+    return params.wt[path].T @ adjacency_row(model.adjacencies[path], i)
 
 
 def node_similarity(model, params, path: int, i: int, j: int) -> float:

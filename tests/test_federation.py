@@ -95,6 +95,49 @@ class TestSubmit:
             make_server().handle([])
 
 
+class TestAggregateReuse:
+    @pytest.mark.parametrize("aggregator", ["staleness", "fedavg", "ema"])
+    def test_answer_is_reused_until_a_submit_changes_the_records(self, aggregator):
+        server = make_server(aggregator=aggregator, initial_weights=np.array([0.5, -1.5]))
+        first = server.current_aggregate()
+        assert server.current_aggregate() is first
+        aggregate, _ = server.handle([up(0, [1.0, 2.0], 1)])
+        assert aggregate is not first and server.current_aggregate() is aggregate
+        assert not aggregate.flags.writeable
+        server.submit(up(1, [3.0, 5.0], 1))
+        fresh = {
+            "staleness": server.aggregate_staleness_weighted,
+            "fedavg": server.aggregate_fedavg,
+            "ema": server.aggregate_ema,
+        }[aggregator]()
+        assert server.current_aggregate().tobytes() == fresh.tobytes()
+
+    def test_one_product_per_record_change(self, monkeypatch):
+        server = make_server()
+        products = []
+        compute = server.aggregate_staleness_weighted
+
+        def counted(*args):
+            products.append(args)
+            return compute(*args)
+
+        monkeypatch.setattr(server, "aggregate_staleness_weighted", counted)
+        aggregate, _ = server.handle([up(0, [1.0], 1), up(1, [3.0], 1)])
+        for _ in range(3):
+            assert server.current_aggregate() is aggregate
+        assert len(products) == 1
+        server.handle([up(0, [2.0], 2)])
+        server.current_aggregate()
+        assert len(products) == 2
+
+    def test_rejected_call_keeps_the_answer(self):
+        server = make_server()
+        aggregate, _ = server.handle([up(0, [1.0], 2)])
+        with pytest.raises(StalenessRejected):
+            server.handle([up(1, [5.0], 1), up(0, [4.0], 2)])
+        assert server.current_aggregate() is aggregate
+
+
 class TestStalenessAggregation:
     def test_equal_versions_match_fedavg(self):
         server = make_server()
@@ -134,7 +177,8 @@ class TestStalenessAggregation:
         server = make_server(aggregator=aggregator, initial_weights=initial)
         aggregate = server.current_aggregate()
         np.testing.assert_array_equal(aggregate, initial)
-        aggregate[0] = 9.0  # a copy: the server's initial weights stay put
+        with pytest.raises(ValueError, match="read-only"):
+            aggregate[0] = 9.0  # the server's initial weights stay put
         np.testing.assert_array_equal(server.current_aggregate(), initial)
         with pytest.raises(EmptyRecords):
             make_server(aggregator=aggregator).current_aggregate()

@@ -47,11 +47,11 @@ def craft_model(matrices, n_labels=4, d=2, k=2, activation="identity"):
 class TestTransformFeatures:
     def test_basis_vector_selects_column(self):
         model, params = craft_model([np.eye(3)], d=2)
-        params.wt[0] = np.array([[1.0, 4.0, 7.0], [2.0, 5.0, 8.0]])
+        params.wt[0].T[...] = np.array([[1.0, 4.0, 7.0], [2.0, 5.0, 8.0]])
         # adjacency row 0 is e_1 (diagonal of the wrapped identity is zeroed
         # only by metapath_adjacency, not by the direct wrapper)
         np.testing.assert_allclose(
-            transform_features(model, params, 0, 0), params.wt[0][:, 0]
+            transform_features(model, params, 0, 0), params.wt[0].T[:, 0]
         )
 
     def test_zero_row_maps_to_zero(self):
@@ -61,16 +61,16 @@ class TestTransformFeatures:
     def test_against_scalar_loop_oracle(self):
         model, params = craft_model([np.array([[1.0, 2.0, 0.0]] * 3)], d=2)
         rng = np.random.default_rng(42)
-        params.wt[0] = rng.normal(size=(2, 3))
+        params.wt[0].T[...] = rng.normal(size=(2, 3))
         got = transform_features(model, params, 0, 0)
-        expected = matvec_loops(params.wt[0].tolist(), [1.0, 2.0, 0.0])
+        expected = matvec_loops(params.wt[0].T.tolist(), [1.0, 2.0, 0.0])
         np.testing.assert_allclose(got, expected, rtol=1e-15)
 
 
 class TestNodeSimilarity:
     def _two_vector_model(self, v0, v1):
         model, params = craft_model([np.eye(2)], d=2)
-        params.wt[0] = np.column_stack([v0, v1]).astype(float)
+        params.wt[0] = np.vstack([v0, v1]).astype(float)  # row j: node j's feature
         return model, params
 
     def test_self_similarity_is_one(self):
@@ -100,7 +100,7 @@ class TestNodeAttention:
     def test_equal_similarities_split_evenly(self):
         # neighbors 1 and 2 get identical transformed vectors
         model, params = craft_model([np.array([[0, 1, 1], [0, 0, 0], [0, 0, 0]])], d=2)
-        params.wt[0] = np.array([[1.0, 2.0, 2.0], [0.5, 1.0, 1.0]])
+        params.wt[0].T[...] = np.array([[1.0, 2.0, 2.0], [0.5, 1.0, 1.0]])
         coeffs = node_attention(model, params, 0, 0)
         np.testing.assert_allclose(sorted(coeffs.values()), [0.5, 0.5], atol=1e-12)
 
@@ -113,7 +113,7 @@ class TestNodeAttention:
     def test_attention_is_softmax_of_similarities(self):
         model, params = craft_model([np.array([[0, 2, 1], [1, 0, 1], [1, 1, 0]])], d=2)
         rng = np.random.default_rng(3)
-        params.wt[0] = rng.normal(size=(2, 3))
+        params.wt[0].T[...] = rng.normal(size=(2, 3))
         sims = [node_similarity(model, params, 0, 0, j) for j in (1, 2)]
         expected = softmax_loops(sims)
         coeffs = node_attention(model, params, 0, 0)
@@ -122,10 +122,10 @@ class TestNodeAttention:
 
 class TestAggregateNeighbors:
     def test_single_neighbor_identity_activation(self):
-        # adjacency row of the neighbor is e_1, so its feature is column 1 of wt
+        # adjacency row of the neighbor is e_1, so its feature is row 1 of wt
         model, params = craft_model([np.array([[0, 1], [0, 1]])], d=2)
         got = aggregate_neighbors(model, params, 0, 0, {1: 1.0})
-        np.testing.assert_allclose(got, params.wt[0][:, 1])
+        np.testing.assert_allclose(got, params.wt[0][1])
 
     def test_no_neighbors_gives_activated_zero(self):
         model, params = craft_model([np.zeros((2, 2))], d=2, activation="elu")
@@ -134,7 +134,7 @@ class TestAggregateNeighbors:
     def test_weighted_sum_by_hand(self):
         # neighbor features are (4, 0) and (0, 8): 0.75 and 0.25 mix to (3, 2)
         model, params = craft_model([np.array([[0, 1, 1], [0, 1, 0], [0, 0, 1]])], d=2)
-        params.wt[0] = np.array([[0.0, 4.0, 0.0], [0.0, 0.0, 8.0]])
+        params.wt[0].T[...] = np.array([[0.0, 4.0, 0.0], [0.0, 0.0, 8.0]])
         got = aggregate_neighbors(model, params, 0, 0, {1: 0.75, 2: 0.25})
         np.testing.assert_allclose(got, [3.0, 2.0], atol=1e-12)
 
@@ -163,7 +163,7 @@ class TestMetapathEmbedding:
         model, params = craft_model([np.array([[0, 1], [1, 0]])], d=2)
         rng = np.random.default_rng(12)
         params.wc[0] = rng.normal(size=(2, 4))
-        params.wt[0] = np.array([[0.0, 3.0], [0.0, 4.0]])  # self feature = (3, 4)
+        params.wt[0] = np.array([[0.0, 0.0], [3.0, 4.0]])  # self feature = (3, 4)
         got = metapath_embedding(model, params, 0, 0, np.array([1.0, 2.0]))
         expected = matvec_loops(params.wc[0].tolist(), [1.0, 2.0, 3.0, 4.0])
         np.testing.assert_allclose(got, expected, rtol=1e-14)

@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedhin.model import (
@@ -18,7 +18,7 @@ from fedhin.model import (
     shape_manifest,
     unpack_shared,
 )
-from fedhin.optim import AdamState, NonFiniteGradient, adam_step
+from fedhin.optim import _BLOCK, AdamState, NonFiniteGradient, adam_step
 
 from oracles import reference_adam_step
 
@@ -33,6 +33,23 @@ model_dims = st.builds(
     n_labels=st.integers(1, 4),
 )
 seeds = st.integers(0, 2**32 - 1)
+
+
+def dims_with_buffer_size(size: int) -> ModelDims:
+    """One meta path at width 1: the buffer holds 2N + 3 + L values."""
+    n_labels = 1 + (size - 4) % 2
+    return ModelDims(n_targets=(size - 3 - n_labels) // 2, n_paths=1, embedding_dim=1,
+                     preference_dim=1, n_labels=n_labels)
+
+
+# buffers one value short of, exactly at and one past a multiple of the Adam
+# step's block, and the shapes of the benchmark workloads (400 authors, two
+# meta paths, d = 32 and 128)
+adam_dims = st.one_of(
+    st.builds(lambda k, delta: dims_with_buffer_size(k * _BLOCK + delta),
+              st.integers(1, 3), st.sampled_from([-1, 0, 1])),
+    st.sampled_from([ModelDims(400, 2, d, 16, 4) for d in (32, 128)]),
+)
 
 
 class TestLayout:
@@ -76,11 +93,11 @@ class TestLayout:
     def test_write_through_wt_shows_in_pack_shared(self, dims, data):
         params = ModelParams(dims)
         p = data.draw(st.integers(0, dims.n_paths - 1))
-        i = data.draw(st.integers(0, dims.embedding_dim - 1))
-        j = data.draw(st.integers(0, dims.n_targets - 1))
+        i = data.draw(st.integers(0, dims.n_targets - 1))
+        j = data.draw(st.integers(0, dims.embedding_dim - 1))
         params.wt[p][i, j] = 7.5
         flat = pack_shared(params)
-        offset = (p * dims.embedding_dim + i) * dims.n_targets + j
+        offset = (p * dims.n_targets + i) * dims.embedding_dim + j  # node-major
         assert flat[offset] == 7.5
         assert np.count_nonzero(flat) == 1
         assert dict(params.tensor_items())[f"wt_{p}"][i, j] == 7.5
@@ -102,7 +119,7 @@ class TestLayout:
     def test_item_and_augmented_assignment_write_into_the_buffer(self):
         params = ModelParams(ModelDims(n_targets=3, n_paths=2, embedding_dim=2,
                                        preference_dim=2, n_labels=2))
-        params.wt[1] = np.ones((2, 3))
+        params.wt[1] = np.ones((3, 2))
         params.wo += 2.0
         params.wc[0] *= 3.0
         named = dict(params.tensor_items())
@@ -126,28 +143,39 @@ class TestLayout:
             dims_from_manifest(manifest)
 
 
+def assert_steps_match_reference(dims: ModelDims, rng: np.random.Generator, steps: int) -> None:
+    """``steps`` Adam steps over the buffer and over the per-tensor reference,
+    on the same random gradients, agree bit for bit."""
+    params = init_params(dims, rng)
+    state = AdamState.for_params(params, learning_rate=0.01)
+    tensors = {name: t.copy() for name, t in params.tensor_items()}
+    m = {name: np.zeros_like(t) for name, t in tensors.items()}
+    v = {name: np.zeros_like(t) for name, t in tensors.items()}
+    for step in range(1, steps + 1):
+        grads = params.zeros_like()
+        grads.buffer[...] = rng.standard_normal(grads.buffer.size) * rng.uniform(1e-4, 10.0)
+        grads.pref[rng.random(dims.n_targets) < 0.5] = 0.0
+        adam_step(params, grads, state)
+        reference_adam_step(tensors, dict(grads.tensor_items()), m, v, step,
+                            learning_rate=0.01)
+    for ours, theirs in ((params, tensors), (state.m, m), (state.v, v)):
+        for name, t in ours.tensor_items():
+            assert t.tobytes() == theirs[name].tobytes(), name
+    assert state.step == steps
+
+
 class TestAdamOverTheBuffer:
     @pytest.mark.parametrize("embedding_dim", [32, 128], ids=["d32", "d128"])
     def test_bit_identical_to_per_tensor_reference(self, embedding_dim):
         # the shapes of the benchmark workloads: 400 authors, two meta paths
         dims = ModelDims(n_targets=400, n_paths=2, embedding_dim=embedding_dim,
                          preference_dim=16, n_labels=4)
-        rng = np.random.default_rng(embedding_dim)
-        params = init_params(dims, rng)
-        state = AdamState.for_params(params, learning_rate=0.01)
-        tensors = {name: t.copy() for name, t in params.tensor_items()}
-        m = {name: np.zeros_like(t) for name, t in tensors.items()}
-        v = {name: np.zeros_like(t) for name, t in tensors.items()}
-        for step in range(1, 26):
-            grads = params.zeros_like()
-            grads.buffer[...] = rng.standard_normal(grads.buffer.size) * rng.uniform(1e-4, 10.0)
-            grads.pref[rng.random(dims.n_targets) < 0.5] = 0.0
-            adam_step(params, grads, state)
-            reference_adam_step(tensors, dict(grads.tensor_items()), m, v, step,
-                                learning_rate=0.01)
-        for ours, theirs in ((params, tensors), (state.m, m), (state.v, v)):
-            for name, t in ours.tensor_items():
-                assert t.tobytes() == theirs[name].tobytes(), name
+        assert_steps_match_reference(dims, np.random.default_rng(embedding_dim), 25)
+
+    @given(adam_dims, seeds, st.integers(1, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_blocked_step_matches_reference_bit_for_bit(self, dims, seed, steps):
+        assert_steps_match_reference(dims, np.random.default_rng(seed), steps)
 
     def test_non_finite_gradient_names_each_tensor(self):
         params = ModelParams(ModelDims(n_targets=2, n_paths=2, embedding_dim=1,

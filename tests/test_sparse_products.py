@@ -55,6 +55,17 @@ def test_products_match_scipy_bit_for_bit(operands):
     assert same_bits(_csr_matmul_t(indptr, indices, data, xt, n_cols), np.asarray(matrix.T @ xt))
 
 
+@given(csr_operands())
+@settings(max_examples=100, deadline=None)
+def test_product_added_into_zeros_matches_a_new_product(operands):
+    """Backward adds the transform gradient straight into the zeroed
+    gradient buffer; that must give the bits of a freshly allocated product."""
+    indptr, indices, data, n_cols, _, xt = operands
+    out = np.zeros((n_cols, xt.shape[1]))
+    assert _csr_matmul_t(indptr, indices, data, xt, n_cols, out=out) is out
+    assert same_bits(out, _csr_matmul_t(indptr, indices, data, xt, n_cols))
+
+
 def test_products_refuse_operands_the_kernels_would_copy():
     indptr, indices, data = np.array([0, 1]), np.array([0]), np.array([2.0])
     x = np.ones((2, 3))
@@ -66,6 +77,19 @@ def test_products_refuse_operands_the_kernels_would_copy():
         _csr_matmul(indptr, indices.astype(np.int32), data, x)
     with pytest.raises(ModelError, match="needs 1 rows"):
         _csr_matmul_t(indptr, indices, data, x, n_cols=2)
+
+
+@pytest.mark.parametrize(
+    "out",
+    [np.zeros((3, 2)).T, np.zeros((2, 3), np.float32), np.zeros((2, 4)), np.zeros((2, 6))[:, ::2]],
+    ids=["fortran-order", "float32", "wrong-shape", "strided"],
+)
+def test_product_refuses_an_out_it_would_copy(out):
+    # ravel() copies such an array, so the product would never reach it
+    indptr, indices, data = np.array([0, 1]), np.array([0]), np.array([2.0])
+    with pytest.raises(ModelError, match="C-contiguous float64 array of shape"):
+        _csr_matmul_t(indptr, indices, data, np.ones((1, 3)), n_cols=2, out=out)
+    assert not out.any()
 
 
 @pytest.mark.parametrize("width, batch_size", [(32, 107), (128, 16)])

@@ -95,6 +95,27 @@ class TestParseConfig:
             assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def with_transform_major_layout(path) -> None:
+    """Rewrite the checkpoint at ``path`` the way earlier versions wrote it:
+    each transform as its (d, N) transpose, and no layout key."""
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    manifest = json.loads(bytes(arrays["manifest"]).decode())
+    blocks, start = [], 0
+    for entry in manifest:
+        size = int(np.prod(entry["shape"]))
+        block = arrays["flat"][start : start + size]
+        start += size
+        if entry.pop("layout", None) == "node-major":
+            n, d = entry["shape"]
+            block = block.reshape(n, d).T.ravel()
+            entry["shape"] = [d, n]
+        blocks.append(block)
+    arrays["flat"] = np.concatenate(blocks)
+    arrays["manifest"] = np.frombuffer(json.dumps(manifest, sort_keys=True).encode(), np.uint8)
+    np.savez(path, **arrays)
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_identical(self, tmp_path):
         params = random_params(seed=3)
@@ -129,6 +150,27 @@ class TestCheckpoint:
         with pytest.raises(StorageError, match=r"preference matrix has shape \(5, 7\)"):
             load_checkpoint(path)
         with pytest.raises(StorageError, match="preference matrix"):
+            params_from_checkpoint(path)
+
+    @pytest.mark.parametrize("n, d", [(6, 3), (4, 4)], ids=["d-not-N", "d-equals-N"])
+    def test_transforms_stored_node_major(self, tmp_path, n, d):
+        params = random_params(n=n, d=d)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, params)
+        flat, _, manifest = load_checkpoint(path)
+        for p in range(2):
+            assert manifest[p] == {"name": f"wt_{p}", "shape": [n, d], "layout": "node-major"}
+            assert flat[p * n * d : (p + 1) * n * d].tobytes() == params.wt[p].tobytes()
+
+    @pytest.mark.parametrize("n, d", [(6, 3), (4, 4)], ids=["d-not-N", "d-equals-N"])
+    def test_transform_major_checkpoint_refused(self, tmp_path, n, d):
+        # with d == N the older layout's shapes are the new ones; the key tells them apart
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, random_params(n=n, d=d))
+        with_transform_major_layout(path)
+        with pytest.raises(StorageError, match="no model parameter layout"):
+            load_checkpoint(path)
+        with pytest.raises(StorageError, match="no model parameter layout"):
             params_from_checkpoint(path)
 
     def test_non_finite_values_refused(self, tmp_path):
@@ -220,6 +262,19 @@ def _config_case(field, value) -> pytest.param:
     )
 
 
+def _model_case(embedding_dim) -> pytest.param:
+    """A train run on a generated dataset whose model is too large to allocate."""
+    def dataset(path) -> None:
+        assert main(["generate", "--out", str(path), "--authors", "30", "--papers", "60",
+                     "--venues", "3", "--classes", "2"]) == 0
+
+    return pytest.param(
+        {"data": dataset, "big.json": json.dumps({"embedding_dim": embedding_dim, "rounds": 1})},
+        ["train", "--data", "{tmp}/data", "--config", "{tmp}/big.json", "--out", "{tmp}/o"],
+        "ModelError", "float64 parameters", id=f"config-embedding_dim-{embedding_dim}-unallocatable",
+    )
+
+
 def _small_run(root) -> None:
     """A generated dataset in ``root/data``, its config in ``root/config.json``
     and its untrained model's checkpoint in ``root/run``."""
@@ -299,6 +354,22 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "StorageError"
         assert "preference matrix" in err["message"]
+
+    def test_eval_rejects_checkpoint_in_the_transform_major_layout(
+        self, train_run, tmp_path, capsys
+    ):
+        dataset_dir, out_dir, config_path = train_run
+        old = tmp_path / "checkpoint.npz"
+        old.write_bytes((out_dir / "checkpoint.npz").read_bytes())
+        with_transform_major_layout(old)
+        code = main([
+            "eval", "--data", str(dataset_dir), "--checkpoint", str(old),
+            "--config", str(config_path),
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "StorageError"
+        assert "no model parameter layout" in err["message"]
 
     def test_export_embeddings_command(self, train_run, tmp_path, capsys):
         dataset_dir, out_dir, config_path = train_run
@@ -419,6 +490,9 @@ class TestCli:
             _config_case("rounds", "ten"),
             _config_case("seed", -1),
             _config_case("embedding_dim", 10**20),
+            # beyond numpy's array size limit, and beyond any machine's memory
+            _model_case(2**40),
+            _model_case(2**24),
             pytest.param(
                 TINY_DATASET, ["partition", "--data", "{tmp}", "--out", "{tmp}", "--clients", "1"],
                 "StorageError", "cannot write", id="partition-out-names-a-directory",
