@@ -126,6 +126,11 @@ def cmd_train(args) -> int:
     if data_dir is None:
         raise ConfigError("train needs --data (or a manifest that records it)")
     graph = _load_dataset(data_dir, config)
+    # an --out that names a file is refused before the experiment is built,
+    # and the run directory is created only for an experiment that can start
+    if Path(args.out).exists() and not Path(args.out).is_dir():
+        raise StorageError(f"cannot create the output directory {args.out}: it names a file")
+    setup = build_experiment(config, graph)
 
     run_dir = make_output_dir(args.out)
     data_files = [Path(data_dir) / n for n in ("nodes.csv", "edges.csv", "schema.json")]
@@ -148,7 +153,6 @@ def cmd_train(args) -> int:
         json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    setup = build_experiment(config, graph)
     records = []
     for record in run_experiment(config, graph, setup=setup, diagnostics_dir=run_dir):
         records.append(record)

@@ -23,6 +23,7 @@ share read-only across concurrent workers.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
@@ -332,7 +333,7 @@ def neighbors_along(adj: MetaPathAdjacency, i: int) -> set[int]:
 
 NODE_HEADER = ["id", "type", "label"]
 EDGE_HEADER = ["src", "dst", "relation"]
-_WRITE_BLOCK = 1 << 16  # table rows per csv.writer call
+_WRITE_BLOCK = 1 << 16  # table rows per write call
 
 
 def _read_rows(path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
@@ -456,25 +457,39 @@ def graph_from_records(
     )
 
 
+def _csv_field(name: str) -> str:
+    """``name`` as ``csv.writer`` writes it inside a row of several fields (a
+    row of one empty field is quoted differently, hence the second field)."""
+    out = io.StringIO()
+    csv.writer(out).writerow([name, ""])
+    return out.getvalue()[: -len(",\r\n")]
+
+
 def write_graph(nodes_path, edges_path, graph: HeterogeneousGraph) -> None:
-    """Write a graph back to the tabular format accepted by :func:`load_graph`."""
+    """Write a graph back to the tabular format accepted by :func:`load_graph`.
 
-    def node_rows(lo: int, hi: int):
-        types = [graph.types[c] for c in graph.type_code[lo:hi].tolist()]
-        labels = ["" if label < 0 else label for label in graph.labels[lo:hi].tolist()]
-        return zip(range(lo, hi), types, labels)
+    The bytes are ``csv.writer``'s: each type and relation name is quoted once
+    by the ``csv`` module, and the rows are formatted around it a block at a
+    time, so no Python list spans the table."""
+    types = [_csv_field(name) for name in graph.types]
+    relations = [_csv_field(name) for name in graph.relations]
 
-    def edge_rows(lo: int, hi: int):
-        relations = [graph.relations[r] for r in graph.rel[lo:hi].tolist()]
-        return zip(graph.src[lo:hi].tolist(), graph.dst[lo:hi].tolist(), relations)
+    def node_lines(lo: int, hi: int) -> list[str]:
+        codes, labels = graph.type_code[lo:hi].tolist(), graph.labels[lo:hi].tolist()
+        return [
+            f"{nid},{types[code]},{'' if label < 0 else label}\r\n"
+            for nid, code, label in zip(range(lo, hi), codes, labels)
+        ]
 
-    for path, header, count, rows in (
-        (nodes_path, NODE_HEADER, graph.num_nodes, node_rows),
-        (edges_path, EDGE_HEADER, graph.num_edges, edge_rows),
+    def edge_lines(lo: int, hi: int) -> list[str]:
+        src, dst, rel = (a[lo:hi].tolist() for a in (graph.src, graph.dst, graph.rel))
+        return [f"{s},{d},{relations[r]}\r\n" for s, d, r in zip(src, dst, rel)]
+
+    for path, header, count, lines in (
+        (nodes_path, NODE_HEADER, graph.num_nodes, node_lines),
+        (edges_path, EDGE_HEADER, graph.num_edges, edge_lines),
     ):
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            # a block of rows at a time, so no Python list spans the table
+            csv.writer(fh).writerow(header)
             for lo in range(0, count, _WRITE_BLOCK):
-                writer.writerows(rows(lo, min(lo + _WRITE_BLOCK, count)))
+                fh.write("".join(lines(lo, min(lo + _WRITE_BLOCK, count))))

@@ -56,8 +56,8 @@ def load_checkpoint(path, expected_manifest: list[dict] | None = None) -> tuple[
     try:
         with np.load(path, allow_pickle=False) as archive:
             manifest = json.loads(bytes(archive["manifest"]).decode())
-            flat = archive["flat"].astype(np.float64)
-            pref = archive["pref"].astype(np.float64)
+            flat = np.asarray(archive["flat"], dtype=np.float64)
+            pref = np.asarray(archive["pref"], dtype=np.float64)
     except StorageError:
         raise
     except Exception as exc:

@@ -157,6 +157,81 @@ def synthetic_hin_loops(
             elif other.size:
                 paper_venue[p] = int(rng.choice(other))
 
+    return _synthetic_records(author_class, paper_authors, cite_pairs, paper_venue, n_venues)
+
+
+def synthetic_hin_scalar(
+    n_authors, n_papers, n_venues, classes, p_in, p_out, seed
+) -> tuple[list[tuple[int, str, int | None]], list[tuple[int, int, str]]]:
+    """The records of ``synthetic_hin_loops``, drawn one scalar
+    ``rng.random()`` or ``pool[rng.integers(0, pool.size)]`` at a time in
+    the same order, with every pool built once per class: the generator's
+    scalar draw loops without any replay.  Time is linear in the author pairs
+    and in the papers times the classes."""
+    rng = np.random.default_rng(seed)
+    sizes = np.full(classes, n_authors // classes)
+    sizes[: n_authors % classes] += 1
+    author_class = np.repeat(np.arange(classes), sizes)
+
+    paper_authors: list[tuple[int, ...]] = []
+    for a in range(n_authors):
+        later = np.arange(a + 1, n_authors)
+        probs = np.where(author_class[later] == author_class[a], p_in, p_out)
+        paper_authors.extend((a, int(b)) for b in later[rng.random(later.size) < probs])
+    within_bias = p_in / (p_in + p_out) if (p_in + p_out) > 0 else 0.5
+    if p_in > 0:
+        covered = {a for authors in paper_authors for a in authors}
+        for a in range(n_authors):
+            if a in covered:
+                continue
+            own_group = np.flatnonzero(author_class == author_class[a])
+            own_group = own_group[own_group != a]
+            other_groups = np.flatnonzero(author_class != author_class[a])
+            own = rng.random() < within_bias or other_groups.size == 0
+            pool = own_group if (own or p_out == 0.0) else other_groups
+            if pool.size:
+                paper_authors.append((a, int(pool[rng.integers(0, pool.size)])))
+    while len(paper_authors) < n_papers:
+        paper_authors.append((int(rng.integers(0, n_authors)),))
+
+    n_paper_nodes = len(paper_authors)
+    paper_class = np.array([author_class[authors[0]] for authors in paper_authors], dtype=int)
+    members = [np.flatnonzero(paper_class == c) for c in range(classes)]
+    outside = [np.flatnonzero(paper_class != c) for c in range(classes)]
+    cite_pairs: set[tuple[int, int]] = set()
+    for p, cls in enumerate(paper_class.tolist()):
+        for _ in range(2):
+            if rng.random() < within_bias:
+                pool = members[cls]
+                if pool.size == 1:
+                    continue
+                q = int(pool[rng.integers(0, pool.size)])
+                while q == p:
+                    q = int(pool[rng.integers(0, pool.size)])
+            else:
+                pool = outside[cls]
+                if pool.size == 0:
+                    continue
+                q = int(pool[rng.integers(0, pool.size)])
+            cite_pairs.add((p, q))
+
+    venue_class = np.arange(n_venues) % classes
+    own_venues = [np.flatnonzero(venue_class == c) for c in range(classes)]
+    other_venues = [np.flatnonzero(venue_class != c) for c in range(classes)]
+    paper_venue = np.full(n_paper_nodes, -1)
+    if n_venues:
+        for p, cls in enumerate(paper_class.tolist()):
+            own, other = own_venues[cls], other_venues[cls]
+            if own.size and (not other.size or rng.random() < within_bias):
+                paper_venue[p] = own[rng.integers(0, own.size)]
+            else:
+                paper_venue[p] = other[rng.integers(0, other.size)]
+    return _synthetic_records(author_class, paper_authors, cite_pairs, paper_venue, n_venues)
+
+
+def _synthetic_records(author_class, paper_authors, cite_pairs, paper_venue, n_venues):
+    """Node and edge records of a synthetic graph, in ``synthetic_hin``'s order."""
+    n_authors, n_paper_nodes = author_class.size, len(paper_authors)
     paper_base = n_authors
     venue_base = n_authors + n_paper_nodes
     nodes = [(a, "author", int(author_class[a])) for a in range(n_authors)]

@@ -1,5 +1,8 @@
 """Graph model, loaders, and meta-path adjacency against the walk oracle."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -118,6 +121,31 @@ class TestLoader:
         assert loaded.num_edges == toy_graph.num_edges
         assert loaded.edges == toy_graph.edges
         assert np.array_equal(loaded.labels, toy_graph.labels)
+
+    def test_awkward_names_are_written_as_csv_writer_writes_them(self, tmp_path):
+        # a comma, a double quote, line breaks, and an empty name, which
+        # csv.writer quotes when it is a row's only field but not inside a row
+        author, paper, venue = "au,thor", 'pa"per', "ve\r\nnue"
+        schema = [(author, 'wr"ites,', paper), (paper, "pub\nlished", venue), (paper, "", venue)]
+        nodes = [(0, author, 1), (1, paper, None), (2, venue, None), (3, author, 0)]
+        edges = [(0, 1, 'wr"ites,'), (3, 1, 'wr"ites,'), (1, 2, "pub\nlished"), (1, 2, "")]
+        graph = graph_from_records(nodes, edges, schema, target_type=author)
+        nodes_path, edges_path = tmp_path / "n.csv", tmp_path / "e.csv"
+        write_graph(nodes_path, edges_path, graph)
+        node_rows = [(i, t, "" if y is None else y) for i, t, y in nodes]
+        for path, header, rows in (
+            (nodes_path, ["id", "type", "label"], node_rows),
+            (edges_path, ["src", "dst", "relation"], edges),
+        ):
+            expected = io.StringIO(newline="")
+            writer = csv.writer(expected)
+            writer.writerow(header)
+            writer.writerows(rows)
+            assert path.read_bytes() == expected.getvalue().encode()
+        loaded = load_graph(nodes_path, edges_path, schema, target_type=author)
+        assert loaded.edges == graph.edges
+        assert [loaded.types[c] for c in loaded.type_code] == [t for _, t, _ in nodes]
+        assert np.array_equal(loaded.labels, graph.labels)
 
     def test_malformed_row_reports_line(self, tmp_path):
         np_, ep = self._write(

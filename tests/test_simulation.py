@@ -14,12 +14,19 @@ from fedhin import (
     metrics_to_jsonl,
     partition,
     run_experiment_list,
+    simulation,
     synthetic_hin,
 )
 from fedhin.graph import write_graph
-from fedhin.simulation import SimulationError, preset_synthetic_config
+from fedhin.simulation import (
+    SimulationError,
+    _RawReplay,
+    _replay_draws,
+    _scalar_draws,
+    preset_synthetic_config,
+)
 
-from oracles import enumerate_typed_walks, synthetic_hin_loops
+from oracles import enumerate_typed_walks, synthetic_hin_loops, synthetic_hin_scalar
 
 # sha256 of write_graph's nodes.csv bytes followed by its edges.csv bytes,
 # computed with the generator as it stood before the graph was held in arrays
@@ -165,10 +172,48 @@ class TestSyntheticHin:
         assert [(nid, g.types[g.type_code[nid]], None if g.labels[nid] < 0 else g.labels[nid])
                 for nid in range(g.num_nodes)] == nodes
 
+    @pytest.mark.parametrize("n_venues, classes", [(20, 4), (4, 4), (1, 1), (2, 4)])
+    def test_matches_scalar_oracle_at_scale(self, n_venues, classes):
+        # (4, 4) gives every class one venue, so no venue draw is laid out in
+        # closed form; (1, 1) does the same to every citation; (2, 4) leaves
+        # two classes without a venue of their own
+        args = (2000, 1500, n_venues, classes, 0.05, 0.005, 11)
+        g = synthetic_hin(*args)
+        nodes, edges = synthetic_hin_scalar(*args)
+        n_papers = g.nodes_of_type("paper").size
+        assert 2 * n_papers > simulation._DRAW_BLOCK  # the citation loop spans blocks
+        assert g.edges == edges
+        assert [(nid, g.types[g.type_code[nid]], None if g.labels[nid] < 0 else g.labels[nid])
+                for nid in range(g.num_nodes)] == nodes
+
+
+# bounds of ``integers(0, n)``: drawing nothing, a fair bit, small, where
+# Lemire's method rejects about half the halves, the 32-bit edges, and whole
+# words, where 2**62 + 1 and 2**64 // 3 + 1 reject a quarter and a third
+BOUNDS = st.one_of(
+    st.sampled_from([1, 2, 3, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32,
+                     2**62 + 1, 2**64 // 3 + 1]),
+    st.integers(1, 1000),
+    st.integers(2**31 + 1, 2**31 + 2**30),
+    st.integers(2**32 + 1, 2**63 - 1),
+)
+
+
+def _generator_pair(seed: int, buffered: bool):
+    """Two equal generators; with ``buffered`` both hold a half-word."""
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:
+        assert a.integers(0, 7) == b.integers(0, 7)
+        assert b.bit_generator.state["has_uint32"]
+    return a, b
+
 
 class TestRandomStreamIdentities:
-    """The two identities of numpy's PCG64 ``Generator`` that keep
-    ``synthetic_hin`` equal to its loop reference and its golden hashes."""
+    """Identities of numpy's PCG64 ``Generator`` that keep ``synthetic_hin``
+    equal to its loop references and its golden hashes: ``rng.choice`` is an
+    ``integers`` draw, chunked doubles are one call's, the raw-word replay
+    is the generator's scalar ``random()`` and ``integers(0, n)``, and the
+    replay's vectorized runs are its scalar path."""
 
     @given(
         seed=st.integers(0, 2**63 - 1),
@@ -195,6 +240,69 @@ class TestRandomStreamIdentities:
         pieces = np.concatenate([a.random(n) for n in chunks])
         assert np.array_equal(pieces, b.random(sum(chunks)))
         assert a.random() == b.random()  # and both streams stand at the same place
+
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        buffered=st.booleans(),
+        draws=st.lists(st.one_of(st.none(), BOUNDS), min_size=1, max_size=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_replay_equals_the_generator(self, seed, buffered, draws):
+        rng, replayed = _generator_pair(seed, buffered)
+        replay = _RawReplay(replayed.bit_generator)
+        for n in draws:  # None is a double
+            if n is None:
+                assert replay.random() == rng.random()
+            else:
+                assert replay.integers(n) == rng.integers(0, n)
+
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        buffered=st.booleans(),
+        # stretches of equal iterations: (double, bound a, bound b, avoided value)
+        stretches=st.lists(
+            st.tuples(
+                st.tuples(
+                    st.booleans(),
+                    st.sampled_from([0, 1, 2, 3, 7, 300, 2**31 + 1, 2**32, 2**40]),
+                    st.sampled_from([0, 1, 2, 5, 300, 2**31 + 1, 2**32]),
+                    st.sampled_from([-1, 0, 1, 2]),
+                ),
+                st.integers(1, 120),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        within_bias=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+        min_run=st.sampled_from([1, 8, 64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_vectorized_runs_equal_the_scalar_replay(
+        self, seed, buffered, stretches, within_bias, min_run
+    ):
+        # forced branches (no double), bound-1 and bound-0 branches, branches
+        # that differ in whether they draw, rejections and redraws
+        iterations, lengths = zip(*stretches)
+        double, a, b, avoid = (np.repeat(np.array(column), lengths) for column in zip(*iterations))
+        avoid = np.where(a > 1, avoid, -1)  # a redraw needs a bound above 1
+        count = double.size
+
+        def plan(lo, hi):
+            return double[lo:hi], a[lo:hi], b[lo:hi], avoid[lo:hi]
+
+        _, replayed = _generator_pair(seed, buffered)
+        _, reference = _generator_pair(seed, buffered)
+        vectorized, scalar = _RawReplay(replayed.bit_generator), _RawReplay(reference.bit_generator)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulation, "_MIN_RUN", min_run)
+            patch.setattr(simulation, "_DRAW_BLOCK", 50)  # runs cross blocks
+            take, value = _replay_draws(vectorized, count, plan, within_bias)
+        expected_take, expected_value = _scalar_draws(scalar, *plan(0, count), within_bias)
+        assert take.tolist() == expected_take
+        assert value.tolist() == expected_value
+        # and both replays stand at the same place
+        assert [vectorized.integers(9) for _ in range(3)] == [scalar.integers(9) for _ in range(3)]
+        assert vectorized.random() == scalar.random()
 
 
 @pytest.fixture(scope="module")

@@ -577,3 +577,18 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "TrainingDiverged"
         assert list(out.glob("diverged_round*.npz"))
+
+    def test_refused_run_leaves_no_run_directory(self, tmp_path, capsys):
+        assert main(["generate", "--out", str(tmp_path / "data"), "--authors", "30",
+                     "--papers", "60", "--venues", "3", "--classes", "2"]) == 0
+        capsys.readouterr()
+        config_path = tmp_path / "big.json"
+        config_path.write_text(json.dumps({"embedding_dim": 2**40, "rounds": 1}))
+        out = tmp_path / "o"
+        code = main(["train", "--data", str(tmp_path / "data"), "--config", str(config_path),
+                     "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "ModelError"
+        assert not (out / "manifest.json").exists()
+        assert not out.exists()
