@@ -10,12 +10,8 @@ centralized training, so we reuse the experiment runner with clients=1.
 
 import numpy as np
 
-from fedhin import (
-    curve_extract,
-    preset_synthetic_config,
-    run_experiment_list,
-    synthetic_hin,
-)
+from fedhin import build_experiment, preset_synthetic_config, run_experiment, synthetic_hin
+from fedhin.model import unpack_shared
 
 graph = synthetic_hin(seed=0)  # 400 authors, 4 classes
 config = preset_synthetic_config(
@@ -24,25 +20,18 @@ config = preset_synthetic_config(
 print(f"training: d={config.embedding_dim}, lr={config.learning_rate}, "
       f"meta paths {config.metapaths}")
 
-records = run_experiment_list(config, graph)
-loss_curve, f1_curve = curve_extract(records)
+setup = build_experiment(config, graph)
+records = list(run_experiment(config, graph, setup=setup))
 print("\nround   loss    micro-F1")
-for (rnd, loss), (_, micro) in list(zip(loss_curve, f1_curve))[::5]:
-    print(f"{rnd:5d}  {loss:6.4f}   {micro:.3f}")
+for record in records[::5]:
+    print(f"{record.round:5d}  {record.loss:6.4f}   {record.micro_f1:.3f}")
 
 final = records[-1]
 print(f"\nfinal micro-F1 {final.micro_f1:.3f}, macro-F1 {final.macro_f1:.3f}")
 print(f"untrained baseline was {records[0].micro_f1:.3f} (chance is 0.25)")
 
 # The per-path attention is interpretable: which meta path does each
-# author lean on?  Rebuild the trained model state to peek at the trace.
-from fedhin.simulation import build_experiment
-
-setup = build_experiment(config, graph)
-for record in run_experiment_list(config, graph, setup=setup):
-    pass
-from fedhin.model import unpack_shared
-
+# author lean on?  Install the trained aggregate to peek at the trace.
 params = setup.initial_params.copy()
 unpack_shared(setup.server.current_aggregate(), params)
 trace = setup.model.forward(params, np.arange(8))

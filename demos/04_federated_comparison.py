@@ -8,28 +8,14 @@ staleness-weighted rule discounts it by its version gap.  The loss
 curves show the difference round by round.
 """
 
-from pathlib import Path
-
-from fedhin import (
-    preset_aggregator_comparison,
-    run_experiment_list,
-    synthetic_hin,
-    write_curves,
-)
+from fedhin import preset_aggregator_comparison, run_experiment, synthetic_hin
 
 graph = synthetic_hin(seed=0)
-out_dir = Path(__file__).resolve().parent / "out"
-out_dir.mkdir(exist_ok=True)
 
 results = {}
 for config in preset_aggregator_comparison(rounds=40, seed=0):
-    records = run_experiment_list(config, graph)
+    records = list(run_experiment(config, graph))
     results[config.aggregator] = records
-    write_curves(
-        records,
-        out_dir / f"loss_{config.aggregator}.csv",
-        out_dir / f"f1_{config.aggregator}.csv",
-    )
     print(f"{config.aggregator:>10}: final loss {records[-1].loss:.4f}, "
           f"micro-F1 {records[-1].micro_f1:.3f}, "
           f"max version gap {max(r.max_version_gap for r in records)}")
@@ -46,4 +32,3 @@ wins = sum(
 total = len(results["staleness"]) - 10
 print(f"\nstaleness weighting at or below plain averaging in {wins}/{total} "
       f"rounds from round 10 on")
-print(f"curves written to {out_dir}/")

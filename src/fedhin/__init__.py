@@ -9,7 +9,7 @@ aggregates with version-aware staleness weighting.
 __version__ = "0.1.0"
 
 from .config import ConfigError, ExperimentConfig, parse_config
-from .evaluation import EvalSplit, curve_extract, evaluate, f1_scores, make_split, write_curves
+from .evaluation import EvalSplit, evaluate, f1_scores, make_split
 from .federation import (
     AGGREGATORS,
     ClientUpdate,
@@ -30,7 +30,6 @@ from .graph import (
     graph_from_records,
     load_graph,
     metapath_adjacency,
-    neighbors_along,
     write_graph,
 )
 from .model import (
@@ -55,20 +54,17 @@ from .simulation import (
     preset_client_computation_grid,
     preset_synthetic_config,
     run_experiment,
-    run_experiment_list,
-    synthetic_hin,
 )
 from .storage import (
     RunManifest,
     StorageError,
     dataset_fingerprint,
     export_embeddings,
-    load_checkpoint,
     metrics_to_jsonl,
     params_from_checkpoint,
-    read_jsonl,
     read_manifest,
     save_checkpoint,
     write_jsonl,
     write_manifest,
 )
+from .synthetic import synthetic_hin

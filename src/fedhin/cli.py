@@ -20,13 +20,7 @@ from .evaluation import EvaluationError, evaluate
 from .federation import FederationError, ParameterServer, ClientUpdate
 from .graph import GraphError, HeterogeneousGraph, load_graph, write_graph
 from .model import ModelError, shape_manifest, unpack_shared
-from .simulation import (
-    SimulationError,
-    build_experiment,
-    partition,
-    run_experiment,
-    synthetic_hin,
-)
+from .simulation import SimulationError, build_experiment, partition, run_experiment
 from .storage import (
     RunManifest,
     StorageError,
@@ -40,6 +34,7 @@ from .storage import (
     write_jsonl,
     write_manifest,
 )
+from .synthetic import synthetic_hin
 
 _ERRORS = (
     ConfigError,
@@ -86,7 +81,7 @@ def cmd_generate(args) -> int:
     )
     out = make_output_dir(args.out)
     write_graph(out / "nodes.csv", out / "edges.csv", graph)
-    with open(out / "schema.json", "w", encoding="utf-8") as fh:
+    with open_output(out / "schema.json") as fh:
         json.dump(
             {"triples": [list(t) for t in sorted(graph.schema)], "target_type": graph.target_type},
             fh,
@@ -149,7 +144,7 @@ def cmd_train(args) -> int:
         outputs=outputs,
     )
     write_manifest(run_dir / "manifest.json", manifest)
-    with open(outputs["config"], "w") as fh:
+    with open_output(outputs["config"]) as fh:
         json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -1,9 +1,9 @@
-"""Node-classification evaluation: F1 scores, stratified splits, curve tables."""
+"""Node-classification evaluation: F1 scores and stratified splits."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,33 +95,3 @@ def evaluate(model, params, labels: np.ndarray, split: EvalSplit) -> tuple[float
     predictions = np.argmax(probs, axis=1)
     return f1_scores(predictions, truths, model.dims.n_labels)
 
-
-def curve_extract(metrics: Iterable) -> tuple[list[tuple[int, float]], list[tuple[int, float]]]:
-    """(round, loss) and (round, micro F1) tables, sorted by round, unsmoothed.
-
-    Accepts RoundMetrics-like objects or plain dicts with the metrics keys.
-    """
-    rows = list(metrics)
-    if not rows:
-        raise EvaluationError("empty metrics stream")
-
-    def get(row, key):
-        return row[key] if isinstance(row, dict) else getattr(row, key)
-
-    ordered = sorted(rows, key=lambda r: get(r, "round"))
-    loss_table = [(int(get(r, "round")), get(r, "loss")) for r in ordered]
-    f1_table = [(int(get(r, "round")), get(r, "micro_f1")) for r in ordered]
-    return loss_table, f1_table
-
-
-def write_curves(metrics: Iterable, loss_path, f1_path) -> None:
-    """Dump the convergence curves as two-column delimited text for plotting."""
-    loss_table, f1_table = curve_extract(metrics)
-    with open(loss_path, "w") as fh:
-        fh.write("round,loss\n")
-        for rnd, loss in loss_table:
-            fh.write(f"{rnd},{'' if loss is None else repr(float(loss))}\n")
-    with open(f1_path, "w") as fh:
-        fh.write("round,micro_f1\n")
-        for rnd, value in f1_table:
-            fh.write(f"{rnd},{repr(float(value))}\n")

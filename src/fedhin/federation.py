@@ -31,9 +31,9 @@ fails a check raises and changes nothing: no record, version, running
 vector or log entry.
 
 The server is a serialized state machine: calls are applied one at a time
-in arrival order.  Message types double as a wire format (flat vector +
-shape manifest + id + version) so the simulator can later be split into
-networked processes.
+in arrival order.  ``ClientUpdate.to_bytes`` gives an upload's wire form
+(flat vector + shape manifest + id + version), whose length is what the
+upload would cost on a network; the simulator itself passes objects.
 """
 
 from __future__ import annotations
@@ -89,26 +89,6 @@ class ClientUpdate:
         return _WIRE_MAGIC + len(header).to_bytes(4, "big") + header + self.weights.astype(
             np.float64
         ).tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> tuple["ClientUpdate", list[dict] | None]:
-        if blob[:4] != _WIRE_MAGIC:
-            raise FederationError("not a client-update message")
-        hlen = int.from_bytes(blob[4:8], "big")
-        try:
-            header = json.loads(blob[8 : 8 + hlen].decode())
-            client_id, version = header["client_id"], header["version"]
-            size, manifest = int(header["size"]), header.get("manifest")
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise FederationError(f"malformed client-update header: {exc}") from None
-        payload = blob[8 + hlen :]
-        if len(payload) != 8 * size:
-            raise FederationError(
-                f"payload truncated: expected {size} values ({8 * size} bytes), "
-                f"got {len(payload)} bytes"
-            )
-        weights = np.frombuffer(payload, dtype=np.float64).copy()
-        return cls(client_id=client_id, weights=weights, version=version), manifest
 
 
 class ParameterServer:
@@ -231,11 +211,6 @@ class ParameterServer:
         else:
             self._ema_vector = self.ema_beta * self._ema_vector + (1.0 - self.ema_beta) * incoming
 
-    def aggregate_ema(self) -> np.ndarray:
-        if self._ema_vector is None:
-            raise EmptyRecords("no running average yet: no submissions and no initial weights")
-        return self._ema_vector.copy()
-
     def current_aggregate(self) -> np.ndarray:
         """The global model under the configured rule, given current records;
         the initial weights while no client has submitted.
@@ -325,10 +300,10 @@ class FederatedClient:
         unpack_shared(flat_weights, self.params)
 
     def _train_batch(self, batch: np.ndarray) -> float:
-        loss, trace = self.model.loss(self.params, batch, self.labels, rng=self.rng)
+        trace = self.model.forward(self.params, batch, labels=self.labels, rng=self.rng)
         grads = self.model.backward(trace)
         adam_step(self.params, grads, self.adam)
-        return loss
+        return trace.total_loss
 
     def run_round(
         self,

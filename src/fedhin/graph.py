@@ -304,7 +304,7 @@ def metapath_adjacency(
     the 0/1 indicator.  The result is deterministic.
     """
     if mode not in ("counts", "binary"):
-        raise ValueError(f"mode must be 'counts' or 'binary', got {mode!r}")
+        raise ValidationError(f"mode must be 'counts' or 'binary', got {mode!r}")
     spec.validate_against(graph)
     seq = spec.type_sequence
     mats = [graph.biadjacency(a, b) for a, b in zip(seq, seq[1:])]
@@ -319,14 +319,6 @@ def metapath_adjacency(
     return MetaPathAdjacency(
         metapath=spec, matrix=product, mode=mode, node_ids=graph.nodes_of_type(seq[0])
     )
-
-
-def neighbors_along(adj: MetaPathAdjacency, i: int) -> set[int]:
-    """Local indices j with at least one path instance from i to j."""
-    if not 0 <= i < adj.n:
-        raise IndexError(f"node index {i} out of range 0..{adj.n - 1}")
-    row = adj.matrix.getrow(i)
-    return {int(j) for j in row.indices[row.data > 0]}
 
 
 # -- tabular loading -----------------------------------------------------
@@ -489,7 +481,11 @@ def write_graph(nodes_path, edges_path, graph: HeterogeneousGraph) -> None:
         (nodes_path, NODE_HEADER, graph.num_nodes, node_lines),
         (edges_path, EDGE_HEADER, graph.num_edges, edge_lines),
     ):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "w", newline="", encoding="utf-8")
+        except OSError as exc:
+            raise GraphError(f"cannot write {path}: {exc}") from None
+        with fh:
             csv.writer(fh).writerow(header)
             for lo in range(0, count, _WRITE_BLOCK):
                 fh.write("".join(lines(lo, min(lo + _WRITE_BLOCK, count))))

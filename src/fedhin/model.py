@@ -665,17 +665,6 @@ class AttentionModel:
             zero_norm_events=zero_events,
         )
 
-    def loss(
-        self,
-        params: ModelParams,
-        batch: Sequence[int],
-        labels: np.ndarray,
-        rng: np.random.Generator | None = None,
-    ) -> tuple[float, ForwardTrace]:
-        """Summed cross-entropy over the batch, with the trace kept for backward."""
-        trace = self.forward(params, batch, labels=labels, rng=rng)
-        return trace.total_loss, trace
-
     def backward(self, trace: ForwardTrace) -> ModelParams:
         """Exact gradients of the traced batch loss w.r.t. every parameter tensor."""
         params = trace.params

@@ -43,16 +43,21 @@ def save_checkpoint(path, params: ModelParams, allow_non_finite: bool = False) -
     ):
         raise StorageError("refusing to checkpoint non-finite parameter values")
     manifest = json.dumps(shape_manifest(params), sort_keys=True)
-    np.savez(
-        path,
-        manifest=np.frombuffer(manifest.encode(), dtype=np.uint8),
-        flat=flat,
-        pref=params.pref,
-    )
+    try:
+        np.savez(
+            path,
+            manifest=np.frombuffer(manifest.encode(), dtype=np.uint8),
+            flat=flat,
+            pref=params.pref,
+        )
+    except OSError as exc:
+        raise StorageError(f"cannot write {path}: {exc}") from None
 
 
-def load_checkpoint(path, expected_manifest: list[dict] | None = None) -> tuple[np.ndarray, np.ndarray, list[dict]]:
-    """Read (flat shared vector, preference matrix, manifest); validates shapes."""
+def params_from_checkpoint(path, expected_manifest: list[dict] | None = None) -> ModelParams:
+    """Rebuild full ModelParams from a checkpoint, in the layout its manifest
+    implies; ``StorageError`` when the file is unreadable, its shapes disagree
+    with its manifest, or the manifest is not ``expected_manifest``."""
     try:
         with np.load(path, allow_pickle=False) as archive:
             manifest = json.loads(bytes(archive["manifest"]).decode())
@@ -81,13 +86,7 @@ def load_checkpoint(path, expected_manifest: list[dict] | None = None) -> tuple[
             f"checkpoint {path}: preference matrix has shape {pref.shape}, "
             f"manifest implies {(dims.n_targets, dims.preference_dim)}"
         )
-    return flat, pref, manifest
-
-
-def params_from_checkpoint(path, expected_manifest: list[dict] | None = None) -> ModelParams:
-    """Rebuild full ModelParams from a checkpoint, in the layout its manifest implies."""
-    flat, pref, manifest = load_checkpoint(path, expected_manifest)
-    params = unpack_shared(flat, ModelParams(dims_from_manifest(manifest)))
+    params = unpack_shared(flat, ModelParams(dims))
     params.pref[...] = pref
     return params
 
@@ -126,13 +125,8 @@ def metrics_to_jsonl(records: Iterable) -> str:
 
 
 def write_jsonl(path, records: Iterable) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write(metrics_to_jsonl(records))
-
-
-def read_jsonl(path) -> list[dict]:
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
 
 
 # -- run manifests -------------------------------------------------------------
@@ -191,7 +185,7 @@ class RunManifest:
 
 
 def write_manifest(path, manifest: RunManifest) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

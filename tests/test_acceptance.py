@@ -20,7 +20,7 @@ from fedhin import (
     make_split,
     metapath_adjacency,
     metrics_to_jsonl,
-    run_experiment_list,
+    run_experiment,
     synthetic_hin,
 )
 from fedhin.federation import ClientUpdate, ParameterServer
@@ -51,7 +51,7 @@ def preset_graph():
 def centralized_run(preset_graph):
     config = preset_synthetic_config(clients=1, rounds=60, local_epochs=1, batch_size=64, seed=0)
     start = time.perf_counter()
-    records = run_experiment_list(config, preset_graph)
+    records = list(run_experiment(config, preset_graph))
     return records, time.perf_counter() - start
 
 
@@ -79,10 +79,10 @@ def test_criterion_1_gradient_correctness():
             params = init_params(model.dims, np.random.default_rng(seed))
 
             def loss_fn():
-                value, _ = model.loss(params, batch, labels)
+                value = model.forward(params, batch, labels=labels).total_loss
                 return value
 
-            _, trace = model.loss(params, batch, labels)
+            trace = model.forward(params, batch, labels=labels)
             grads = dict(model.backward(trace).tensor_items())
             pick = np.random.default_rng(1000 + seed)
             for name, tensor in params.tensor_items():
@@ -228,7 +228,7 @@ def test_criterion_6_federated_parity(preset_graph, centralized_run):
             partition_strategy="uniform", seed=0,
         )
         start = time.perf_counter()
-        federated = run_experiment_list(config, preset_graph)
+        federated = list(run_experiment(config, preset_graph))
         elapsed = time.perf_counter() - start
         centralized, _ = centralized_run
         gap = abs(federated[-1].micro_f1 - centralized[-1].micro_f1)
@@ -254,7 +254,7 @@ def test_criterion_7_client_computation_trends():
                     clients=3, rounds=100, local_epochs=epochs, batch_size=batch,
                     partition_strategy="label_skew", dirichlet_alpha=0.25, seed=seed,
                 )
-                finals[(epochs, batch)] = run_experiment_list(config, graph)[-1].micro_f1
+                finals[(epochs, batch)] = list(run_experiment(config, graph))[-1].micro_f1
             e_order += finals[(1, 256)] >= finals[(5, 256)]
             b_order += finals[(1, 256)] >= finals[(1, 64)]
         assert e_order >= 2, f"e=1 >= e=5 held in only {e_order}/3 seeds"
@@ -270,7 +270,7 @@ def test_criterion_8_staleness_benefit(preset_graph):
                 clients=3, rounds=50, local_epochs=1, batch_size=256,
                 aggregator=aggregator, speed_multipliers=(1, 1, 3), seed=0,
             )
-            runs[aggregator] = run_experiment_list(config, preset_graph)
+            runs[aggregator] = list(run_experiment(config, preset_graph))
         window = slice(10, 51)
         pairs = list(zip(runs["staleness"][window], runs["fedavg"][window]))
         wins = sum(1 for s, f in pairs if s.loss <= f.loss)
@@ -289,7 +289,7 @@ def test_criterion_9_determinism():
             clients=3, rounds=6, local_epochs=1, batch_size=32,
             embedding_dim=8, speed_multipliers=(1, 2, 3), seed=11,
         )
-        first = metrics_to_jsonl(run_experiment_list(config, graph))
-        second = metrics_to_jsonl(run_experiment_list(config, graph))
+        first = metrics_to_jsonl(run_experiment(config, graph))
+        second = metrics_to_jsonl(run_experiment(config, graph))
         assert first == second
         assert first.encode() == second.encode()

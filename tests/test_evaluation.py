@@ -1,4 +1,4 @@
-"""F1 scoring, splits, evaluation, and curve extraction."""
+"""F1 scoring, splits, and evaluation."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,7 @@ from fedhin import (
     metapath_adjacency,
     synthetic_hin,
 )
-from fedhin.evaluation import EvaluationError, curve_extract
-from fedhin.simulation import RoundMetrics
+from fedhin.evaluation import EvaluationError
 
 from oracles import f1_by_confusion
 
@@ -133,45 +132,3 @@ class TestEvaluate:
         with pytest.raises(EvaluationError, match="without labels"):
             evaluate(model, params, broken, split)
 
-
-class TestCurveExtract:
-    def _record(self, rnd, loss, micro):
-        return RoundMetrics(
-            round=rnd, aggregator="staleness", loss=loss, micro_f1=micro,
-            macro_f1=micro, max_version_gap=0, elapsed=float(rnd),
-        )
-
-    def test_single_round(self):
-        loss_t, f1_t = curve_extract([self._record(0, 1.5, 0.25)])
-        assert loss_t == [(0, 1.5)]
-        assert f1_t == [(0, 0.25)]
-
-    def test_shuffled_rounds_sorted(self):
-        records = [self._record(r, float(r), 0.1 * r) for r in (3, 0, 2, 1)]
-        loss_t, _ = curve_extract(records)
-        assert [r for r, _ in loss_t] == [0, 1, 2, 3]
-
-    def test_row_count_matches_stream(self):
-        records = [self._record(r, 1.0, 0.5) for r in range(50)]
-        loss_t, f1_t = curve_extract(records)
-        assert len(loss_t) == len(f1_t) == 50
-
-    def test_accepts_plain_dicts(self):
-        loss_t, _ = curve_extract([{"round": 1, "loss": 0.5, "micro_f1": 0.9}])
-        assert loss_t == [(1, 0.5)]
-
-    def test_empty_stream_rejected(self):
-        with pytest.raises(EvaluationError):
-            curve_extract([])
-
-    def test_write_curves_delimited_output(self, tmp_path):
-        from fedhin import write_curves
-
-        records = [self._record(r, 0.5 * r, 0.1 * r) for r in range(3)]
-        loss_path, f1_path = tmp_path / "loss.csv", tmp_path / "f1.csv"
-        write_curves(records, loss_path, f1_path)
-        loss_lines = loss_path.read_text().strip().splitlines()
-        assert loss_lines[0] == "round,loss"
-        assert loss_lines[1] == "0,0.0"
-        assert len(loss_lines) == 4
-        assert f1_path.read_text().startswith("round,micro_f1\n")

@@ -15,10 +15,10 @@ def check_all_tensors(model, params, labels, batch, coords=20, seed=0, tol=1e-4,
 
     def loss_fn():
         rng = rng_factory() if rng_factory is not None else None
-        value, _ = model.loss(params, batch, labels, rng=rng)
+        value = model.forward(params, batch, labels=labels, rng=rng).total_loss
         return value
 
-    _, trace = model.loss(params, batch, labels, rng=rng_factory() if rng_factory else None)
+    trace = model.forward(params, batch, labels=labels, rng=rng_factory() if rng_factory else None)
     grads = model.backward(trace)
     grad_map = dict(grads.tensor_items())
     pick = np.random.default_rng(seed)
@@ -164,10 +164,11 @@ class TestBackward:
         )
         params = init_params(model.dims, np.random.default_rng(0))
         labels = np.array([0, 1])
-        _, probe = model.loss(params, [0], labels)
+        probe = model.forward(params, [0], labels=labels)
         f = probe.nodes[0].fused
         params.wo[...] = np.vstack([f * (400.0 / float(f @ f)), -f * (400.0 / float(f @ f))])
-        loss, trace = model.loss(params, [0], labels)
+        trace = model.forward(params, [0], labels=labels)
+        loss = trace.total_loss
         grads = model.backward(trace)
         assert loss == 0.0
         total = sum(float(np.abs(t).sum()) for _, t in grads.tensor_items())

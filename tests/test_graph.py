@@ -16,7 +16,6 @@ from fedhin.graph import (
     graph_from_records,
     load_graph,
     metapath_adjacency,
-    neighbors_along,
     write_graph,
 )
 
@@ -240,7 +239,7 @@ class TestMetaPathAdjacency:
         # authors 0 and 1 share paper 3; author 2 is alone on paper 4
         expected = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
         assert np.array_equal(dense, expected)
-        assert neighbors_along(adj, 0) == {1}
+        assert adj.matrix[0].indices.tolist() == [1]
 
     def test_no_paper_nodes_means_empty_type(self):
         g = graph_from_records(
@@ -266,6 +265,10 @@ class TestMetaPathAdjacency:
         binary = metapath_adjacency(g, spec, mode="binary").matrix.toarray()
         assert np.all(counts >= binary)
         assert np.array_equal(binary, (counts > 0).astype(np.int64))
+
+    def test_unknown_mode_is_a_validation_error(self, toy_graph):
+        with pytest.raises(ValidationError, match="'counts' or 'binary', got 'bogus'"):
+            metapath_adjacency(toy_graph, MetaPathSpec.from_string("APA"), mode="bogus")
 
     def test_length_two_path_equals_biadjacency(self):
         rng = np.random.default_rng(9)
@@ -298,23 +301,11 @@ class TestMetaPathAdjacency:
 
 
 class TestNeighborsAlong:
+    """A row's stored columns are the node's neighbors along the meta path:
+    the model reads its neighbor lists from them."""
+
     def test_support_of_row(self, toy_graph):
         adj = metapath_adjacency(toy_graph, MetaPathSpec.from_string("APA"))
-        assert neighbors_along(adj, 2) == set()
-        with pytest.raises(IndexError):
-            neighbors_along(adj, 99)
-
-    def test_explicit_row_support(self):
-        import scipy.sparse as sp
-
-        from fedhin.graph import MetaPathAdjacency
-
-        row = sp.csr_matrix(np.array([[0, 1, 0, 2], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]))
-        adj = MetaPathAdjacency(
-            metapath=MetaPathSpec.from_string("APA"),
-            matrix=row,
-            mode="counts",
-            node_ids=np.arange(4),
-        )
-        assert neighbors_along(adj, 0) == {1, 3}
-        assert neighbors_along(adj, 1) == set()
+        # the zeroed diagonal is not stored, and neither is any other zero
+        assert [adj.matrix[i].indices.tolist() for i in range(3)] == [[1], [0], []]
+        assert np.all(adj.matrix.data > 0)

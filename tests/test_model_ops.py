@@ -228,24 +228,26 @@ class TestLoss:
 
     def test_saturated_logits_give_zero_loss(self):
         model, params, labels = self._chain_model()
-        _, trace = model.loss(params, [0], labels)
+        trace = model.forward(params, [0], labels=labels)
         fused = trace.nodes[0].fused
         wo = np.zeros_like(params.wo)
         wo[labels[0]] = fused * (50.0 / float(fused @ fused))
         params.wo[...] = wo
-        loss, _ = model.loss(params, [0], labels)
+        loss = model.forward(params, [0], labels=labels).total_loss
         assert loss == 0.0
 
     def test_uniform_probabilities_give_log_label_count(self):
         model, params, labels = self._chain_model(n_labels=4)
         params.wo[...] = np.zeros_like(params.wo)
-        loss, trace = model.loss(params, [0, 1], labels)
+        trace = model.forward(params, [0, 1], labels=labels)
+        loss = trace.total_loss
         assert loss == pytest.approx(2 * math.log(4), abs=1e-12)
         np.testing.assert_allclose(trace.nodes[0].probs, 0.25, atol=1e-15)
 
     def test_matches_direct_formula(self):
         model, params, labels = self._chain_model()
-        loss, trace = model.loss(params, [0, 2], labels)
+        trace = model.forward(params, [0, 2], labels=labels)
+        loss = trace.total_loss
         expected = 0.0
         for node in trace.nodes:
             logits = matvec_loops(params.wo.tolist(), node.fused.tolist())
@@ -258,7 +260,7 @@ class TestLoss:
         labels = labels.copy()
         labels[1] = -1
         with pytest.raises(ModelError, match="no label"):
-            model.loss(params, [1], labels)
+            model.forward(params, [1], labels=labels)
 
 
 class TestForwardProperties:
@@ -309,8 +311,8 @@ class TestForwardProperties:
     def test_loss_nonnegative_and_permutation_invariant(self, small_model):
         _, model, params, labels = small_model
         batch = np.arange(model.dims.n_targets)
-        loss_a, _ = model.loss(params, batch, labels)
-        loss_b, _ = model.loss(params, batch[::-1], labels)
+        loss_a = model.forward(params, batch, labels=labels).total_loss
+        loss_b = model.forward(params, batch[::-1], labels=labels).total_loss
         assert loss_a >= 0
         assert loss_a == loss_b  # fsum makes the batch total order-independent
 

@@ -13,18 +13,13 @@ from fedhin import (
     metapath_adjacency,
     metrics_to_jsonl,
     partition,
-    run_experiment_list,
-    simulation,
+    run_experiment,
+    synthetic,
     synthetic_hin,
 )
 from fedhin.graph import write_graph
-from fedhin.simulation import (
-    SimulationError,
-    _RawReplay,
-    _replay_draws,
-    _scalar_draws,
-    preset_synthetic_config,
-)
+from fedhin.simulation import SimulationError, preset_synthetic_config
+from fedhin.synthetic import _RawReplay, _replay_draws, _scalar_draws
 
 from oracles import enumerate_typed_walks, synthetic_hin_loops, synthetic_hin_scalar
 
@@ -137,6 +132,17 @@ class TestSyntheticHin:
         with pytest.raises(SimulationError):
             synthetic_hin(p_in=0.01, p_out=0.5)
 
+    @pytest.mark.parametrize("counts", [dict(n_venues=-1), dict(n_papers=-1)])
+    def test_negative_counts_rejected_before_any_draw(self, counts, monkeypatch):
+        # the check must precede the draws: with a negative venue count the
+        # venue draw loop would redraw for ever
+        def first_draw(*args):
+            raise AssertionError("drew from the generator")
+
+        monkeypatch.setattr(synthetic, "_coauthor_pairs", first_draw)
+        with pytest.raises(SimulationError, match="n_papers >= 0 and n_venues >= 0"):
+            synthetic_hin(n_authors=40, **counts)
+
     def test_metapaths_match_walk_oracle(self):
         g = synthetic_hin(n_authors=12, n_papers=30, n_venues=3, classes=3,
                           p_in=0.4, p_out=0.1, seed=7)
@@ -181,7 +187,7 @@ class TestSyntheticHin:
         g = synthetic_hin(*args)
         nodes, edges = synthetic_hin_scalar(*args)
         n_papers = g.nodes_of_type("paper").size
-        assert 2 * n_papers > simulation._DRAW_BLOCK  # the citation loop spans blocks
+        assert 2 * n_papers > synthetic._DRAW_BLOCK  # the citation loop spans blocks
         assert g.edges == edges
         assert [(nid, g.types[g.type_code[nid]], None if g.labels[nid] < 0 else g.labels[nid])
                 for nid in range(g.num_nodes)] == nodes
@@ -294,8 +300,8 @@ class TestRandomStreamIdentities:
         _, reference = _generator_pair(seed, buffered)
         vectorized, scalar = _RawReplay(replayed.bit_generator), _RawReplay(reference.bit_generator)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simulation, "_MIN_RUN", min_run)
-            patch.setattr(simulation, "_DRAW_BLOCK", 50)  # runs cross blocks
+            patch.setattr(synthetic, "_MIN_RUN", min_run)
+            patch.setattr(synthetic, "_DRAW_BLOCK", 50)  # runs cross blocks
             take, value = _replay_draws(vectorized, count, plan, within_bias)
         expected_take, expected_value = _scalar_draws(scalar, *plan(0, count), within_bias)
         assert take.tolist() == expected_take
@@ -323,7 +329,7 @@ def small_config(**overrides):
 class TestRunExperiment:
     def test_zero_round_budget_yields_untrained_record_only(self, small_graph):
         for scheduling in ("deterministic", "concurrent"):
-            records = run_experiment_list(small_config(rounds=0, scheduling=scheduling), small_graph)
+            records = list(run_experiment(small_config(rounds=0, scheduling=scheduling), small_graph))
             assert len(records) == 1
             assert records[0].round == 0
             assert 0.0 <= records[0].micro_f1 <= 1.0
@@ -332,7 +338,7 @@ class TestRunExperiment:
         runs = {}
         for aggregator in ("staleness", "fedavg"):
             cfg = small_config(clients=1, aggregator=aggregator)
-            runs[aggregator] = metrics_to_jsonl(run_experiment_list(cfg, small_graph))
+            runs[aggregator] = metrics_to_jsonl(run_experiment(cfg, small_graph))
         normalized = {
             agg: text.replace(f'"{agg}"', '"X"') for agg, text in runs.items()
         }
@@ -342,7 +348,7 @@ class TestRunExperiment:
         runs = {}
         for aggregator in ("staleness", "fedavg"):
             cfg = small_config(aggregator=aggregator)
-            runs[aggregator] = run_experiment_list(cfg, small_graph)
+            runs[aggregator] = list(run_experiment(cfg, small_graph))
         for a, b in zip(runs["staleness"], runs["fedavg"]):
             assert a.loss == b.loss
             assert a.micro_f1 == b.micro_f1
@@ -350,13 +356,13 @@ class TestRunExperiment:
 
     def test_speed_skew_creates_version_gaps(self, small_graph):
         cfg = small_config(rounds=10, speed_multipliers=(1, 1, 3))
-        records = run_experiment_list(cfg, small_graph)
+        records = list(run_experiment(cfg, small_graph))
         assert max(r.max_version_gap for r in records) > 0
 
     def test_deterministic_streams_are_byte_identical(self, small_graph):
         cfg = small_config(rounds=4, speed_multipliers=(1, 2, 3))
-        first = metrics_to_jsonl(run_experiment_list(cfg, small_graph))
-        second = metrics_to_jsonl(run_experiment_list(cfg, small_graph))
+        first = metrics_to_jsonl(run_experiment(cfg, small_graph))
+        second = metrics_to_jsonl(run_experiment(cfg, small_graph))
         assert first == second
 
     def test_round_mode_decision_log_is_pinned(self, small_graph):
@@ -404,9 +410,9 @@ class TestRunExperiment:
 
     def test_no_client_due_on_the_first_tick(self, small_graph):
         # nobody uploads on tick 1: its record evaluates the initial weights
-        records = run_experiment_list(
+        records = list(run_experiment(
             small_config(clients=2, rounds=3, speed_multipliers=(2, 3)), small_graph
-        )
+        ))
         assert [r.round for r in records] == [0, 1, 2, 3]
         assert records[1].loss is None
         assert (records[1].micro_f1, records[1].macro_f1) == (
@@ -416,7 +422,7 @@ class TestRunExperiment:
 
     def test_concurrent_run_without_uploads_completes(self, small_graph):
         cfg = small_config(clients=2, rounds=1, speed_multipliers=(2, 3), scheduling="concurrent")
-        records = run_experiment_list(cfg, small_graph)
+        records = list(run_experiment(cfg, small_graph))
         assert [r.round for r in records] == [0, 1]
         assert records[1].loss is None
         assert records[1].micro_f1 == records[0].micro_f1
@@ -436,7 +442,7 @@ class TestRunExperiment:
         ]
 
     def test_round_records_have_expected_fields(self, small_graph):
-        records = run_experiment_list(small_config(rounds=2), small_graph)
+        records = list(run_experiment(small_config(rounds=2), small_graph))
         obj = records[-1].to_json_obj()
         assert set(obj) == {
             "round", "aggregator", "loss", "micro_f1", "macro_f1",
@@ -448,14 +454,14 @@ class TestRunExperiment:
     def test_per_batch_granularity_runs_and_differs(self, small_graph):
         round_cfg = small_config(rounds=3)
         batch_cfg = small_config(rounds=3, granularity="batch", batch_size=16)
-        round_run = run_experiment_list(round_cfg, small_graph)
-        batch_run = run_experiment_list(batch_cfg, small_graph)
+        round_run = list(run_experiment(round_cfg, small_graph))
+        batch_run = list(run_experiment(batch_cfg, small_graph))
         assert len(batch_run) == len(round_run) == 4
         assert all(np.isfinite(r.loss) for r in batch_run[1:])
 
     def test_concurrent_mode_smoke(self, small_graph):
         cfg = small_config(rounds=3, scheduling="concurrent")
-        records = run_experiment_list(cfg, small_graph)
+        records = list(run_experiment(cfg, small_graph))
         assert records[0].round == 0
         final = records[-1]
         assert 0.0 <= final.micro_f1 <= 1.0
@@ -610,7 +616,7 @@ class TestFailuresReachTheCaller:
     def test_nan_parameter_aborts_with_diagnostic_checkpoint(
         self, small_graph, tmp_path, overrides
     ):
-        from fedhin import NonFiniteGradient, load_checkpoint
+        from fedhin import NonFiniteGradient, pack_shared, params_from_checkpoint
         from fedhin.simulation import TrainingDiverged, build_experiment, run_experiment
 
         cfg = small_config(rounds=3, **overrides)
@@ -621,8 +627,7 @@ class TestFailuresReachTheCaller:
         assert isinstance(excinfo.value.__cause__, NonFiniteGradient)
         path = excinfo.value.checkpoint_path
         assert path is not None and path.exists()
-        flat, _, _ = load_checkpoint(path)
-        assert np.isnan(flat).any()
+        assert np.isnan(pack_shared(params_from_checkpoint(path))).any()
 
     def test_concurrent_thread_failure_is_raised(self, small_graph):
         from fedhin.simulation import build_experiment, run_experiment
