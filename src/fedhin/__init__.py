@@ -45,7 +45,6 @@ from .model import (
 from .optim import AdamState, NonFiniteGradient, adam_step
 from .simulation import (
     ExperimentSetup,
-    Partition,
     RoundMetrics,
     SimulationError,
     build_experiment,

@@ -8,8 +8,10 @@ machine-readable error object to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +22,14 @@ from .evaluation import EvaluationError, evaluate
 from .federation import FederationError, ParameterServer, ClientUpdate
 from .graph import GraphError, HeterogeneousGraph, load_graph, write_graph
 from .model import ModelError, shape_manifest, unpack_shared
-from .simulation import SimulationError, build_experiment, partition, run_experiment
+from .simulation import SimulationError, build_experiment, client_partition, run_experiment
 from .storage import (
     RunManifest,
     StorageError,
     dataset_fingerprint,
     export_embeddings,
     make_output_dir,
+    metrics_to_jsonl,
     open_output,
     params_from_checkpoint,
     read_manifest,
@@ -55,8 +58,16 @@ def _load_dataset(data_dir: str, config: ExperimentConfig) -> HeterogeneousGraph
         with open(schema_path, encoding="utf-8") as fh:
             text = fh.read()
         schema_doc = json.loads(text)
-        schema = [tuple(t) for t in schema_doc["triples"]]
+        triples = schema_doc["triples"]
+        if not all(
+            isinstance(t, list) and len(t) == 3 and all(isinstance(name, str) for name in t)
+            for t in triples
+        ):
+            raise ValueError("each triple must be a list of three strings")
+        schema = [tuple(t) for t in triples]
         target_type = schema_doc.get("target_type", config.target_type)
+        if not isinstance(target_type, str):
+            raise ValueError("target_type must be a string")
     except OSError as exc:  # its message names the file
         raise GraphError(f"cannot read the dataset: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
@@ -95,18 +106,12 @@ def cmd_generate(args) -> int:
 def cmd_partition(args) -> int:
     config = parse_config(args.config) if args.config else ExperimentConfig()
     graph = _load_dataset(args.data, config)
-    part = partition(
-        graph,
-        args.clients if args.clients is not None else config.clients,
-        strategy=config.partition_strategy,
-        seed=config.seed,
-        dirichlet_alpha=config.dirichlet_alpha,
-    )
-    doc = {str(cid): nodes.tolist() for cid, nodes in enumerate(part.client_nodes)}
+    part = client_partition(config, graph, args.clients)
+    doc = {str(cid): nodes.tolist() for cid, nodes in enumerate(part)}
     with open_output(args.out) as fh:
         json.dump(doc, fh)
         fh.write("\n")
-    print(json.dumps({"clients": part.n_clients, "out": args.out}))
+    print(json.dumps({"clients": len(part), "out": args.out}))
     return 0
 
 
@@ -136,7 +141,7 @@ def cmd_train(args) -> int:
         "config": str(run_dir / "config.json"),
     }
     manifest = RunManifest(
-        config=config.to_dict(),
+        config=asdict(config),
         seed=config.seed,
         code_version=__version__,
         dataset_fingerprint=dataset_fingerprint(data_files),
@@ -145,20 +150,26 @@ def cmd_train(args) -> int:
     )
     write_manifest(run_dir / "manifest.json", manifest)
     with open_output(outputs["config"]) as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    records = []
-    for record in run_experiment(config, graph, setup=setup, diagnostics_dir=run_dir):
-        records.append(record)
-    write_jsonl(outputs["metrics"], records)
+    # each record is written as it comes, and the decisions also when the
+    # run aborts, so a diverged run keeps what it computed; the run's own
+    # error is the one reported, not a failure to write its decisions
+    with open_output(outputs["metrics"]) as fh:
+        try:
+            for last in run_experiment(config, graph, setup=setup, diagnostics_dir=run_dir):
+                fh.write(metrics_to_jsonl([last]))
+        except Exception:
+            with contextlib.suppress(StorageError):
+                write_jsonl(outputs["decisions"], setup.server.decision_log)
+            raise
     write_jsonl(outputs["decisions"], setup.server.decision_log)
 
     final = setup.initial_params.copy()
     unpack_shared(setup.server.current_aggregate(), final)
     save_checkpoint(outputs["checkpoint"], final)
 
-    last = records[-1]
     print(json.dumps({"rounds": last.round, "micro_f1": last.micro_f1, "out": str(run_dir)}))
     return 0
 

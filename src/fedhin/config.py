@@ -174,15 +174,6 @@ class ExperimentConfig:
             return (1,) * self.clients
         return tuple(self.speed_multipliers)
 
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["metapaths"] = list(self.metapaths)
-        out["speed_multipliers"] = (
-            None if self.speed_multipliers is None else list(self.speed_multipliers)
-        )
-        out["type_alphabet"] = dict(self.type_alphabet)
-        return out
-
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ExperimentConfig":
         known = {f.name for f in dataclasses.fields(cls)}

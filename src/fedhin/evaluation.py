@@ -18,8 +18,6 @@ class EvalSplit:
 
     train_nodes: np.ndarray
     test_nodes: np.ndarray
-    fraction: float
-    seed: int
 
 
 def make_split(labels: np.ndarray, fraction: float = 0.8, seed: int = 0) -> EvalSplit:
@@ -45,7 +43,7 @@ def make_split(labels: np.ndarray, fraction: float = 0.8, seed: int = 0) -> Eval
         test_parts.append(members[n_train:])
     train = np.sort(np.concatenate(train_parts))
     test = np.sort(np.concatenate(test_parts)) if any(p.size for p in test_parts) else np.empty(0, np.int64)
-    return EvalSplit(train_nodes=train, test_nodes=test, fraction=fraction, seed=seed)
+    return EvalSplit(train_nodes=train, test_nodes=test)
 
 
 def f1_scores(predictions: Sequence[int], truths: Sequence[int], n_labels: int) -> tuple[float, float]:

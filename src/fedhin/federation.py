@@ -338,10 +338,3 @@ class FederatedClient:
         if submit is not None:
             submit(update)
         return update
-
-    @property
-    def mean_round_loss(self) -> float:
-        """Per-node mean training loss of the most recent round (nan if untrained)."""
-        if self.last_examples == 0:
-            return float("nan")
-        return self.last_loss_sum / self.last_examples

@@ -79,29 +79,18 @@ def _diverged(
 # -- partitioning -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint per-client subsets of the labeled target nodes.
-
-    Graph structure and node ids are shared by every client; only label
-    ownership is private, so model shapes agree across the federation.
-    """
-
-    client_nodes: tuple[np.ndarray, ...]
-
-    @property
-    def n_clients(self) -> int:
-        return len(self.client_nodes)
-
-
 def partition(
     graph: HeterogeneousGraph,
     n_clients: int,
     strategy: str = "uniform",
     seed: int = 0,
     dirichlet_alpha: float = 1.0,
-) -> Partition:
-    """Split the labeled nodes across clients, disjointly and exhaustively.
+) -> tuple[np.ndarray, ...]:
+    """Split the labeled nodes across clients, disjointly and exhaustively,
+    into one sorted array of node ids per client.
+
+    Graph structure and node ids are shared by every client; only label
+    ownership is private, so model shapes agree across the federation.
 
     ``uniform`` deals a random permutation into near-equal parts;
     ``label_skew`` draws per-class client proportions from a Dirichlet so
@@ -140,7 +129,28 @@ def partition(
         parts = [np.sort(np.array(b, dtype=np.int64)) for b in buckets]
     else:
         raise SimulationError(f"unknown partition strategy {strategy!r}")
-    return Partition(client_nodes=tuple(parts))
+    return tuple(parts)
+
+
+# children of SeedSequence(config.seed), in spawn order: weight init, split,
+# partition, then one per client.  A child depends only on its index, not on
+# how many are spawned, so client_partition can draw its own.
+_INIT_CHILD, _SPLIT_CHILD, _PARTITION_CHILD, _FIRST_CLIENT_CHILD = range(4)
+
+
+def client_partition(
+    config: ExperimentConfig, graph: HeterogeneousGraph, n_clients: int | None = None
+) -> tuple[np.ndarray, ...]:
+    """The split ``build_experiment`` trains ``config`` on, over ``n_clients``
+    clients (``config.clients`` by default)."""
+    child = np.random.SeedSequence(config.seed).spawn(_PARTITION_CHILD + 1)[_PARTITION_CHILD]
+    return partition(
+        graph,
+        config.clients if n_clients is None else n_clients,
+        strategy=config.partition_strategy,
+        seed=int(np.random.default_rng(child).integers(0, 2**31 - 1)),
+        dirichlet_alpha=config.dirichlet_alpha,
+    )
 
 
 # -- round metrics --------------------------------------------------------------
@@ -158,17 +168,6 @@ class RoundMetrics:
     max_version_gap: int
     elapsed: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "round": self.round,
-            "aggregator": self.aggregator,
-            "loss": self.loss,
-            "micro_f1": self.micro_f1,
-            "macro_f1": self.macro_f1,
-            "max_version_gap": self.max_version_gap,
-            "elapsed": self.elapsed,
-        }
-
 
 # -- experiment assembly ----------------------------------------------------------
 
@@ -182,16 +181,15 @@ class ExperimentSetup:
     clients: list[FederatedClient]
     server: ParameterServer
     split: EvalSplit
-    part: Partition
+    part: tuple[np.ndarray, ...]
     labels: np.ndarray
 
 
 def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> ExperimentSetup:
     """Resolve meta paths, split, partition, and construct clients + server."""
-    seeds = np.random.SeedSequence(config.seed).spawn(3 + config.clients)
-    init_rng = np.random.default_rng(seeds[0])
-    split_seed = int(np.random.default_rng(seeds[1]).integers(0, 2**31 - 1))
-    part_seed = int(np.random.default_rng(seeds[2]).integers(0, 2**31 - 1))
+    seeds = np.random.SeedSequence(config.seed).spawn(_FIRST_CLIENT_CHILD + config.clients)
+    init_rng = np.random.default_rng(seeds[_INIT_CHILD])
+    split_seed = int(np.random.default_rng(seeds[_SPLIT_CHILD]).integers(0, 2**31 - 1))
 
     specs = [
         MetaPathSpec.from_string(code, config.type_alphabet) for code in config.metapaths
@@ -215,13 +213,7 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
     local_labels = graph.labels[graph.nodes_of_type(config.target_type)]
 
     split = make_split(local_labels, fraction=config.train_fraction, seed=split_seed)
-    part = partition(
-        graph,
-        config.clients,
-        strategy=config.partition_strategy,
-        seed=part_seed,
-        dirichlet_alpha=config.dirichlet_alpha,
-    )
+    part = client_partition(config, graph)
 
     params0 = init_params(model.dims, init_rng)
     is_train = np.zeros(local_labels.size, dtype=bool)
@@ -229,7 +221,7 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
     clients = []
     for cid in range(config.clients):
         # labeled nodes are target nodes, so their local index is a target index
-        local_nodes = np.sort(graph.local_index[part.client_nodes[cid]])
+        local_nodes = np.sort(graph.local_index[part[cid]])
         local_nodes = local_nodes[is_train[local_nodes]]
         clients.append(
             FederatedClient(
@@ -239,7 +231,7 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
                 train_nodes=local_nodes,
                 labels=local_labels,
                 learning_rate=config.learning_rate,
-                rng=np.random.default_rng(seeds[3 + cid]),
+                rng=np.random.default_rng(seeds[_FIRST_CLIENT_CHILD + cid]),
             )
         )
 
@@ -285,6 +277,17 @@ def _untrained_record(config: ExperimentConfig, setup: ExperimentSetup) -> Round
     nodes = setup.split.train_nodes
     trace = setup.model.forward(setup.initial_params, nodes, labels=setup.labels, rng=None)
     return _evaluated_record(config, setup, 0, trace.total_loss / nodes.size, 0.0)
+
+
+def _pooled_loss(clients: list[FederatedClient]) -> float | None:
+    """Per-node mean training loss over the clients' latest rounds, pooled
+    over their examples; None when none of them trained on any."""
+    # a plain left-to-right sum: the built-in sum compensates from Python 3.12
+    loss_sum, examples = 0.0, 0
+    for client in clients:
+        loss_sum += client.last_loss_sum
+        examples += client.last_examples
+    return loss_sum / examples if examples else None
 
 
 class Delivery:
@@ -381,15 +384,11 @@ def run_experiment(
             else:
                 updates.append(update)
 
-        loss_sum, examples = 0.0, 0
-        for client in setup.clients:
-            if tick % speeds[client.client_id] == 0:
-                _client_round(client, config, tick, delivery, submit, diagnostics_dir)
-                loss_sum += client.last_loss_sum
-                examples += client.last_examples
+        trained = [c for c in setup.clients if tick % speeds[c.client_id] == 0]
+        for client in trained:
+            _client_round(client, config, tick, delivery, submit, diagnostics_dir)
         delivery.deliver(updates, tick)
-        loss = (loss_sum / examples) if examples else None
-        yield _evaluated_record(config, setup, tick, loss, float(tick))
+        yield _evaluated_record(config, setup, tick, _pooled_loss(trained), float(tick))
 
 
 def _run_concurrent(
@@ -439,9 +438,9 @@ def _run_concurrent(
             raise exc
         raise SimulationError(f"client {client.client_id} failed: {exc!r}") from exc
 
-    losses = [c.mean_round_loss for c in setup.clients if c.last_examples]
-    loss = float(np.mean(losses)) if losses else None
-    yield _evaluated_record(config, setup, config.rounds, loss, time.perf_counter() - start)
+    yield _evaluated_record(
+        config, setup, config.rounds, _pooled_loss(setup.clients), time.perf_counter() - start
+    )
 
 
 # -- experiment presets ------------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
 
@@ -59,7 +59,8 @@ def params_from_checkpoint(path, expected_manifest: list[dict] | None = None) ->
     implies; ``StorageError`` when the file is unreadable, its shapes disagree
     with its manifest, or the manifest is not ``expected_manifest``."""
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        # the handle is ours, so it is closed however np.load fails
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
             manifest = json.loads(bytes(archive["manifest"]).decode())
             flat = np.asarray(archive["flat"], dtype=np.float64)
             pref = np.asarray(archive["pref"], dtype=np.float64)
@@ -116,10 +117,10 @@ def export_embeddings(path, node_ids: Sequence[int], embeddings: np.ndarray) -> 
 
 
 def metrics_to_jsonl(records: Iterable) -> str:
-    """Serialize RoundMetrics (or dicts) to JSON lines with a stable key order."""
+    """Serialize RoundMetrics (or dicts) to JSON lines, keys in field order."""
     lines = []
     for record in records:
-        obj = record.to_json_obj() if hasattr(record, "to_json_obj") else record
+        obj = asdict(record) if is_dataclass(record) else record
         lines.append(json.dumps(obj, sort_keys=False))
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -163,16 +164,6 @@ class RunManifest:
     data_dir: str
     outputs: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "code_version": self.code_version,
-            "dataset_fingerprint": self.dataset_fingerprint,
-            "data_dir": self.data_dir,
-            "outputs": self.outputs,
-        }
-
     @classmethod
     def from_dict(cls, raw: dict) -> "RunManifest":
         manifest = cls(**raw)
@@ -186,7 +177,7 @@ class RunManifest:
 
 def write_manifest(path, manifest: RunManifest) -> None:
     with open_output(path) as fh:
-        json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -1,6 +1,7 @@
 """Partitioning, the synthetic generator, and experiment scheduling."""
 
 import hashlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -50,14 +51,14 @@ class TestPartition:
     def test_single_client_gets_everything(self):
         g = synthetic_hin(n_authors=40, n_papers=80, n_venues=4, classes=4, seed=0)
         part = partition(g, 1, seed=0)
-        np.testing.assert_array_equal(part.client_nodes[0], g.labeled_nodes())
+        np.testing.assert_array_equal(part[0], g.labeled_nodes())
 
     def test_uniform_sizes_and_disjointness(self):
         g = synthetic_hin(n_authors=300, n_papers=600, n_venues=8, classes=3, seed=0)
         part = partition(g, 3, seed=1)
-        sizes = [p.size for p in part.client_nodes]
+        sizes = [p.size for p in part]
         assert sizes == [100, 100, 100]
-        combined = np.concatenate(part.client_nodes)
+        combined = np.concatenate(part)
         assert len(set(combined.tolist())) == 300
 
     def test_disjoint_cover_over_many_seeds(self):
@@ -68,7 +69,7 @@ class TestPartition:
                 part = partition(g, 4, strategy=strategy, seed=seed, dirichlet_alpha=0.5)
                 union = set()
                 total = 0
-                for nodes in part.client_nodes:
+                for nodes in part:
                     union.update(nodes.tolist())
                     total += nodes.size
                 assert union == labeled
@@ -80,7 +81,7 @@ class TestPartition:
 
         def chi2(part):
             stat = 0.0
-            for nodes in part.client_nodes:
+            for nodes in part:
                 hist = np.bincount(labels[nodes], minlength=4)
                 expected = hist.sum() / 4.0
                 stat += float(((hist - expected) ** 2 / expected).sum())
@@ -441,9 +442,23 @@ class TestRunExperiment:
             cfg.rounds * -(-c.train_nodes.size // 16) for c in setup.clients
         ]
 
+    @pytest.mark.parametrize("scheduling", ["deterministic", "concurrent"])
+    def test_loss_is_pooled_over_the_clients_examples(self, small_graph, scheduling):
+        from fedhin.simulation import build_experiment
+
+        cfg = small_config(rounds=2, partition_strategy="label_skew", scheduling=scheduling)
+        setup = build_experiment(cfg, small_graph)
+        assert len({c.train_nodes.size for c in setup.clients}) > 1
+        final = list(run_experiment(cfg, small_graph, setup=setup))[-1]
+        loss_sum, examples = 0.0, 0
+        for client in setup.clients:
+            loss_sum += client.last_loss_sum
+            examples += client.last_examples
+        assert final.loss == loss_sum / examples
+
     def test_round_records_have_expected_fields(self, small_graph):
         records = list(run_experiment(small_config(rounds=2), small_graph))
-        obj = records[-1].to_json_obj()
+        obj = asdict(records[-1])
         assert set(obj) == {
             "round", "aggregator", "loss", "micro_f1", "macro_f1",
             "max_version_gap", "elapsed",
@@ -508,7 +523,7 @@ class TestBuildExperiment:
         setup = build_experiment(small_config(), small_graph)
         authors = small_graph.nodes_of_type("author").tolist()
         train = set(setup.split.train_nodes.tolist())
-        for client, owned in zip(setup.clients, setup.part.client_nodes):
+        for client, owned in zip(setup.clients, setup.part):
             expected = sorted(authors.index(g) for g in owned.tolist() if authors.index(g) in train)
             assert client.train_nodes.tolist() == expected
             assert client.train_nodes.dtype == np.int64

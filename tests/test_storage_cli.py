@@ -1,6 +1,7 @@
 """Config parsing, checkpoint/manifest formats, and the command-line surface."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from fedhin import (
     save_checkpoint,
     shape_manifest,
 )
-from fedhin.cli import main
+from fedhin.cli import _load_dataset, main
 from fedhin.config import ConfigError
 from fedhin.model import ModelDims, init_params
+from fedhin.simulation import build_experiment
 from fedhin.storage import StorageError, dataset_fingerprint, export_embeddings
 
 
@@ -81,16 +83,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="speed_multipliers"):
             parse_config(path)
 
-    @given(field=st.sampled_from(sorted(ExperimentConfig().to_dict())), value=JSON_VALUES)
+    @given(field=st.sampled_from(sorted(asdict(ExperimentConfig()))), value=JSON_VALUES)
     @settings(max_examples=300, deadline=None)
     def test_any_json_value_gives_a_config_or_config_error(self, field, value):
-        raw = {**ExperimentConfig().to_dict(), field: value}
+        raw = {**json.loads(json.dumps(asdict(ExperimentConfig()))), field: value}
         try:
             cfg = ExperimentConfig.from_dict(raw)
         except ConfigError as exc:
             assert field in str(exc)
         else:
-            assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+            assert ExperimentConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 def with_transform_major_layout(path) -> None:
@@ -324,6 +326,23 @@ class TestCli:
         combined = [n for nodes in doc.values() for n in nodes]
         assert len(combined) == len(set(combined)) == 60
 
+    @pytest.mark.parametrize("clients", [None, 2])
+    def test_partition_command_prints_the_training_split(self, dataset_dir, tmp_path, clients):
+        doc = {"clients": 3, "partition_strategy": "label_skew", "dirichlet_alpha": 0.5,
+               "embedding_dim": 4, "preference_dim": 2, "seed": 7}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        out = tmp_path / "partition.json"
+        argv = ["partition", "--data", str(dataset_dir), "--config", str(config_path),
+                "--out", str(out)]
+        if clients is not None:
+            argv += ["--clients", str(clients)]
+            doc["clients"] = clients
+        assert main(argv) == 0
+        config = ExperimentConfig.from_dict(doc)
+        part = build_experiment(config, _load_dataset(str(dataset_dir), config)).part
+        assert json.loads(out.read_text()) == {str(c): p.tolist() for c, p in enumerate(part)}
+
     def test_train_outputs_complete_run_directory(self, train_run):
         _, out_dir, _ = train_run
         for name in ("manifest.json", "config.json", "metrics.jsonl", "decisions.jsonl", "checkpoint.npz"):
@@ -443,6 +462,23 @@ class TestCli:
                 {"schema.json": json.dumps({"target_type": "author"})},
                 ["train", "--data", "{tmp}", "--out", "{tmp}/o"],
                 "GraphError", "triples", id="schema-without-triples",
+            ),
+            pytest.param(
+                {**TINY_DATASET, "schema.json": json.dumps({"triples": [["author", "writes"]]})},
+                ["train", "--data", "{tmp}", "--out", "{tmp}/o"],
+                "GraphError", "schema.json", id="schema-triple-of-two",
+            ),
+            pytest.param(
+                {**TINY_DATASET,
+                 "schema.json": json.dumps({"triples": [["author", 5, "paper"]]})},
+                ["train", "--data", "{tmp}", "--out", "{tmp}/o"],
+                "GraphError", "schema.json", id="schema-triple-not-strings",
+            ),
+            pytest.param(
+                {**TINY_DATASET, "schema.json": json.dumps(
+                    {"triples": [["author", "writes", "paper"]], "target_type": ["author"]})},
+                ["train", "--data", "{tmp}", "--out", "{tmp}/o"],
+                "GraphError", "schema.json", id="schema-target-type-not-a-string",
             ),
             pytest.param(
                 {"manifest.json": "not json"},
@@ -600,6 +636,31 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "TrainingDiverged"
         assert list(out.glob("diverged_round*.npz"))
+        # the records computed before the abort are kept
+        metrics = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+        assert [m["round"] for m in metrics] == [0]
+        decisions = (out / "decisions.jsonl").read_text()
+        assert all(json.loads(line) for line in decisions.splitlines())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_reported_when_decisions_cannot_be_written(
+        self, dataset_dir, tmp_path, capsys
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "clients": 2, "rounds": 3, "batch_size": 16, "embedding_dim": 6,
+            "preference_dim": 3, "learning_rate": 1e300, "seed": 1,
+        }))
+        out = tmp_path / "out"
+        (out / "decisions.jsonl").mkdir(parents=True)
+        code = main([
+            "train", "--data", str(dataset_dir), "--config", str(config_path), "--out", str(out),
+        ])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "TrainingDiverged"
+        metrics = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+        assert [m["round"] for m in metrics] == [0]
 
     def test_refused_run_leaves_no_run_directory(self, tmp_path, capsys):
         assert main(["generate", "--out", str(tmp_path / "data"), "--authors", "30",
