@@ -61,7 +61,6 @@ from .storage import (
     export_embeddings,
     metrics_to_jsonl,
     params_from_checkpoint,
-    read_manifest,
     save_checkpoint,
     write_jsonl,
     write_manifest,

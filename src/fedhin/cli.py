@@ -11,13 +11,13 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, parse_config, read_document
 from .evaluation import EvaluationError, evaluate
 from .federation import FederationError, ParameterServer, ClientUpdate
 from .graph import GraphError, HeterogeneousGraph, load_graph, write_graph
@@ -32,7 +32,6 @@ from .storage import (
     metrics_to_jsonl,
     open_output,
     params_from_checkpoint,
-    read_manifest,
     save_checkpoint,
     write_jsonl,
     write_manifest,
@@ -51,30 +50,21 @@ _ERRORS = (
 )
 
 
+@dataclass
+class DatasetSchema:
+    """A dataset's ``schema.json``: (type, relation, type) triples and the target type."""
+
+    triples: tuple[tuple[str, str, str], ...]
+    target_type: str = None  # absent: the config's target type
+
+
 def _load_dataset(data_dir: str, config: ExperimentConfig) -> HeterogeneousGraph:
     data = Path(data_dir)
-    schema_path = data / "schema.json"
-    try:
-        with open(schema_path, encoding="utf-8") as fh:
-            text = fh.read()
-        schema_doc = json.loads(text)
-        triples = schema_doc["triples"]
-        if not all(
-            isinstance(t, list) and len(t) == 3 and all(isinstance(name, str) for name in t)
-            for t in triples
-        ):
-            raise ValueError("each triple must be a list of three strings")
-        schema = [tuple(t) for t in triples]
-        target_type = schema_doc.get("target_type", config.target_type)
-        if not isinstance(target_type, str):
-            raise ValueError("target_type must be a string")
-    except OSError as exc:  # its message names the file
-        raise GraphError(f"cannot read the dataset: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
-        raise GraphError(f"{schema_path}: malformed schema file: {exc!r}") from None
+    schema = read_document(data / "schema.json", DatasetSchema, GraphError, "schema file")
+    target_type = config.target_type if schema.target_type is None else schema.target_type
     try:
         return load_graph(
-            data / "nodes.csv", data / "edges.csv", schema=schema, target_type=target_type
+            data / "nodes.csv", data / "edges.csv", schema=schema.triples, target_type=target_type
         )
     except OSError as exc:
         raise GraphError(f"cannot read the dataset: {exc}") from None
@@ -117,7 +107,7 @@ def cmd_partition(args) -> int:
 
 def cmd_train(args) -> int:
     if args.manifest:
-        manifest = read_manifest(args.manifest)
+        manifest = read_document(args.manifest, RunManifest, StorageError, "manifest")
         config = ExperimentConfig.from_dict(manifest.config)
         data_dir = manifest.data_dir
     else:
@@ -149,9 +139,7 @@ def cmd_train(args) -> int:
         outputs=outputs,
     )
     write_manifest(run_dir / "manifest.json", manifest)
-    with open_output(outputs["config"]) as fh:
-        json.dump(asdict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_manifest(outputs["config"], config)
 
     # each record is written as it comes, and the decisions also when the
     # run aborts, so a diverged run keeps what it computed; the run's own
@@ -204,36 +192,36 @@ def cmd_export_embeddings(args) -> int:
     return 0
 
 
-def _integer(record: dict, field: str) -> int:
-    """``record[field]`` when it is a JSON integer; a bool or a float is not."""
-    value = record[field]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"record {field} {value!r} is not an integer")
-    return value
+@dataclass
+class UploadRecord:
+    """One upload in an ``aggregate-demo --records`` file."""
+
+    client: int
+    version: int
+    weights: tuple[float, ...]
+
+
+@dataclass
+class RecordsFile:
+    """An ``aggregate-demo --records`` file."""
+
+    records: tuple[UploadRecord, ...]
+    alpha: float = None  # absent: the --alpha option
+    gap_threshold: int = 5
 
 
 def cmd_aggregate_demo(args) -> int:
     """Replay the staleness-weighted aggregation on a supplied record table."""
-    try:
-        with open(args.records, encoding="utf-8") as fh:
-            text = fh.read()
-        doc = json.loads(text)
-        updates = [
-            ClientUpdate(_integer(r, "client"), np.asarray(r["weights"], dtype=np.float64),
-                         _integer(r, "version"))
-            for r in doc["records"]
-        ]
-        alpha = float(doc.get("alpha", args.alpha))
-        gap_threshold = int(doc.get("gap_threshold", 5))
-    except OSError as exc:  # its message names the file
-        raise FederationError(f"cannot read the records file: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
-        raise FederationError(f"{args.records}: malformed records file: {exc!r}") from None
+    doc = read_document(args.records, RecordsFile, FederationError, "records file")
+    updates = [ClientUpdate(r.client, np.asarray(r.weights, dtype=np.float64), r.version)
+               for r in doc.records]
+    # printed as the option's float, also when the file gives an integer
+    alpha = float(args.alpha if doc.alpha is None else doc.alpha)
     server = ParameterServer(
         client_ids=[update.client_id for update in updates],
         aggregator="staleness",
         staleness_exponent=alpha,
-        gap_threshold=gap_threshold,
+        gap_threshold=doc.gap_threshold,
     )
     aggregate, _ = server.handle(updates)
     ids, coeffs = server.staleness_coefficients()

@@ -1,10 +1,13 @@
-"""Experiment configuration: defaults, type and bounds checking, JSON parsing.
+"""Experiment configuration, and the one reader of the JSON files the CLI reads.
 
-A config file is a flat JSON object whose keys mirror the
-:class:`ExperimentConfig` fields; an empty file means all defaults.
-Each field must match its annotation before its range is checked: a
-bool is not an integer, an integer must fit in 64 bits, an integer is a
-number, a float field must be finite, and a tuple field is a JSON list.
+A config, a run manifest, a dataset's ``schema.json`` and an
+``aggregate-demo`` records file are each declared once as a dataclass and
+read by :func:`read_document`: a UTF-8 JSON object (an empty file is ``{}``)
+with no unknown key and no missing one, whose values match their fields'
+annotations.  A bool is not an integer, an integer must fit in 64 bits,
+a number must be finite, a tuple is a JSON list, a dataclass a JSON
+object, and nothing is coerced.  Ranges are checked after types, by the
+document's own code (for the config, :meth:`ExperimentConfig.validate`).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import types
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -26,38 +30,40 @@ class ConfigError(Exception):
     pass
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-_INT64 = (-(2**63), 2**63 - 1)
-
-# plain annotation types: (test, singular name, plural name)
+# plain annotation types: (test, singular name, plural name); a bool's
+# type is not int
 _PLAIN = {
     int: (
-        lambda v: _is_int(v) and _INT64[0] <= v <= _INT64[1],
-        "a 64-bit integer", "64-bit integers",
+        lambda v: type(v) is int and -(2**63) <= v < 2**63, "a 64-bit integer", "64-bit integers"
     ),
     float: (
-        lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+        lambda v: (type(v) is int and abs(v) <= sys.float_info.max)
+        or (isinstance(v, float) and math.isfinite(v)),
         "a finite number", "finite numbers",
     ),
     str: (lambda v: isinstance(v, str), "a string", "strings"),
+    dict: (lambda v: isinstance(v, dict), "an object", "objects"),
     type(None): (lambda v: v is None, "null", "nulls"),
 }
 
 
 def _conforms(value, hint) -> bool:
-    """Whether ``value`` has the type annotation ``hint`` of a config field."""
+    """Whether ``value`` has the type annotation ``hint`` of a document field."""
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, types.UnionType):
         return any(_conforms(value, arg) for arg in args)
-    if origin is tuple:  # tuple[X, ...]
-        return isinstance(value, tuple) and all(_conforms(v, args[0]) for v in value)
+    if origin is tuple:  # tuple[X, ...], or tuple[X, X, X] for exactly three X
+        return (
+            isinstance(value, tuple)
+            and (args[-1] is Ellipsis or len(value) == len(args))
+            and all(_conforms(v, args[0]) for v in value)
+        )
     if origin is Mapping:
         return isinstance(value, Mapping) and all(
             _conforms(k, args[0]) and _conforms(v, args[1]) for k, v in value.items()
         )
+    if dataclasses.is_dataclass(hint):
+        return isinstance(value, hint)
     return _PLAIN[hint][0](value)
 
 
@@ -66,10 +72,58 @@ def _describe(hint, plural: bool = False) -> str:
     if origin in (Union, types.UnionType):
         return " or ".join(_describe(arg, plural) for arg in args)
     if origin is tuple:
-        return f"{'lists' if plural else 'a list'} of {_describe(args[0], plural=True)}"
+        count = "" if args[-1] is Ellipsis else f"{len(args)} "
+        return f"{'lists' if plural else 'a list'} of {count}{_describe(args[0], plural=True)}"
     if origin is Mapping:
         return f"{'objects' if plural else 'an object'} of {_describe(args[1], plural=True)}"
+    if dataclasses.is_dataclass(hint):
+        return "objects" if plural else "an object"
     return _PLAIN[hint][2 if plural else 1]
+
+
+def from_json(value, hint, error, where: str = ""):
+    """``value``, parsed from JSON, as ``hint`` asks: a list becomes a tuple, and an
+    object the dataclass ``hint`` names, with its fields (all without a default)
+    as keys and values that match them; else ``error`` naming the key at ``where``."""
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise error(f"{where or 'the document'} must be a JSON object, got {value!r}")
+        fields = dataclasses.fields(hint)
+        prefix = f"{where}: " if where else ""
+        unknown = sorted(set(value) - {f.name for f in fields})
+        if unknown:
+            raise error(f"{prefix}unknown key(s): {unknown}")
+        missing = [f.name for f in fields if f.name not in value
+                   and f.default is f.default_factory is dataclasses.MISSING]
+        if missing:
+            raise error(f"{prefix}missing key(s): {missing}")
+        hints = get_type_hints(hint)
+        kwargs = {}
+        for name, item in value.items():
+            key = f"{where}.{name}" if where else name
+            kwargs[name] = from_json(item, hints[name], error, key)
+            if not _conforms(kwargs[name], hints[name]):
+                raise error(f"{key} must be {_describe(hints[name])}, got {item!r}")
+        return hint(**kwargs)
+    if isinstance(value, list):
+        element = get_args(hint)[0] if get_origin(hint) is tuple else None
+        return tuple(from_json(v, element, error, f"{where}[{i}]") for i, v in enumerate(value))
+    return value
+
+
+def read_document(path, cls, error, what: str):
+    """The dataclass ``cls`` read by :func:`from_json` from the JSON file ``path``,
+    a ``what`` such as "config file"; every failure is an ``error`` naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        raw = json.loads(text) if text.strip() else {}
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{path}: cannot read the {what}: {exc}") from None
+    try:
+        return from_json(raw, cls, error)
+    except error as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -103,13 +157,10 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        """Check each field's range; its type is :func:`from_json`'s to check."""
         def require(cond: bool, message: str):
             if not cond:
                 raise ConfigError(message)
-
-        for name, hint in get_type_hints(type(self)).items():
-            value = getattr(self, name)
-            require(_conforms(value, hint), f"{name} must be {_describe(hint)}, got {value!r}")
 
         require(self.clients >= 1, f"clients must be >= 1, got {self.clients}")
         require(self.rounds >= 0, f"rounds must be >= 0, got {self.rounds}")
@@ -175,36 +226,10 @@ class ExperimentConfig:
         return tuple(self.speed_multipliers)
 
     @classmethod
-    def from_dict(cls, raw: Mapping) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-        # JSON lists become the tuple fields; anything else is left for
-        # validate to reject
-        kwargs = {
-            name: tuple(value) if isinstance(value, list) else value
-            for name, value in raw.items()
-        }
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        return from_json(raw, cls, ConfigError)
 
 
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a config file; empty or blank files mean defaults."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: cannot read the config file: {exc}") from None
-    if not text.strip():
-        return ExperimentConfig()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return ExperimentConfig.from_dict(raw)
+    return read_document(path, ExperimentConfig, ConfigError, "config file")

@@ -109,10 +109,11 @@ class ParameterServer:
     ):
         if aggregator not in AGGREGATORS:
             raise FederationError(f"unknown aggregator {aggregator!r}; choose {AGGREGATORS}")
-        if staleness_exponent < 0:
-            raise FederationError("staleness exponent must be >= 0")
-        if gap_threshold < 1:
-            raise FederationError("gap threshold must be a positive integer")
+        # written so that NaN, which compares False, is refused
+        if not staleness_exponent >= 0:
+            raise FederationError(f"staleness exponent must be >= 0, got {staleness_exponent}")
+        if not gap_threshold >= 1:
+            raise FederationError(f"gap threshold must be a positive integer, got {gap_threshold}")
         if not 0.0 <= ema_beta <= 1.0:
             raise FederationError(f"ema beta must lie in [0, 1], got {ema_beta}")
         self.roster: tuple[int, ...] = tuple(sorted(int(c) for c in client_ids))

@@ -187,6 +187,8 @@ class ExperimentSetup:
 
 def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> ExperimentSetup:
     """Resolve meta paths, split, partition, and construct clients + server."""
+    # first: it refuses more clients than labeled nodes before a seed is spawned per client
+    part = client_partition(config, graph)
     seeds = np.random.SeedSequence(config.seed).spawn(_FIRST_CLIENT_CHILD + config.clients)
     init_rng = np.random.default_rng(seeds[_INIT_CHILD])
     split_seed = int(np.random.default_rng(seeds[_SPLIT_CHILD]).integers(0, 2**31 - 1))
@@ -213,7 +215,6 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
     local_labels = graph.labels[graph.nodes_of_type(config.target_type)]
 
     split = make_split(local_labels, fraction=config.train_fraction, seed=split_seed)
-    part = client_partition(config, graph)
 
     params0 = init_params(model.dims, init_rng)
     is_train = np.zeros(local_labels.size, dtype=bool)

@@ -10,7 +10,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, get_type_hints
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -56,18 +56,20 @@ def save_checkpoint(path, params: ModelParams, allow_non_finite: bool = False) -
 
 def params_from_checkpoint(path, expected_manifest: list[dict] | None = None) -> ModelParams:
     """Rebuild full ModelParams from a checkpoint, in the layout its manifest
-    implies; ``StorageError`` when the file is unreadable, its shapes disagree
-    with its manifest, or the manifest is not ``expected_manifest``."""
+    implies; ``StorageError`` when the file is unreadable, an array is not
+    float64, its shapes disagree with its manifest, or the manifest is not
+    ``expected_manifest``."""
     try:
         # the handle is ours, so it is closed however np.load fails
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
             manifest = json.loads(bytes(archive["manifest"]).decode())
-            flat = np.asarray(archive["flat"], dtype=np.float64)
-            pref = np.asarray(archive["pref"], dtype=np.float64)
-    except StorageError:
-        raise
+            flat, pref = archive["flat"], archive["pref"]
     except Exception as exc:
         raise StorageError(f"cannot read checkpoint {path}: {exc}") from None
+    # save_checkpoint writes float64 only; any other dtype is not one of its files
+    for name, array in (("flat", flat), ("pref", pref)):
+        if array.dtype != np.float64:
+            raise StorageError(f"checkpoint {path}: {name} holds {array.dtype} values, not float64")
     try:
         dims = dims_from_manifest(manifest)
     except ModelError as exc:
@@ -164,27 +166,9 @@ class RunManifest:
     data_dir: str
     outputs: dict
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunManifest":
-        manifest = cls(**raw)
-        for name, kind in get_type_hints(cls).items():
-            value = getattr(manifest, name)
-            # a bool is not an int
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise TypeError(f"field {name!r} must be {kind.__name__}, got {value!r}")
-        return manifest
 
-
-def write_manifest(path, manifest: RunManifest) -> None:
+def write_manifest(path, document) -> None:
+    """Write the dataclass ``document`` (a run's manifest or config) as sorted, indented JSON."""
     with open_output(path) as fh:
-        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
+        json.dump(asdict(document), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_manifest(path) -> RunManifest:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        return RunManifest.from_dict(json.loads(text))
-    except (OSError, TypeError, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
-        raise StorageError(f"manifest {path}: {exc}") from None

@@ -281,6 +281,20 @@ class TestEma:
             make_server(aggregator="ema", ema_beta=1.5)
 
 
+class TestSettings:
+    # NaN compares False with every bound, so a check written as
+    # ``value < bound`` lets it through
+    @pytest.mark.parametrize(
+        "setting, fragment",
+        [({"staleness_exponent": float("nan")}, "staleness exponent"),
+         ({"gap_threshold": float("nan")}, "gap threshold")],
+        ids=["staleness-exponent", "gap-threshold"],
+    )
+    def test_nan_setting_refused(self, setting, fragment):
+        with pytest.raises(FederationError, match=fragment):
+            make_server(**setting)
+
+
 class TestDispatch:
     def test_equal_versions_targeted(self):
         server = make_server(gap_threshold=5)

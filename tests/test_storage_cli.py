@@ -1,11 +1,15 @@
 """Config parsing, checkpoint/manifest formats, and the command-line surface."""
 
+import contextlib
+import io
 import json
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedhin import (
@@ -171,6 +175,21 @@ class TestCheckpoint:
         with pytest.raises(StorageError, match="no model parameter layout"):
             params_from_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "name, dtype",
+        [("flat", np.complex128), ("flat", np.bool_), ("flat", "<U32"), ("pref", np.int8)],
+        ids=["flat-complex", "flat-bool", "flat-numerals", "pref-int8"],
+    )
+    def test_array_of_another_dtype_refused(self, tmp_path, name, dtype):
+        # np.asarray(..., dtype=np.float64) would convert each of these
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, random_params())
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        np.savez(path, **{**arrays, name: arrays[name].astype(dtype)})
+        with pytest.raises(StorageError, match=f"{name} holds .* values, not float64"):
+            params_from_checkpoint(path)
+
     def test_non_finite_values_refused(self, tmp_path):
         params = random_params()
         params.wp[0, 0] = np.inf
@@ -309,6 +328,61 @@ def _manifest_doc(**fields) -> dict:
         "dataset_fingerprint": "0" * 64, "data_dir": "data", "outputs": {},
     }
     return {**doc, **fields}
+
+
+_RECORD = '{"client": 0, "version": 1, "weights": [1.0]}'
+
+
+def _records_case(text, fragment, case_id) -> pytest.param:
+    """An aggregate-demo run on the records file ``text``, which must be refused."""
+    return pytest.param(
+        {"records.json": text}, ["aggregate-demo", "--records", "{tmp}/records.json"],
+        "FederationError", fragment, id=case_id,
+    )
+
+
+_DELETE = object()  # in place of a value: the key is removed
+
+# a valid document of each kind the CLI reads, with the command that reads it from {doc}
+_FUZZ_BASE = {
+    "config": (
+        json.loads(json.dumps(asdict(ExperimentConfig(
+            clients=2, rounds=1, batch_size=64, embedding_dim=4, preference_dim=2,
+            metapaths=("APA",), seed=1,
+        )))),
+        ["train", "--data", "{data}", "--config", "{doc}", "--out", "{tmp}/out"],
+    ),
+    "manifest": (
+        _manifest_doc(config={"clients": 2, "rounds": 1, "embedding_dim": 4,
+                              "preference_dim": 2, "metapaths": ["APA"]}),
+        ["train", "--manifest", "{doc}", "--out", "{tmp}/out"],
+    ),
+    "records": (
+        {"alpha": 1.0, "gap_threshold": 5,
+         "records": [{"client": 0, "version": 5, "weights": [1.0, 1.0]},
+                     {"client": 1, "version": 3, "weights": [5.0, 5.0]}]},
+        ["aggregate-demo", "--records", "{doc}"],
+    ),
+}
+# (kind, path to a value that kind's document holds)
+_FUZZ_PATHS = [
+    *((kind, (key,)) for kind, (doc, _) in _FUZZ_BASE.items() for key in doc),
+    *(("records", ("records", 1, key)) for key in ("client", "version", "weights")),
+]
+
+
+def _trains_long(config) -> bool:
+    """Whether ``config`` is a valid config with a long training run: the
+    fuzzer skips those, since they only take time."""
+    try:
+        cfg = ExperimentConfig.from_dict(config)
+    except ConfigError:
+        return False
+    return max(cfg.rounds * cfg.local_epochs, cfg.embedding_dim, cfg.preference_dim) > 8
+
+
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 class TestCli:
@@ -522,6 +596,38 @@ class TestCli:
                 ["aggregate-demo", "--records", "{tmp}/records.json"],
                 "FederationError", "version", id="record-version-true",
             ),
+            _records_case(f'{{"alpha": "nan", "records": [{_RECORD}]}}', "alpha",
+                          "records-alpha-nan-string"),
+            _records_case(f'{{"alpha": "0.5", "records": [{_RECORD}]}}', "alpha",
+                          "records-alpha-numeral"),
+            _records_case(f'{{"alpha": true, "records": [{_RECORD}]}}', "alpha",
+                          "records-alpha-true"),
+            _records_case(f'{{"gap_threshold": 2.7, "records": [{_RECORD}]}}', "gap_threshold",
+                          "records-gap-threshold-not-an-integer"),
+            _records_case('{"records": [{"client": 0, "version": 1, "weights": [1e400]}]}',
+                          "weights", "record-weight-beyond-the-float-range"),
+            _records_case('{"records": [{"client": 0, "version": 1, "weights": [null]}]}',
+                          "weights", "record-weight-null"),
+            _records_case(f'{{"alhpa": 1.0, "records": [{_RECORD}]}}', "alhpa",
+                          "records-unknown-key"),
+            _records_case('{"records": [{"client": 0, "version": 1, "weights": [1.0], '
+                          '"wieghts": [2.0]}]}', "wieghts", "record-unknown-key"),
+            pytest.param(
+                {"records.json": f'{{"records": [{_RECORD}]}}'},
+                ["aggregate-demo", "--records", "{tmp}/records.json", "--alpha", "nan"],
+                "FederationError", "staleness exponent", id="aggregate-demo-alpha-nan",
+            ),
+            pytest.param(
+                {**TINY_DATASET, "schema.json": json.dumps(
+                    {"triples": [["author", "writes", "paper"]], "targettype": "author"})},
+                ["train", "--data", "{tmp}", "--out", "{tmp}/o"],
+                "GraphError", "targettype", id="schema-unknown-key",
+            ),
+            pytest.param(
+                {**TINY_DATASET, "many.json": json.dumps({"clients": 2**40})},
+                ["train", "--data", "{tmp}", "--config", "{tmp}/many.json", "--out", "{tmp}/o"],
+                "SimulationError", "clients", id="config-clients-beyond-the-labeled-nodes",
+            ),
             pytest.param(
                 {"manifest.json": json.dumps(_manifest_doc(config=5))},
                 ["train", "--manifest", "{tmp}/manifest.json", "--out", "{tmp}/o"],
@@ -619,6 +725,42 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == error
         assert fragment in err["message"]
+
+    # a fuzzed learning rate may diverge the run, with overflow warnings
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(target=st.sampled_from(_FUZZ_PATHS), value=st.just(_DELETE) | JSON_VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_value_in_an_input_file_ends_in_exit_0_or_one_json_error(
+        self, dataset_dir, target, value
+    ):
+        kind, path = target
+        base, argv = _FUZZ_BASE[kind]
+        doc = json.loads(json.dumps(base))  # a deep copy
+        if kind == "manifest":
+            doc["data_dir"] = str(dataset_dir)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        if kind != "records":
+            assume(not _trains_long(doc.get("config") if kind == "manifest" else doc))
+        with tempfile.TemporaryDirectory() as tmp:
+            doc_path = Path(tmp) / "doc.json"
+            doc_path.write_text(json.dumps(doc))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([arg.format(data=dataset_dir, doc=doc_path, tmp=tmp) for arg in argv])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+            # strict JSON: NaN and the infinities are not
+            json.loads(out.getvalue(), parse_constant=_not_json)
+        else:
+            assert code == 1 and len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error", "message"}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_prints_machine_readable_error(self, dataset_dir, tmp_path, capsys):
