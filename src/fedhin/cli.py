@@ -58,14 +58,17 @@ class DatasetSchema:
     target_type: str = None  # absent: the config's target type
 
 
+def _dataset_files(data_dir) -> tuple[Path, Path, Path]:
+    """The node table, the edge table and the schema file of the dataset in ``data_dir``."""
+    return tuple(Path(data_dir) / name for name in ("nodes.csv", "edges.csv", "schema.json"))
+
+
 def _load_dataset(data_dir: str, config: ExperimentConfig) -> HeterogeneousGraph:
-    data = Path(data_dir)
-    schema = read_document(data / "schema.json", DatasetSchema, GraphError, "schema file")
+    nodes, edges, schema_file = _dataset_files(data_dir)
+    schema = read_document(schema_file, DatasetSchema, GraphError, "schema file")
     target_type = config.target_type if schema.target_type is None else schema.target_type
     try:
-        return load_graph(
-            data / "nodes.csv", data / "edges.csv", schema=schema.triples, target_type=target_type
-        )
+        return load_graph(nodes, edges, schema=schema.triples, target_type=target_type)
     except OSError as exc:
         raise GraphError(f"cannot read the dataset: {exc}") from None
 
@@ -81,8 +84,9 @@ def cmd_generate(args) -> int:
         seed=args.seed,
     )
     out = make_output_dir(args.out)
-    write_graph(out / "nodes.csv", out / "edges.csv", graph)
-    with open_output(out / "schema.json") as fh:
+    nodes, edges, schema_file = _dataset_files(out)
+    write_graph(nodes, edges, graph)
+    with open_output(schema_file) as fh:
         json.dump(
             {"triples": [list(t) for t in sorted(graph.schema)], "target_type": graph.target_type},
             fh,
@@ -110,6 +114,14 @@ def cmd_train(args) -> int:
         manifest = read_document(args.manifest, RunManifest, StorageError, "manifest")
         config = ExperimentConfig.from_dict(manifest.config)
         data_dir = manifest.data_dir
+        # a replay runs on the seed and the dataset bytes its run had, or not at all
+        fingerprint = dataset_fingerprint(_dataset_files(data_dir))
+        if manifest.seed != config.seed or fingerprint != manifest.dataset_fingerprint:
+            raise StorageError(
+                f"manifest {args.manifest} does not match what it replays: seed "
+                f"{manifest.seed} (the config's is {config.seed}), dataset fingerprint "
+                f"{manifest.dataset_fingerprint} ({data_dir} has {fingerprint})"
+            )
     else:
         config = parse_config(args.config) if args.config else ExperimentConfig()
         data_dir = args.data
@@ -123,7 +135,6 @@ def cmd_train(args) -> int:
     setup = build_experiment(config, graph)
 
     run_dir = make_output_dir(args.out)
-    data_files = [Path(data_dir) / n for n in ("nodes.csv", "edges.csv", "schema.json")]
     outputs = {
         "metrics": str(run_dir / "metrics.jsonl"),
         "decisions": str(run_dir / "decisions.jsonl"),
@@ -134,7 +145,7 @@ def cmd_train(args) -> int:
         config=asdict(config),
         seed=config.seed,
         code_version=__version__,
-        dataset_fingerprint=dataset_fingerprint(data_files),
+        dataset_fingerprint=dataset_fingerprint(_dataset_files(data_dir)),
         data_dir=str(data_dir),
         outputs=outputs,
     )
@@ -169,11 +180,11 @@ def _restore_model(args):
     params = params_from_checkpoint(
         args.checkpoint, expected_manifest=shape_manifest(setup.initial_params)
     )
-    return config, graph, setup, params
+    return graph, setup, params
 
 
 def cmd_eval(args) -> int:
-    _, _, setup, params = _restore_model(args)
+    _, setup, params = _restore_model(args)
     micro, macro = evaluate(setup.model, params, setup.labels, setup.split)
     print(
         json.dumps(
@@ -184,8 +195,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
-    config, graph, setup, params = _restore_model(args)
-    target_ids = graph.nodes_of_type(config.target_type)
+    graph, setup, params = _restore_model(args)
+    target_ids = graph.nodes_of_type(graph.target_type)
     embeddings = setup.model.embed(params)
     export_embeddings(args.out, target_ids, embeddings)
     print(json.dumps({"nodes": len(target_ids), "dim": embeddings.shape[1], "out": args.out}))

@@ -118,7 +118,8 @@ def read_document(path, cls, error, what: str):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         raw = json.loads(text) if text.strip() else {}
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError: undecodable bytes, bad JSON, or a NUL byte in the path
+    except (OSError, ValueError) as exc:
         raise error(f"{path}: cannot read the {what}: {exc}") from None
     try:
         return from_json(raw, cls, error)

@@ -26,7 +26,7 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -328,45 +328,39 @@ EDGE_HEADER = ["src", "dst", "relation"]
 _WRITE_BLOCK = 1 << 16  # table rows per write call
 
 
-def _read_rows(path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
+def _read_rows(path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """The 1-based line number and the stripped fields of each non-blank row
+    after the header of the table at ``path``, checked as ``csv.reader``
+    yields it: the header must be ``header`` and each row three columns."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        rows = ((lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row)
         try:
-            rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
+            lineno, first = next(rows, (1, None))
+            if first is None:
+                raise ParseError(f"{path}: empty table", line=lineno)
+            if [h.strip() for h in first] != header:
+                raise ParseError(
+                    f"expected header {','.join(header)!r}, got {','.join(first)!r}", line=lineno
+                )
+            for lineno, row in rows:
+                if len(row) != 3:
+                    raise ParseError(f"expected 3 columns, got {len(row)}", line=lineno)
+                yield lineno, [field.strip() for field in row]
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
-    if not rows:
-        raise ParseError(f"{path}: empty table", line=1)
-    first_line, header = rows[0]
-    if [h.strip() for h in header] != expected_header:
-        raise ParseError(
-            f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}",
-            line=first_line,
-        )
-    return rows[1:]
 
 
 def load_graph(
-    nodes_path,
-    edges_path,
-    schema: Iterable[Triple],
-    target_type: str = "author",
-    add_reverse: Sequence[str] = (),
+    nodes_path, edges_path, schema: Iterable[Triple], target_type: str = "author"
 ) -> HeterogeneousGraph:
     """Load a graph from delimited node/edge tables.
 
     The node table has columns ``id,type,label`` (label empty for
-    non-target types); the edge table has ``src,dst,relation``.  Relations
-    listed in ``add_reverse`` additionally emit the reversed edge under
-    ``<relation>_rev`` (with the reversed schema triple added), so that
-    inherently symmetric relations such as co-authorship behave
-    undirectedly in meta-path products.
+    non-target types); the edge table has ``src,dst,relation``.  Each
+    table is checked row by row as it is read.
     """
     nodes: list[tuple[int, str, int | None]] = []
-    for lineno, row in _read_rows(nodes_path, NODE_HEADER):
-        if len(row) != 3:
-            raise ParseError(f"expected 3 columns, got {len(row)}", line=lineno)
-        raw_id, ntype, raw_label = (c.strip() for c in row)
+    for lineno, (raw_id, ntype, raw_label) in _read_rows(nodes_path, NODE_HEADER):
         try:
             nid = int(raw_id)
         except ValueError:
@@ -381,10 +375,7 @@ def load_graph(
 
     known_ids = {nid for nid, _, _ in nodes}
     edges: list[tuple[int, int, str]] = []
-    for lineno, row in _read_rows(edges_path, EDGE_HEADER):
-        if len(row) != 3:
-            raise ParseError(f"expected 3 columns, got {len(row)}", line=lineno)
-        raw_src, raw_dst, rel = (c.strip() for c in row)
+    for lineno, (raw_src, raw_dst, rel) in _read_rows(edges_path, EDGE_HEADER):
         try:
             src, dst = int(raw_src), int(raw_dst)
         except ValueError:
@@ -395,16 +386,6 @@ def load_graph(
                     f"line {lineno}: edge ({src}, {dst}, {rel!r}) references unknown node id {nid}"
                 )
         edges.append((src, dst, rel))
-
-    schema = {tuple(t) for t in schema}
-    if add_reverse:
-        type_of = {nid: ntype for nid, ntype, _ in nodes}
-        reversed_edges = []
-        for src, dst, rel in edges:
-            if rel in add_reverse:
-                reversed_edges.append((dst, src, f"{rel}_rev"))
-                schema.add((type_of[dst], f"{rel}_rev", type_of[src]))
-        edges.extend(reversed_edges)
 
     return graph_from_records(nodes, edges, schema, target_type=target_type)
 

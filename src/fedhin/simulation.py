@@ -197,7 +197,7 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
         MetaPathSpec.from_string(code, config.type_alphabet) for code in config.metapaths
     ]
     for spec in specs:
-        spec.validate_for_target(config.target_type)
+        spec.validate_for_target(graph.target_type)
     adjacencies = [metapath_adjacency(graph, spec, config.adjacency_mode) for spec in specs]
 
     n_labels = graph.num_labels
@@ -212,7 +212,7 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
         sample_size=config.neighbor_sample_size,
     )
 
-    local_labels = graph.labels[graph.nodes_of_type(config.target_type)]
+    local_labels = graph.labels[graph.nodes_of_type(graph.target_type)]
 
     split = make_split(local_labels, fraction=config.train_fraction, seed=split_seed)
 

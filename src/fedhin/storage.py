@@ -151,7 +151,10 @@ def dataset_fingerprint(paths: Sequence) -> str:
     digest = hashlib.sha256()
     for p in sorted(Path(p) for p in paths):
         digest.update(p.name.encode())
-        digest.update(p.read_bytes())
+        try:
+            digest.update(p.read_bytes())
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+            raise StorageError(f"cannot read {p}: {exc}") from None
     return digest.hexdigest()
 
 

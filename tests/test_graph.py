@@ -173,17 +173,6 @@ class TestLoader:
         with pytest.raises(ValidationError, match="unknown node id 9"):
             load_graph(np_, ep, COAUTHOR_SCHEMA)
 
-    def test_add_reverse_expands_edges_and_schema(self, tmp_path):
-        np_, ep = self._write(
-            tmp_path,
-            "id,type,label\n0,author,0\n1,paper,\n",
-            "src,dst,relation\n0,1,writes\n",
-        )
-        g = load_graph(np_, ep, [("author", "writes", "paper")], add_reverse=["writes"])
-        assert g.num_edges == 2
-        assert (1, 0, "writes_rev") in g.edges
-        assert ("paper", "writes_rev", "author") in g.schema
-
     def test_dblp_scale_counts(self, tmp_path):
         # node/edge totals mirror the DBLP row used for sizing: 10650 / 39888
         n_authors, n_papers = 4000, 6650

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedhin import (
     ExperimentConfig,
@@ -19,7 +20,7 @@ from fedhin import (
     save_checkpoint,
     shape_manifest,
 )
-from fedhin.cli import _load_dataset, main
+from fedhin.cli import _dataset_files, _load_dataset, main
 from fedhin.config import ConfigError
 from fedhin.model import ModelDims, init_params
 from fedhin.simulation import build_experiment
@@ -385,6 +386,61 @@ def _not_json(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def _ends_in_exit_0_or_one_json_error(argv) -> None:
+    """Run ``main(argv)`` in process: exit 0 must leave stderr empty and print
+    strict JSON, exit 1 must print one JSON error object to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+        # strict JSON: NaN and the infinities are not
+        json.loads(out.getvalue(), parse_constant=_not_json)
+    else:
+        assert code == 1 and len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+# a change to one array of a checkpoint: a function of the stored array, or
+# _DELETE; the array in another shape, another dtype, as objects, or any array
+_CHECKPOINT_CHANGES = st.one_of(
+    st.just(_DELETE),
+    st.sampled_from([
+        lambda a: a.reshape(-1)[:-1],
+        lambda a: a.reshape(-1)[:0],
+        lambda a: a.reshape(-1, 1),
+        lambda a: a[None],
+        lambda a: a.reshape(-1)[0],
+        lambda a: a.T,
+    ]),
+    (hnp.scalar_dtypes() | hnp.byte_string_dtypes() | hnp.unicode_string_dtypes()).map(
+        lambda dtype: lambda a: a.astype(dtype)
+    ),
+    st.just(lambda a: a.astype(object)),
+    hnp.arrays(hnp.scalar_dtypes(), hnp.array_shapes(min_dims=0, max_dims=3, max_side=4)).map(
+        lambda b: lambda a: b
+    ),
+)
+
+
+def _paper_labeled_dataset(path) -> None:
+    """A dataset whose ``schema.json`` names papers as the target type; each
+    author's papers share a label."""
+    path.mkdir()
+    (path / "schema.json").write_text(json.dumps({
+        "triples": [["author", "writes", "paper"], ["paper", "written_by", "author"]],
+        "target_type": "paper",
+    }))
+    authors, papers = range(4), range(4, 28)
+    (path / "nodes.csv").write_text("id,type,label\n" + "".join(
+        [f"{a},author,\n" for a in authors] + [f"{p},paper,{p % 2}\n" for p in papers]
+    ))
+    (path / "edges.csv").write_text("src,dst,relation\n" + "".join(
+        f"{p % 4},{p},writes\n{p},{p % 4},written_by\n" for p in papers
+    ))
+
+
 class TestCli:
     def test_generate_writes_dataset(self, dataset_dir):
         assert (dataset_dir / "nodes.csv").exists()
@@ -435,6 +491,57 @@ class TestCli:
         original = (out_dir / "metrics.jsonl").read_bytes()
         replayed = (replay_dir / "metrics.jsonl").read_bytes()
         assert original == replayed
+
+    @pytest.mark.parametrize("edit", ["edges.csv", "seed"])
+    def test_replay_of_a_changed_dataset_or_seed_is_refused(self, train_run, tmp_path, capsys, edit):
+        dataset_dir, out_dir, _ = train_run
+        data = tmp_path / "data"
+        data.mkdir()
+        for path in _dataset_files(dataset_dir):
+            (data / path.name).write_bytes(path.read_bytes())
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        manifest["data_dir"] = str(data)
+        recorded = manifest["dataset_fingerprint"]
+        if edit == "seed":
+            manifest["seed"] += 1
+        else:
+            # a parallel edge: the edited dataset still loads and trains
+            edges = (data / "edges.csv").read_text().splitlines(keepends=True)
+            (data / "edges.csv").write_text("".join(edges + edges[1:2]))
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest))
+        replay_dir = tmp_path / "replay"
+        code = main(["train", "--manifest", str(manifest_path), "--out", str(replay_dir)])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "StorageError"
+        assert str(manifest_path) in err["message"]
+        if edit == "edges.csv":
+            changed = dataset_fingerprint(_dataset_files(data))
+            assert recorded in err["message"] and changed in err["message"]
+        assert not replay_dir.exists()
+
+    def test_target_type_is_the_datasets(self, tmp_path):
+        # the config leaves target_type at "author"; schema.json names papers
+        data = tmp_path / "data"
+        _paper_labeled_dataset(data)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "clients": 2, "rounds": 2, "batch_size": 8, "embedding_dim": 4,
+            "preference_dim": 2, "metapaths": ["PAP"], "seed": 1,
+        }))
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--config", str(config_path),
+                     "--out", str(run)]) == 0
+        assert main(["eval", "--data", str(data), "--config", str(config_path),
+                     "--checkpoint", str(run / "checkpoint.npz")]) == 0
+        out = tmp_path / "embeddings.csv"
+        assert main(["export-embeddings", "--data", str(data), "--config", str(config_path),
+                     "--checkpoint", str(run / "checkpoint.npz"), "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(4, 28))
 
     def test_eval_command_prints_scores(self, train_run, capsys):
         dataset_dir, out_dir, config_path = train_run
@@ -634,6 +741,11 @@ class TestCli:
                 "StorageError", "config", id="manifest-config-not-an-object",
             ),
             pytest.param(
+                {"manifest.json": json.dumps(_manifest_doc(data_dir="da\x00ta"))},
+                ["train", "--manifest", "{tmp}/manifest.json", "--out", "{tmp}/o"],
+                "StorageError", "null byte", id="manifest-data-dir-with-a-nul-byte",
+            ),
+            pytest.param(
                 {"manifest.json": json.dumps(_manifest_doc(data_dir=5))},
                 ["train", "--manifest", "{tmp}/manifest.json", "--out", "{tmp}/o"],
                 "StorageError", "data_dir", id="manifest-data-dir-not-a-string",
@@ -738,6 +850,7 @@ class TestCli:
         doc = json.loads(json.dumps(base))  # a deep copy
         if kind == "manifest":
             doc["data_dir"] = str(dataset_dir)
+            doc["dataset_fingerprint"] = dataset_fingerprint(_dataset_files(dataset_dir))
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
@@ -750,17 +863,35 @@ class TestCli:
         with tempfile.TemporaryDirectory() as tmp:
             doc_path = Path(tmp) / "doc.json"
             doc_path.write_text(json.dumps(doc))
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([arg.format(data=dataset_dir, doc=doc_path, tmp=tmp) for arg in argv])
-        lines = err.getvalue().splitlines()
-        if code == 0:
-            assert lines == []
-            # strict JSON: NaN and the infinities are not
-            json.loads(out.getvalue(), parse_constant=_not_json)
+            _ends_in_exit_0_or_one_json_error(
+                [arg.format(data=dataset_dir, doc=doc_path, tmp=tmp) for arg in argv]
+            )
+
+    @given(
+        name=st.sampled_from(["manifest", "flat", "pref"]),
+        change=_CHECKPOINT_CHANGES,
+        command=st.sampled_from(["eval", "export-embeddings"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_checkpoint_array_change_ends_in_exit_0_or_one_json_error(
+        self, train_run, name, change, command
+    ):
+        dataset_dir, out_dir, config_path = train_run
+        with np.load(out_dir / "checkpoint.npz") as archive:
+            arrays = dict(archive)
+        if change is _DELETE:
+            del arrays[name]
         else:
-            assert code == 1 and len(lines) == 1
-            assert set(json.loads(lines[0])) == {"error", "message"}
+            arrays[name] = change(arrays[name])
+        with tempfile.TemporaryDirectory() as tmp:
+            checkpoint = Path(tmp) / "checkpoint.npz"
+            # an object array is stored pickled, which the reader refuses
+            np.savez(checkpoint, **arrays)
+            argv = [command, "--data", str(dataset_dir), "--checkpoint", str(checkpoint),
+                    "--config", str(config_path)]
+            if command == "export-embeddings":
+                argv += ["--out", str(Path(tmp) / "embeddings.csv")]
+            _ends_in_exit_0_or_one_json_error(argv)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_prints_machine_readable_error(self, dataset_dir, tmp_path, capsys):
