@@ -27,7 +27,6 @@ from .graph import (
     MetaPathSpec,
     ParseError,
     SchemaViolation,
-    graph_from_records,
     load_graph,
     metapath_adjacency,
     write_graph,

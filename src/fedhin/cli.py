@@ -125,6 +125,7 @@ def cmd_train(args) -> int:
     else:
         config = parse_config(args.config) if args.config else ExperimentConfig()
         data_dir = args.data
+        fingerprint = None  # hashed after the load, whose GraphError names a missing dataset
     if data_dir is None:
         raise ConfigError("train needs --data (or a manifest that records it)")
     graph = _load_dataset(data_dir, config)
@@ -145,7 +146,7 @@ def cmd_train(args) -> int:
         config=asdict(config),
         seed=config.seed,
         code_version=__version__,
-        dataset_fingerprint=dataset_fingerprint(_dataset_files(data_dir)),
+        dataset_fingerprint=fingerprint or dataset_fingerprint(_dataset_files(data_dir)),
         data_dir=str(data_dir),
         outputs=outputs,
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+from array import array
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -326,6 +327,7 @@ def metapath_adjacency(
 NODE_HEADER = ["id", "type", "label"]
 EDGE_HEADER = ["src", "dst", "relation"]
 _WRITE_BLOCK = 1 << 16  # table rows per write call
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _read_rows(path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
@@ -356,75 +358,71 @@ def load_graph(
     """Load a graph from delimited node/edge tables.
 
     The node table has columns ``id,type,label`` (label empty for
-    non-target types); the edge table has ``src,dst,relation``.  Each
-    table is checked row by row as it is read.
+    non-target types); the edge table has ``src,dst,relation``.  Node ids
+    must be dense 0..N-1 in any order.  Each row is checked as it is read
+    and appended to int64 columns; type and relation codes follow the order
+    in which the rows first name them.
     """
-    nodes: list[tuple[int, str, int | None]] = []
+    ids, codes, labels = array("q"), array("q"), array("q")
+    types: dict[str, int] = {}
     for lineno, (raw_id, ntype, raw_label) in _read_rows(nodes_path, NODE_HEADER):
         try:
-            nid = int(raw_id)
+            ids.append(int(raw_id))
         except ValueError:
             raise ParseError(f"node id {raw_id!r} is not an integer", line=lineno) from None
-        label: int | None = None
+        except OverflowError:  # from the append: the column holds int64
+            raise ParseError(
+                f"node id {raw_id!r} is outside the int64 range", line=lineno
+            ) from None
+        label = -1
         if raw_label != "":
             try:
                 label = int(raw_label)
             except ValueError:
                 raise ParseError(f"label {raw_label!r} is not an integer", line=lineno) from None
-        nodes.append((nid, ntype, label))
+            if not 0 <= label <= _INT64_MAX:
+                raise ParseError(f"label {raw_label!r} is outside 0..{_INT64_MAX}", line=lineno)
+        labels.append(label)
+        codes.append(types.setdefault(ntype, len(types)))
 
-    known_ids = {nid for nid, _, _ in nodes}
-    edges: list[tuple[int, int, str]] = []
-    for lineno, (raw_src, raw_dst, rel) in _read_rows(edges_path, EDGE_HEADER):
+    node_ids = np.frombuffer(ids, dtype=np.int64)
+    n = node_ids.size
+    # the first id, in input order, that is out of range or repeats an earlier one
+    first = np.zeros(n, dtype=bool)
+    first[np.unique(node_ids, return_index=True)[1]] = True
+    bad = np.flatnonzero(~first | (node_ids < 0) | (node_ids >= n))
+    if bad.size:
+        raise ValidationError(
+            f"node ids must be dense 0..{n - 1} without repeats, got {node_ids[bad[0]]}"
+        )
+    type_code, node_labels = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    type_code[node_ids] = np.frombuffer(codes, dtype=np.int64)
+    node_labels[node_ids] = np.frombuffer(labels, dtype=np.int64)
+
+    src, dst, rel = array("q"), array("q"), array("q")
+    relations: dict[str, int] = {}
+    for lineno, (raw_src, raw_dst, relation) in _read_rows(edges_path, EDGE_HEADER):
         try:
-            src, dst = int(raw_src), int(raw_dst)
+            s, d = int(raw_src), int(raw_dst)
         except ValueError:
             raise ParseError(f"edge endpoints {raw_src!r},{raw_dst!r} must be integers", line=lineno) from None
-        for nid in (src, dst):
-            if nid not in known_ids:
-                raise ValidationError(
-                    f"line {lineno}: edge ({src}, {dst}, {rel!r}) references unknown node id {nid}"
-                )
-        edges.append((src, dst, rel))
-
-    return graph_from_records(nodes, edges, schema, target_type=target_type)
-
-
-def graph_from_records(
-    nodes: Sequence[tuple[int, str, int | None]],
-    edges: Sequence[tuple[int, int, str]],
-    schema: Iterable[Triple],
-    target_type: str = "author",
-) -> HeterogeneousGraph:
-    """A graph from ``(id, type, label)`` node records and ``(src, dst,
-    relation)`` edge records, the rows of the two tables :func:`load_graph`
-    reads.  Node ids must be dense 0..N-1 in any order; a label of ``None``
-    marks an unlabeled node.  Type and relation codes follow the order in
-    which the records first name them."""
-    n = len(nodes)
-    seen = np.zeros(n, dtype=bool)
-    types: dict[str, int] = {}
-    type_code = np.empty(n, dtype=np.int64)
-    labels = np.full(n, -1, dtype=np.int64)
-    for nid, ntype, label in nodes:
-        if not 0 <= nid < n or seen[nid]:
+        if not (0 <= s < n and 0 <= d < n):
             raise ValidationError(
-                f"node ids must be dense 0..{n - 1} without repeats, got {nid}"
+                f"line {lineno}: edge ({s}, {d}, {relation!r}) references unknown node id "
+                f"{d if 0 <= s < n else s}"
             )
-        seen[nid] = True
-        type_code[nid] = types.setdefault(ntype, len(types))
-        if label is not None:
-            labels[nid] = label
-    relations: dict[str, int] = {}
-    rel = [relations.setdefault(r, len(relations)) for _, _, r in edges]
+        src.append(s)
+        dst.append(d)
+        rel.append(relations.setdefault(relation, len(relations)))
+
     return HeterogeneousGraph(
         types=list(types),
         type_code=type_code,
-        labels=labels,
+        labels=node_labels,
         relations=list(relations),
-        src=np.array([s for s, _, _ in edges], dtype=np.int64),
-        dst=np.array([d for _, d, _ in edges], dtype=np.int64),
-        rel=np.array(rel, dtype=np.int64),
+        src=np.frombuffer(src, dtype=np.int64),
+        dst=np.frombuffer(dst, dtype=np.int64),
+        rel=np.frombuffer(rel, dtype=np.int64),
         schema=schema,
         target_type=target_type,
     )

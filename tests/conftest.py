@@ -7,7 +7,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from fedhin import AttentionModel, MetaPathSpec, init_params, metapath_adjacency
-from fedhin.graph import HeterogeneousGraph, graph_from_records
+from fedhin.graph import HeterogeneousGraph
+from oracles import load_rows
 
 COAUTHOR_SCHEMA = [
     ("author", "writes", "paper"),
@@ -35,7 +36,7 @@ def toy_coauthor_graph() -> HeterogeneousGraph:
         (2, 4, "writes"),
         (4, 2, "written_by"),
     ]
-    return graph_from_records(nodes, edges, COAUTHOR_SCHEMA, target_type="author")
+    return load_rows(nodes, edges, COAUTHOR_SCHEMA)
 
 
 @pytest.fixture

@@ -2,13 +2,18 @@
 
 Everything here is deliberately written the slow, obvious way (plain
 Python loops, recursion, no shared code with the package) so each test
-has a second route to the expected value.
+has a second route to the expected value.  The exception is ``load_rows``,
+which builds the small graphs the tests write by hand through the
+package's own loader, so the loader is the only way from rows to a graph.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+import tempfile
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,9 +22,26 @@ from fedhin.graph import (
     HeterogeneousGraph,
     MetaPathAdjacency,
     MetaPathSpec,
-    graph_from_records,
+    load_graph,
     metapath_adjacency,
 )
+
+
+def load_rows(nodes, edges, schema, target_type: str = "author") -> HeterogeneousGraph:
+    """The graph ``load_graph`` reads from ``(id, type, label)`` node rows
+    (label ``None`` when unlabeled) and ``(src, dst, relation)`` edge rows,
+    written with ``csv.writer`` to a temporary directory."""
+    node_rows = [(nid, ntype, "" if label is None else label) for nid, ntype, label in nodes]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = Path(tmp, "nodes.csv"), Path(tmp, "edges.csv")
+        for path, header, rows in zip(
+            paths, (["id", "type", "label"], ["src", "dst", "relation"]), (node_rows, edges)
+        ):
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+        return load_graph(*paths, schema, target_type=target_type)
 
 
 def enumerate_typed_walks(graph: HeterogeneousGraph, type_sequence) -> np.ndarray:
@@ -87,7 +109,7 @@ def random_hin(rng: np.random.Generator, max_nodes: int = 40) -> HeterogeneousGr
                 edges.append((n_authors + p, n_authors + n_papers + v, "published_in"))
             if rng.random() < 0.3:
                 edges.append((n_authors + n_papers + v, n_authors + p, "publishes"))
-    return graph_from_records(nodes, edges, schema, target_type="author")
+    return load_rows(nodes, edges, schema)
 
 
 def synthetic_hin_loops(

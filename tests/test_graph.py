@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -13,41 +14,58 @@ from fedhin.graph import (
     ParseError,
     SchemaViolation,
     ValidationError,
-    graph_from_records,
     load_graph,
     metapath_adjacency,
     write_graph,
 )
 
 from conftest import COAUTHOR_SCHEMA, toy_coauthor_graph
-from oracles import enumerate_typed_walks, random_hin
+from oracles import enumerate_typed_walks, load_rows, random_hin
+
+
+def load_text(tmp_path, nodes_text, edges_text, schema=COAUTHOR_SCHEMA):
+    """``load_graph`` on the node and edge tables given as CSV text."""
+    return load_graph(*TestLoader._write(tmp_path, nodes_text, edges_text), schema)
 
 
 class TestGraphConstruction:
-    def test_minimal_valid_graph(self):
-        nodes = [(0, "author", 0), (1, "author", 1), (2, "author", 0), (3, "paper", None)]
-        edges = [(0, 3, "writes"), (1, 3, "writes"), (2, 3, "writes")]
-        g = graph_from_records(nodes, edges, [("author", "writes", "paper")])
+    def test_minimal_valid_graph(self, tmp_path):
+        g = load_text(
+            tmp_path,
+            "id,type,label\n0,author,0\n1,author,1\n2,author,0\n3,paper,\n",
+            "src,dst,relation\n0,3,writes\n1,3,writes\n2,3,writes\n",
+            [("author", "writes", "paper")],
+        )
         assert g.num_nodes == 4
         assert g.num_edges == 3
         assert g.schema == frozenset({("author", "writes", "paper")})
 
-    def test_schema_violating_edge_rejected(self):
-        nodes = [(0, "venue", None), (1, "author", 0)]
+    def test_schema_violating_edge_rejected(self, tmp_path):
         with pytest.raises(SchemaViolation, match=r"\(0, 1, 'writes'\)"):
-            graph_from_records(nodes, [(0, 1, "writes")], [("author", "writes", "paper")])
+            load_text(
+                tmp_path,
+                "id,type,label\n0,venue,\n1,author,0\n",
+                "src,dst,relation\n0,1,writes\n",
+                [("author", "writes", "paper")],
+            )
 
-    def test_ids_must_be_dense(self):
-        with pytest.raises(ValidationError, match="dense"):
-            graph_from_records([(0, "author", 0), (2, "author", 1)], [], COAUTHOR_SCHEMA)
+    def test_ids_must_be_dense(self, tmp_path):
+        # reported before the edge table is read, so its unknown id 5 is not
+        nodes = "id,type,label\n0,author,0\n2,author,1\n"
+        with pytest.raises(ValidationError, match=r"dense 0\.\.1 without repeats, got 2$"):
+            load_text(tmp_path, nodes, "src,dst,relation\n0,5,writes\n")
+        with pytest.raises(ValidationError, match="got -1$"):
+            load_text(tmp_path, "id,type,label\n-1,author,0\n0,author,1\n", "src,dst,relation\n")
 
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValidationError):
-            graph_from_records([(0, "author", 0), (0, "author", 1)], [], COAUTHOR_SCHEMA)
+    def test_duplicate_ids_rejected(self, tmp_path):
+        # the repeat is named, not the id 3 it leaves out of 0..3
+        nodes = "id,type,label\n1,author,0\n0,author,1\n1,author,1\n2,author,0\n"
+        with pytest.raises(ValidationError, match=r"dense 0\.\.3 without repeats, got 1$"):
+            load_text(tmp_path, nodes, "src,dst,relation\n")
 
-    def test_label_on_non_target_type_rejected(self):
-        with pytest.raises(ValidationError, match="label"):
-            graph_from_records([(0, "paper", 2)], [], COAUTHOR_SCHEMA, target_type="author")
+    def test_label_on_non_target_type_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="node 0 of type 'paper' carries a label"):
+            load_text(tmp_path, "id,type,label\n0,paper,2\n", "src,dst,relation\n")
 
     def test_edge_arrays_hold_relation_codes(self, toy_graph):
         writes = toy_graph.rel == toy_graph.relations.index("writes")
@@ -73,28 +91,34 @@ class TestGraphConstruction:
         with pytest.raises(ValidationError, match="distinct"):
             build(types=("author", "author"))
 
-    def test_biadjacency_is_indicator(self):
+    def test_biadjacency_is_indicator(self, tmp_path):
         # a parallel edge and a second relation between one pair collapse to one 1
-        nodes = [(0, "author", 0), (1, "paper", None), (2, "paper", None)]
-        schema = [("author", "writes", "paper"), ("author", "reviews", "paper")]
-        edges = [(0, 1, "writes"), (0, 1, "writes"), (0, 1, "reviews"), (0, 2, "reviews")]
-        mat = graph_from_records(nodes, edges, schema).biadjacency("author", "paper")
+        g = load_text(
+            tmp_path,
+            "id,type,label\n0,author,0\n1,paper,\n2,paper,\n",
+            "src,dst,relation\n0,1,writes\n0,1,writes\n0,1,reviews\n0,2,reviews\n",
+            [("author", "writes", "paper"), ("author", "reviews", "paper")],
+        )
+        mat = g.biadjacency("author", "paper")
         coo = mat.tocoo()
         assert {(int(r), int(c)) for r, c in zip(coo.row, coo.col)} == {(0, 0), (0, 1)}
         assert set(coo.data) == {1}
 
-    def test_schema_error_names_the_first_bad_edge_in_input_order(self):
-        nodes = [(0, "venue", None), (1, "author", 0), (2, "paper", None)]
-        edges = [(1, 2, "writes"), (2, 1, "writes"), (0, 1, "writes")]
+    def test_schema_error_names_the_first_bad_edge_in_input_order(self, tmp_path):
         with pytest.raises(SchemaViolation, match=r"\(2, 1, 'writes'\)"):
-            graph_from_records(nodes, edges, [("author", "writes", "paper")])
+            load_text(
+                tmp_path,
+                "id,type,label\n0,venue,\n1,author,0\n2,paper,\n",
+                "src,dst,relation\n1,2,writes\n2,1,writes\n0,1,writes\n",
+                [("author", "writes", "paper")],
+            )
 
-    def test_unknown_node_id_rejected(self):
-        nodes = [(0, "author", 0), (1, "paper", None)]
-        with pytest.raises(ValidationError, match=r"\(0, 7, 'writes'\) references unknown node id"):
-            graph_from_records(nodes, [(0, 1, "writes"), (0, 7, "writes")], COAUTHOR_SCHEMA)
-        with pytest.raises(ValidationError, match="unknown node id"):
-            graph_from_records([], [(0, 0, "writes")], COAUTHOR_SCHEMA)
+    def test_unknown_node_id_rejected(self, tmp_path):
+        nodes = "id,type,label\n0,author,0\n1,paper,\n"
+        with pytest.raises(ValidationError, match=r"\(0, 7, 'writes'\) references unknown node id 7"):
+            load_text(tmp_path, nodes, "src,dst,relation\n0,1,writes\n0,7,writes\n")
+        with pytest.raises(ValidationError, match=r"\(0, 0, 'writes'\) references unknown node id 0"):
+            load_text(tmp_path, "id,type,label\n", "src,dst,relation\n0,0,writes\n")
 
     def test_biadjacency_matches_walk_enumeration_for_every_type_pair(self):
         for seed in range(4):
@@ -106,7 +130,8 @@ class TestGraphConstruction:
 
 
 class TestLoader:
-    def _write(self, tmp_path, nodes_text, edges_text):
+    @staticmethod
+    def _write(tmp_path, nodes_text, edges_text):
         np_, ep = tmp_path / "nodes.csv", tmp_path / "edges.csv"
         np_.write_text(nodes_text)
         ep.write_text(edges_text)
@@ -128,7 +153,7 @@ class TestLoader:
         schema = [(author, 'wr"ites,', paper), (paper, "pub\nlished", venue), (paper, "", venue)]
         nodes = [(0, author, 1), (1, paper, None), (2, venue, None), (3, author, 0)]
         edges = [(0, 1, 'wr"ites,'), (3, 1, 'wr"ites,'), (1, 2, "pub\nlished"), (1, 2, "")]
-        graph = graph_from_records(nodes, edges, schema, target_type=author)
+        graph = load_rows(nodes, edges, schema, target_type=author)
         nodes_path, edges_path = tmp_path / "n.csv", tmp_path / "e.csv"
         write_graph(nodes_path, edges_path, graph)
         node_rows = [(i, t, "" if y is None else y) for i, t, y in nodes]
@@ -173,6 +198,40 @@ class TestLoader:
         with pytest.raises(ValidationError, match="unknown node id 9"):
             load_graph(np_, ep, COAUTHOR_SCHEMA)
 
+    def test_unknown_node_id_line_counts_blank_lines(self, tmp_path):
+        np_, ep = self._write(
+            tmp_path,
+            "id,type,label\n0,author,0\n1,paper,\n",
+            "src,dst,relation\n\n0,1,writes\n\n\n1,2,written_by\n",
+        )
+        with pytest.raises(ValidationError, match=r"^line 6: edge \(1, 2, 'written_by'\) references"):
+            load_graph(np_, ep, COAUTHOR_SCHEMA)
+
+    @pytest.mark.parametrize(
+        "nodes_text, edges_text, error, message",
+        [
+            pytest.param("0,author,100000000000000000000\n", "", ParseError,
+                         "line 2: label '100000000000000000000' is outside 0..",
+                         id="label-beyond-int64"),
+            pytest.param("0,author,-3\n", "", ParseError,
+                         "line 2: label '-3' is outside 0..", id="negative-label"),
+            pytest.param("0,author,0\n9223372036854775808,paper,\n", "", ParseError,
+                         "line 3: node id '9223372036854775808' is outside the int64 range",
+                         id="node-id-beyond-int64"),
+            pytest.param("0,author,0\n1,paper,\n", "0,-9223372036854775809,writes\n",
+                         ValidationError, "references unknown node id -9223372036854775809",
+                         id="endpoint-beyond-int64"),
+        ],
+    )
+    def test_integer_fields_outside_their_range(
+        self, tmp_path, nodes_text, edges_text, error, message
+    ):
+        np_, ep = self._write(
+            tmp_path, "id,type,label\n" + nodes_text, "src,dst,relation\n" + edges_text
+        )
+        with pytest.raises(error, match=re.escape(message)):
+            load_graph(np_, ep, COAUTHOR_SCHEMA)
+
     def test_dblp_scale_counts(self, tmp_path):
         # node/edge totals mirror the DBLP row used for sizing: 10650 / 39888
         n_authors, n_papers = 4000, 6650
@@ -215,7 +274,7 @@ class TestMetaPathSpec:
     def test_missing_schema_hop_rejected(self):
         nodes = [(0, "author", 0), (1, "paper", None), (2, "venue", None)]
         edges = [(1, 2, "published_in")]
-        g = graph_from_records(nodes, edges, COAUTHOR_SCHEMA)
+        g = load_rows(nodes, edges, COAUTHOR_SCHEMA)
         spec = MetaPathSpec(name="AVA", type_sequence=("author", "venue", "author"))
         with pytest.raises(SchemaViolation, match="no relation from 'author' to 'venue'"):
             metapath_adjacency(g, spec)
@@ -231,9 +290,7 @@ class TestMetaPathAdjacency:
         assert adj.matrix[0].indices.tolist() == [1]
 
     def test_no_paper_nodes_means_empty_type(self):
-        g = graph_from_records(
-            [(0, "author", 0), (1, "author", 1)], [], COAUTHOR_SCHEMA
-        )
+        g = load_rows([(0, "author", 0), (1, "author", 1)], [], COAUTHOR_SCHEMA)
         with pytest.raises(EmptyTypeError):
             metapath_adjacency(g, MetaPathSpec.from_string("APA"))
 
@@ -278,7 +335,7 @@ class TestMetaPathAdjacency:
                 if rng.random() < 0.4:
                     edges.append((a, n_a + p, "writes"))
                     edges.append((n_a + p, a, "written_by"))
-        g = graph_from_records(nodes, edges, COAUTHOR_SCHEMA)
+        g = load_rows(nodes, edges, COAUTHOR_SCHEMA)
         adj = metapath_adjacency(g, MetaPathSpec.from_string("APA"))
         dense = adj.matrix.toarray()
         assert np.array_equal(dense, dense.T)

@@ -492,6 +492,22 @@ class TestCli:
         replayed = (replay_dir / "metrics.jsonl").read_bytes()
         assert original == replayed
 
+    def test_replay_hashes_its_dataset_once(self, train_run, tmp_path, monkeypatch):
+        _, out_dir, _ = train_run
+        hashed = []
+        monkeypatch.setattr(
+            "fedhin.cli.dataset_fingerprint",
+            lambda paths: hashed.append(paths) or dataset_fingerprint(paths),
+        )
+        replay_dir = tmp_path / "replay"
+        code = main(["train", "--manifest", str(out_dir / "manifest.json"), "--out", str(replay_dir)])
+        assert code == 0
+        assert len(hashed) == 1
+        original, replayed = (
+            json.loads((run / "manifest.json").read_text()) for run in (out_dir, replay_dir)
+        )
+        assert replayed["dataset_fingerprint"] == original["dataset_fingerprint"]
+
     @pytest.mark.parametrize("edit", ["edges.csv", "seed"])
     def test_replay_of_a_changed_dataset_or_seed_is_refused(self, train_run, tmp_path, capsys, edit):
         dataset_dir, out_dir, _ = train_run
@@ -780,6 +796,11 @@ class TestCli:
                 {**TINY_DATASET, "nodes.csv": b"id,type,label\n0,author,0\n1,\xff\xfepaper,\n"},
                 ["train", "--data", "{tmp}", "--out", "{tmp}/o"],
                 "ParseError", "nodes.csv", id="nodes-not-utf8",
+            ),
+            pytest.param(
+                {**TINY_DATASET, "nodes.csv": "id,type,label\n0,author,100000000000000000000\n"},
+                ["partition", "--data", "{tmp}", "--out", "{tmp}/partition.json", "--clients", "1"],
+                "ParseError", "line 2: label", id="label-beyond-int64",
             ),
             pytest.param(
                 TINY_DATASET,
