@@ -36,5 +36,5 @@ params = setup.initial_params.copy()
 unpack_shared(setup.server.current_aggregate(), params)
 trace = setup.model.forward(params, np.arange(8))
 print("\nmeta-path attention of the first 8 authors (APA vs APPA):")
-for node in trace.nodes:
-    print(f"  author {node.index}: {np.round(node.path_coeffs, 3)}")
+for author, coeffs in zip(trace.batch, trace.path_coeffs):
+    print(f"  author {author}: {np.round(coeffs, 3)}")

@@ -49,7 +49,6 @@ from .simulation import (
     build_experiment,
     partition,
     preset_aggregator_comparison,
-    preset_client_computation_grid,
     preset_synthetic_config,
     run_experiment,
 )

@@ -198,7 +198,7 @@ def cmd_eval(args) -> int:
 def cmd_export_embeddings(args) -> int:
     graph, setup, params = _restore_model(args)
     target_ids = graph.nodes_of_type(graph.target_type)
-    embeddings = setup.model.embed(params)
+    embeddings = setup.model.forward(params, np.arange(target_ids.size)).fused
     export_embeddings(args.out, target_ids, embeddings)
     print(json.dumps({"nodes": len(target_ids), "dim": embeddings.shape[1], "out": args.out}))
     return 0

@@ -89,7 +89,7 @@ def evaluate(model, params, labels: np.ndarray, split: EvalSplit) -> tuple[float
     if np.any(truths < 0):
         missing = test[truths < 0]
         raise EvaluationError(f"test nodes without labels: {missing[:5].tolist()}")
-    probs = model.predict_proba(params, test)
+    probs = model.forward(params, test).probs
     predictions = np.argmax(probs, axis=1)
     return f1_scores(predictions, truths, model.dims.n_labels)
 

@@ -44,12 +44,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import ModelParams, _readonly, pack_shared, unpack_shared
+from .model import ModelParams, pack_shared, unpack_shared
 from .optim import AdamState, adam_step
 
 AGGREGATORS = ("staleness", "fedavg", "ema")
 
 _WIRE_MAGIC = b"FHW1"
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 class FederationError(Exception):

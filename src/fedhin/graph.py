@@ -13,8 +13,8 @@ and the label ``labels[i]`` (-1 when unlabeled); edge e runs from
 schema check is one lookup per edge into a boolean (type, relation, type)
 table, and a typed biadjacency is a mask over the edges plus one sparse
 COO build over per-type local indices (``local_index``).  ``load_graph``
-reads the node and edge tables into these arrays, and ``edges`` gives the
-``(src, dst, relation)`` tuples back in input order.
+reads the node and edge tables into these arrays, keeping the edges in
+input order.
 
 Graphs and adjacencies are immutable after construction and safe to
 share read-only across concurrent workers.
@@ -208,12 +208,6 @@ class HeterogeneousGraph:
     @property
     def num_edges(self) -> int:
         return self.src.size
-
-    @property
-    def edges(self) -> list[tuple[int, int, str]]:
-        """The edges as ``(src, dst, relation name)`` tuples, in input order."""
-        names = [self.relations[r] for r in self.rel.tolist()]
-        return list(zip(self.src.tolist(), self.dst.tolist(), names))
 
     def nodes_of_type(self, t: str) -> np.ndarray:
         """Global ids of all nodes with type ``t``, sorted ascending."""

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -420,34 +419,6 @@ class PathTrace:
     aggregated: np.ndarray      # (B, d) act(u)
 
 
-@dataclass(frozen=True)
-class NodeTrace:
-    """Read-only per-node view of a batch forward pass."""
-
-    index: int
-    label: int
-    samples: list[np.ndarray]          # per path: sampled neighbor indices
-    sims: list[np.ndarray]             # per path: cosine similarities s
-    sim_valid: list[np.ndarray]        # per path: mask, False where cosine degenerated
-    coeffs: list[np.ndarray]           # per path: attention coefficients c
-    preact: list[np.ndarray]           # per path: pre-activation neighbor sum u
-    aggregated: list[np.ndarray]       # per path: activated neighbor embedding
-    path_embed: np.ndarray             # (M, d) per-path embeddings e^pi
-    projected: np.ndarray              # (M, k) preference-space projections
-    raw_path_scores: np.ndarray        # (M,) cosines against the preference vector
-    path_score_valid: np.ndarray       # (M,) mask for degenerate cosines
-    path_coeffs: np.ndarray            # (M,) softmaxed meta-path attention
-    fused: np.ndarray                  # (d,)
-    probs: np.ndarray                  # (L,)
-    loss: float
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.flags.writeable = False
-    return view
-
-
 @dataclass
 class ForwardTrace:
     """Batch forward record: everything ``backward`` needs, as batched arrays."""
@@ -467,36 +438,6 @@ class ForwardTrace:
     total_loss: float
     zero_norm_events: int = 0
 
-    @cached_property
-    def nodes(self) -> tuple[NodeTrace, ...]:
-        """Per-node read-only slices of the batched arrays, in batch order."""
-        views = []
-        for b, i in enumerate(self.batch):
-            spans = [
-                (pt, slice(pt.segments.indptr[b], pt.segments.indptr[b + 1])) for pt in self.paths
-            ]
-            views.append(
-                NodeTrace(
-                    index=int(i),
-                    label=int(self.labels[b]),
-                    samples=[_readonly(pt.rows[pt.segments.idx[s]]) for pt, s in spans],
-                    sims=[_readonly(pt.sims[s]) for pt, s in spans],
-                    sim_valid=[_readonly(pt.sim_valid[s]) for pt, s in spans],
-                    coeffs=[_readonly(pt.coeffs[s]) for pt, s in spans],
-                    preact=[_readonly(pt.preact[b]) for pt in self.paths],
-                    aggregated=[_readonly(pt.aggregated[b]) for pt in self.paths],
-                    path_embed=_readonly(self.path_embed[b]),
-                    projected=_readonly(self.projected[b]),
-                    raw_path_scores=_readonly(self.raw_path_scores[b]),
-                    path_score_valid=_readonly(self.path_score_valid[b]),
-                    path_coeffs=_readonly(self.path_coeffs[b]),
-                    fused=_readonly(self.fused[b]),
-                    probs=_readonly(self.probs[b]),
-                    loss=float(self.losses[b]),
-                )
-            )
-        return tuple(views)
-
 
 # -- the model ---------------------------------------------------------------
 
@@ -504,10 +445,12 @@ class ForwardTrace:
 class AttentionModel:
     """Embedding network bound to a fixed set of meta-path adjacencies.
 
-    The model object holds graph-derived structure only (the adjacency
-    matrices); parameters travel separately so that snapshots can be
-    copied between federated workers.  ``forward`` and ``backward`` keep
-    no per-call state on the instance, so workers may share one model.
+    The model object holds graph-derived structure only: ``matrices[p]``
+    is a float64 CSR copy of meta path p's adjacency, and the adjacencies
+    it was built from are not kept.  Parameters travel separately so that
+    snapshots can be copied between federated workers.  ``forward`` and
+    ``backward`` keep no per-call state on the instance, so workers may
+    share one model.
     """
 
     def __init__(
@@ -529,7 +472,6 @@ class AttentionModel:
             raise ModelError(f"unknown activation {activation!r}; choose {sorted(ACTIVATIONS)}")
         if n_labels < 1:
             raise ModelError("n_labels must be >= 1")
-        self.adjacencies = list(adjacencies)
         self.matrices = [
             adj.matrix.astype(np.float64).tocsr() for adj in adjacencies
         ]
@@ -736,15 +678,3 @@ class AttentionModel:
             # h = A[rows] @ wt, so d wt = A[rows].T @ dH, added into the zeros
             _csr_matmul_t(*pt.adjacency, dh, dims.n_targets, out=grads.wt[p])
         return grads
-
-    # -- inference helpers ----------------------------------------------------
-
-    def embed(self, params: ModelParams, nodes: Sequence[int] | None = None) -> np.ndarray:
-        """Fused embeddings (deterministic, no sampling) for the given nodes."""
-        if nodes is None:
-            nodes = np.arange(self.dims.n_targets)
-        return self.forward(params, nodes, labels=None, rng=None).fused
-
-    def predict_proba(self, params: ModelParams, nodes: Sequence[int]) -> np.ndarray:
-        """Class probabilities for the given nodes (deterministic pass)."""
-        return self.forward(params, nodes, labels=None, rng=None).probs

@@ -41,7 +41,7 @@ class AdamState:
         return cls(m=params.zeros_like(), v=params.zeros_like(), learning_rate=learning_rate)
 
 
-def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> tuple[ModelParams, AdamState]:
+def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> None:
     """One Adam update, in place, with bias-corrected moments.
 
     A gradient holding NaN or infinity raises ``NonFiniteGradient``, naming
@@ -82,4 +82,3 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> tupl
         b += eps
         a /= b
         w -= a
-    return params, state

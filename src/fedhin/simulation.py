@@ -463,17 +463,6 @@ def preset_synthetic_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
-def preset_client_computation_grid(
-    epochs=(1, 3, 5), batch_sizes=(64, 128, 256), **overrides
-) -> list[ExperimentConfig]:
-    """The local-computation sweep: every (e, B) combination."""
-    return [
-        preset_synthetic_config(local_epochs=e, batch_size=b, **overrides)
-        for e in epochs
-        for b in batch_sizes
-    ]
-
-
 def preset_aggregator_comparison(**overrides) -> list[ExperimentConfig]:
     """Aggregation-rule comparison under skewed client speeds."""
     configs = []

@@ -146,13 +146,19 @@ def make_output_dir(path) -> Path:
     return out
 
 
+# Bytes per read when hashing a dataset file, so a large file is never held whole.
+_HASH_CHUNK = 1 << 20
+
+
 def dataset_fingerprint(paths: Sequence) -> str:
     """SHA-256 over the concatenated bytes of the dataset files, sorted by name."""
     digest = hashlib.sha256()
     for p in sorted(Path(p) for p in paths):
         digest.update(p.name.encode())
         try:
-            digest.update(p.read_bytes())
+            with open(p, "rb") as fh:
+                while chunk := fh.read(_HASH_CHUNK):
+                    digest.update(chunk)
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             raise StorageError(f"cannot read {p}: {exc}") from None
     return digest.hexdigest()

@@ -5,6 +5,8 @@ Python loops, recursion, no shared code with the package) so each test
 has a second route to the expected value.  The exception is ``load_rows``,
 which builds the small graphs the tests write by hand through the
 package's own loader, so the loader is the only way from rows to a graph.
+``per_node`` and ``assert_edges`` compute nothing: they only lay out what
+the package returned for comparison.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import tempfile
 from collections import defaultdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,6 +47,15 @@ def load_rows(nodes, edges, schema, target_type: str = "author") -> Heterogeneou
         return load_graph(*paths, schema, target_type=target_type)
 
 
+def assert_edges(graph: HeterogeneousGraph, rows) -> None:
+    """Assert that the ``src``, ``dst`` and ``rel`` arrays of ``graph`` hold
+    the ``(src, dst, relation name)`` rows, in order."""
+    rows = list(rows)
+    assert graph.src.tolist() == [src for src, _, _ in rows]
+    assert graph.dst.tolist() == [dst for _, dst, _ in rows]
+    assert [graph.relations[r] for r in graph.rel.tolist()] == [name for _, _, name in rows]
+
+
 def enumerate_typed_walks(graph: HeterogeneousGraph, type_sequence) -> np.ndarray:
     """Count walks following the type sequence by depth-first enumeration.
 
@@ -52,7 +64,7 @@ def enumerate_typed_walks(graph: HeterogeneousGraph, type_sequence) -> np.ndarra
     over local per-type indices, diagonal included.
     """
     out_neighbors: dict[int, set[int]] = defaultdict(set)
-    for src, dst, _rel in graph.edges:
+    for src, dst in zip(graph.src.tolist(), graph.dst.tolist()):
         out_neighbors[src].add(dst)
 
     first_ids = [int(g) for g in graph.nodes_of_type(type_sequence[0])]
@@ -345,9 +357,9 @@ def f1_by_confusion(predictions, truths, n_labels) -> tuple[float, float]:
 # -- per-node reference of the attention model ----------------------------------
 #
 # One target node and one meta path at a time, straight from the dense
-# adjacency row.  Only the model's structure (adjacencies, dimensions,
-# activation, sample size) and the parameter tensors are read from the
-# package.
+# adjacency row.  Only the model's structure (its adjacency ``matrices``,
+# dimensions, activation, sample size) and the parameter tensors are read
+# from the package.
 
 
 def _activate(name, x):
@@ -364,14 +376,14 @@ def _softmax(values):
     return e / e.sum()
 
 
-def adjacency_row(adjacency, i: int) -> np.ndarray:
-    """Dense float64 adjacency vector of node ``i`` (local index)."""
-    return np.asarray(adjacency.matrix.getrow(i).todense(), dtype=np.float64).ravel()
+def adjacency_row(model, path: int, i: int) -> np.ndarray:
+    """Dense float64 adjacency vector of node ``i`` (local index) in ``path``."""
+    return np.asarray(model.matrices[path].getrow(i).todense(), dtype=np.float64).ravel()
 
 
 def neighbors(model, path: int, i: int) -> np.ndarray:
     """Meta-path neighbors of ``i`` in ascending id order."""
-    return np.flatnonzero(adjacency_row(model.adjacencies[path], i))
+    return np.flatnonzero(adjacency_row(model, path, i))
 
 
 def cosine(a, b) -> tuple[float, bool]:
@@ -386,7 +398,7 @@ def cosine(a, b) -> tuple[float, bool]:
 def transform_features(model, params, path: int, i: int) -> np.ndarray:
     """Transformed structural feature: wt[path].T @ adjacency_row(i), with
     ``wt[path]`` node-major (N x d)."""
-    return params.wt[path].T @ adjacency_row(model.adjacencies[path], i)
+    return params.wt[path].T @ adjacency_row(model, path, i)
 
 
 def node_similarity(model, params, path: int, i: int, j: int) -> float:
@@ -449,7 +461,7 @@ def reference_forward(model, params, batch, labels=None, samples=None) -> list[d
 
     ``samples`` gives, per batch node, the neighbor ids each meta path
     attends over (a sampled pass's ``[node.samples for node in
-    trace.nodes]``); by default every neighbor takes part.  Returns one
+    per_node(trace)]``); by default every neighbor takes part.  Returns one
     dict per batch node with its neighbors, sims, coeffs, path coeffs,
     fused embedding, probabilities, loss and count of degenerate cosines.
     """
@@ -477,6 +489,34 @@ def reference_forward(model, params, batch, labels=None, samples=None) -> list[d
         node["loss"] = 0.0 if labels is None else -math.log(node["probs"][labels[i]])
         out.append(node)
     return out
+
+
+def per_node(trace) -> list[SimpleNamespace]:
+    """A batched ``ForwardTrace`` node by node, in batch order: each node's
+    index, label, loss and rows of the (B, ...) arrays, and per meta path
+    its neighbor ids, cosines, their validity and its coefficients."""
+    nodes = []
+    for b, i in enumerate(trace.batch):
+        spans = [
+            (pt, slice(pt.segments.indptr[b], pt.segments.indptr[b + 1])) for pt in trace.paths
+        ]
+        nodes.append(
+            SimpleNamespace(
+                index=int(i),
+                label=int(trace.labels[b]),
+                loss=float(trace.losses[b]),
+                samples=[pt.rows[pt.segments.idx[s]] for pt, s in spans],
+                sims=[pt.sims[s] for pt, s in spans],
+                sim_valid=[pt.sim_valid[s] for pt, s in spans],
+                coeffs=[pt.coeffs[s] for pt, s in spans],
+                path_embed=trace.path_embed[b],
+                raw_path_scores=trace.raw_path_scores[b],
+                path_coeffs=trace.path_coeffs[b],
+                fused=trace.fused[b],
+                probs=trace.probs[b],
+            )
+        )
+    return nodes
 
 
 def edge_case_adjacencies(rng: np.random.Generator, codes=("APA", "APPA")) -> list:

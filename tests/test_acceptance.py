@@ -26,7 +26,7 @@ from fedhin import (
 from fedhin.federation import ClientUpdate, ParameterServer
 from fedhin.simulation import preset_synthetic_config
 
-from oracles import enumerate_typed_walks, finite_difference, random_hin, relative_error
+from oracles import enumerate_typed_walks, finite_difference, per_node, random_hin, relative_error
 
 
 @contextmanager
@@ -105,7 +105,8 @@ def test_criterion_2_attention_simplex_suite():
         for draw in range(1000):
             params = init_params(model.dims, np.random.default_rng(draw))
             trace = model.forward(params, batch)
-            for node in trace.nodes:
+            nodes = per_node(trace)
+            for node in nodes:
                 for p in range(model.dims.n_paths):
                     c = node.coeffs[p]
                     if c.size:
@@ -122,7 +123,7 @@ def test_criterion_2_attention_simplex_suite():
                 for p in range(model.dims.n_paths):
                     scaled.wt[p] *= gamma
                 after = model.forward(scaled, batch)
-                for before_node, after_node in zip(trace.nodes, after.nodes):
+                for before_node, after_node in zip(nodes, per_node(after)):
                     for p in range(model.dims.n_paths):
                         np.testing.assert_allclose(
                             before_node.sims[p], after_node.sims[p], atol=1e-12
@@ -135,7 +136,7 @@ def test_criterion_2_attention_simplex_suite():
                 scaled = params.copy()
                 scaled.wp *= gamma
                 after = model.forward(scaled, batch)
-                for before_node, after_node in zip(trace.nodes, after.nodes):
+                for before_node, after_node in zip(nodes, per_node(after)):
                     np.testing.assert_allclose(
                         before_node.path_coeffs, after_node.path_coeffs, atol=1e-12
                     )

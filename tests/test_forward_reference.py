@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from fedhin.graph import MetaPathAdjacency, MetaPathSpec
 from fedhin.model import AttentionModel, init_params
 
-from oracles import edge_case_adjacencies, neighbors, reference_forward
+from oracles import edge_case_adjacencies, neighbors, per_node, reference_forward
 
 TOL = 1e-12
 
@@ -31,12 +31,13 @@ def forward_against_reference(model, params, batch, labels, rng):
     sampled pass is checked on the neighbors it drew (the draw itself is
     checked by the sampler tests below)."""
     trace = model.forward(params, batch, labels, rng=rng)
+    nodes = per_node(trace)
     expected = reference_forward(
         model, params, batch, labels,
-        samples=[node.samples for node in trace.nodes] if rng is not None else None,
+        samples=[node.samples for node in nodes] if rng is not None else None,
     )
-    assert len(trace.nodes) == batch.size
-    for node, ref in zip(trace.nodes, expected):
+    assert len(nodes) == batch.size
+    for node, ref in zip(nodes, expected):
         for p in range(model.dims.n_paths):
             np.testing.assert_array_equal(node.samples[p], ref["samples"][p])
             np.testing.assert_allclose(node.sims[p], ref["sims"][p], rtol=0, atol=TOL)
@@ -63,10 +64,11 @@ def test_batched_forward_equals_per_node_reference(seed, sample_size):
     )
     assert trace.zero_norm_events > 0
     # the planted cases really occur (sampling may drop the last two)
-    assert trace.nodes[1].samples[0].size == 0
+    nodes = per_node(trace)
+    assert nodes[1].samples[0].size == 0
     if not sampled:
-        assert 3 in trace.nodes[0].samples[0]
-        assert not trace.nodes[2].sim_valid[0][list(trace.nodes[2].samples[0]).index(1)]
+        assert 3 in nodes[0].samples[0]
+        assert not nodes[2].sim_valid[0][list(nodes[2].samples[0]).index(1)]
 
 
 @pytest.mark.parametrize("sample_size", [None, 2])
@@ -107,7 +109,7 @@ def test_sampled_segments_are_sorted_subsets(seed):
     batch = np.concatenate([[3, 0, 2, 1, 3], np.arange(4, model.dims.n_targets)])
     trace = model.forward(params, batch, labels, rng=np.random.default_rng(seed))
     whole = cut = 0
-    for node in trace.nodes:
+    for node in per_node(trace):
         for p in range(model.dims.n_paths):
             full, got = neighbors(model, p, node.index), node.samples[p]
             assert np.all(np.diff(got) > 0)  # sorted, no repeats
@@ -133,17 +135,8 @@ def test_sampled_inclusion_frequency_is_uniform():
     model = AttentionModel([adj], n_labels=2, embedding_dim=3, preference_dim=2, sample_size=k)
     params = init_params(model.dims, np.random.default_rng(0))
     trace = model.forward(params, np.zeros(draws, dtype=np.int64), rng=np.random.default_rng(12))
-    samples = [node.samples[0] for node in trace.nodes]
+    samples = [node.samples[0] for node in per_node(trace)]
     assert all(s.size == k for s in samples)
     freq = np.bincount(np.concatenate(samples), minlength=deg + 1)[1:] / draws
     p = k / deg
     assert np.abs(freq - p).max() <= 5 * np.sqrt(p * (1 - p) / draws)
-
-
-def test_node_views_are_read_only():
-    model, params, labels = build(0, None)
-    trace = model.forward(params, [2, 3], labels)
-    with pytest.raises(ValueError):
-        trace.nodes[0].fused[0] = 1.0
-    with pytest.raises(ValueError):
-        trace.nodes[1].coeffs[0][0] = 1.0

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from fedhin.graph import MetaPathAdjacency, MetaPathSpec
 from fedhin.model import AttentionModel, init_params
 
-from oracles import edge_case_adjacencies, finite_difference, random_hin, relative_error
+from oracles import edge_case_adjacencies, finite_difference, per_node, random_hin, relative_error
 
 
 def check_all_tensors(model, params, labels, batch, coords=20, seed=0, tol=1e-4, rng_factory=None):
@@ -46,21 +46,21 @@ def gradcheck_model():
         adjs, n_labels=3, embedding_dim=4, preference_dim=3, activation="elu", sample_size=None
     )
     labels = np.random.default_rng(5).integers(0, 3, size=model.dims.n_targets)
-    return model, labels
+    return model, adjs, labels
 
 
 class TestBackward:
     def test_matches_finite_differences(self, gradcheck_model):
-        model, labels = gradcheck_model
+        model, _, labels = gradcheck_model
         params = init_params(model.dims, np.random.default_rng(2))
         batch = np.arange(min(6, model.dims.n_targets))
         check_all_tensors(model, params, labels, batch)
 
     def test_matches_finite_differences_with_relu_and_identity(self, gradcheck_model):
-        model, labels = gradcheck_model
+        _, adjs, labels = gradcheck_model
         for act in ("identity", "relu"):
             variant = AttentionModel(
-                model.adjacencies,
+                adjs,
                 n_labels=3,
                 embedding_dim=4,
                 preference_dim=3,
@@ -73,9 +73,9 @@ class TestBackward:
     def test_matches_finite_differences_through_fixed_sampling(self, gradcheck_model):
         # re-seeding the sampler per evaluation makes the sampled forward a
         # deterministic function, so finite differences stay valid
-        model, labels = gradcheck_model
+        _, adjs, labels = gradcheck_model
         sampled = AttentionModel(
-            model.adjacencies,
+            adjs,
             n_labels=3,
             embedding_dim=4,
             preference_dim=3,
@@ -144,7 +144,7 @@ class TestBackward:
         trace = model.forward(params, batch, labels, rng=np.random.default_rng(5))
         for pt in trace.paths:
             assert pt.rows.size < 12 / 2
-        assert 6 in trace.nodes[1].samples[0]
+        assert 6 in per_node(trace)[1].samples[0]
         check_all_tensors(
             model, params, labels, batch, coords=40, rng_factory=lambda: np.random.default_rng(5)
         )
@@ -165,7 +165,7 @@ class TestBackward:
         params = init_params(model.dims, np.random.default_rng(0))
         labels = np.array([0, 1])
         probe = model.forward(params, [0], labels=labels)
-        f = probe.nodes[0].fused
+        f = per_node(probe)[0].fused
         params.wo[...] = np.vstack([f * (400.0 / float(f @ f)), -f * (400.0 / float(f @ f))])
         trace = model.forward(params, [0], labels=labels)
         loss = trace.total_loss
@@ -176,21 +176,21 @@ class TestBackward:
 
     def test_duplicated_path_instance_equals_scaled_count(self, gradcheck_model):
         """A doubled walk count must behave exactly like a doubled adjacency entry."""
-        model, labels = gradcheck_model
-        base = model.adjacencies[0].matrix.toarray()
+        _, adjs, labels = gradcheck_model
+        base = adjs[0].matrix.toarray()
         i = int(np.argmax((base > 0).sum(axis=1)))
         j = int(np.flatnonzero(base[i] > 0)[0])
 
         doubled = base.copy()
         doubled[i, j] *= 2
         adj2 = MetaPathAdjacency(
-            metapath=model.adjacencies[0].metapath,
+            metapath=adjs[0].metapath,
             matrix=sp.csr_matrix(doubled),
             mode="counts",
-            node_ids=model.adjacencies[0].node_ids,
+            node_ids=adjs[0].node_ids,
         )
         variant = AttentionModel(
-            [adj2, model.adjacencies[1]],
+            [adj2, adjs[1]],
             n_labels=3,
             embedding_dim=4,
             preference_dim=3,

@@ -1,13 +1,15 @@
 """Forward-pass operations against the per-node reference ops in oracles.py, plus
 hand-checked values, simplex and scale properties of the batched model."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fedhin.graph import MetaPathAdjacency, MetaPathSpec
+from fedhin.graph import MetaPathAdjacency, MetaPathSpec, metapath_adjacency
 from fedhin.model import AttentionModel, ModelError, init_params, softmax
 
 from oracles import (
@@ -19,6 +21,8 @@ from oracles import (
     metapath_embedding,
     node_attention,
     node_similarity,
+    per_node,
+    random_hin,
     softmax_loops,
     transform_features,
 )
@@ -65,6 +69,22 @@ class TestTransformFeatures:
         got = transform_features(model, params, 0, 0)
         expected = matvec_loops(params.wt[0].T.tolist(), [1.0, 2.0, 0.0])
         np.testing.assert_allclose(got, expected, rtol=1e-15)
+
+    def test_model_keeps_float_copies_and_no_reference_to_its_adjacencies(self):
+        # the oracle reads the model's float64 matrices, so their conversion
+        # from the integer walk counts is checked here
+        graph = random_hin(np.random.default_rng(4))
+        adjs = [metapath_adjacency(graph, MetaPathSpec.from_string(c)) for c in ("APA", "APPA")]
+        model = AttentionModel(adjs, n_labels=2, embedding_dim=2, preference_dim=2)
+        for adj, matrix in zip(adjs, model.matrices):
+            assert adj.matrix.dtype == np.int64 and matrix.dtype == np.float64
+            np.testing.assert_array_equal(matrix.indptr, adj.matrix.indptr)
+            np.testing.assert_array_equal(matrix.indices, adj.matrix.indices)
+            np.testing.assert_array_equal(matrix.data, adj.matrix.data)
+        refs = [weakref.ref(adj.matrix) for adj in adjs]
+        del adjs, adj
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestNodeSimilarity:
@@ -229,7 +249,7 @@ class TestLoss:
     def test_saturated_logits_give_zero_loss(self):
         model, params, labels = self._chain_model()
         trace = model.forward(params, [0], labels=labels)
-        fused = trace.nodes[0].fused
+        fused = per_node(trace)[0].fused
         wo = np.zeros_like(params.wo)
         wo[labels[0]] = fused * (50.0 / float(fused @ fused))
         params.wo[...] = wo
@@ -242,14 +262,14 @@ class TestLoss:
         trace = model.forward(params, [0, 1], labels=labels)
         loss = trace.total_loss
         assert loss == pytest.approx(2 * math.log(4), abs=1e-12)
-        np.testing.assert_allclose(trace.nodes[0].probs, 0.25, atol=1e-15)
+        np.testing.assert_allclose(per_node(trace)[0].probs, 0.25, atol=1e-15)
 
     def test_matches_direct_formula(self):
         model, params, labels = self._chain_model()
         trace = model.forward(params, [0, 2], labels=labels)
         loss = trace.total_loss
         expected = 0.0
-        for node in trace.nodes:
+        for node in per_node(trace):
             logits = matvec_loops(params.wo.tolist(), node.fused.tolist())
             probs = softmax_loops(logits)
             expected += -math.log(probs[node.label])
@@ -270,7 +290,7 @@ class TestForwardProperties:
         for seed in range(50):
             params = init_params(model.dims, np.random.default_rng(seed))
             trace = model.forward(params, np.arange(n))
-            for node in trace.nodes:
+            for node in per_node(trace):
                 for p in range(model.dims.n_paths):
                     c = node.coeffs[p]
                     if c.size:
@@ -290,7 +310,7 @@ class TestForwardProperties:
         for p in range(model.dims.n_paths):
             scaled.wt[p] *= 37.5
         after = model.forward(scaled, np.arange(n))
-        for before_node, after_node in zip(base.nodes, after.nodes):
+        for before_node, after_node in zip(per_node(base), per_node(after)):
             for p in range(model.dims.n_paths):
                 np.testing.assert_allclose(
                     before_node.coeffs[p], after_node.coeffs[p], atol=1e-12
@@ -302,7 +322,7 @@ class TestForwardProperties:
     def test_fused_embedding_in_componentwise_hull(self, small_model):
         _, model, params, _ = small_model
         trace = model.forward(params, np.arange(model.dims.n_targets))
-        for node in trace.nodes:
+        for node in per_node(trace):
             lo = node.path_embed.min(axis=0) - 1e-12
             hi = node.path_embed.max(axis=0) + 1e-12
             assert np.all(node.fused >= lo)
@@ -321,7 +341,7 @@ class TestForwardProperties:
         batch = np.arange(model.dims.n_targets)
         t1 = model.forward(params, batch)
         t2 = model.forward(params, batch)
-        for a, b in zip(t1.nodes, t2.nodes):
+        for a, b in zip(per_node(t1), per_node(t2)):
             np.testing.assert_array_equal(a.fused, b.fused)
             np.testing.assert_array_equal(a.probs, b.probs)
 

@@ -1,6 +1,7 @@
 """Config parsing, checkpoint/manifest formats, and the command-line surface."""
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -232,6 +233,15 @@ class TestExportsAndFingerprints:
         f1 = dataset_fingerprint([a, b])
         b.write_text("z")
         assert dataset_fingerprint([a, b]) != f1
+
+    def test_fingerprint_of_a_file_read_in_chunks_hashes_its_whole_bytes(self, tmp_path):
+        # 2.5 MiB spans three reads of the hash's chunk; the digest is the one
+        # manifests already record: each name, then the file's bytes, by name
+        data = np.random.default_rng(0).bytes(5 * (1 << 19))
+        (tmp_path / "edges.csv").write_bytes(data)
+        (tmp_path / "nodes.csv").write_bytes(b"id\n")
+        expected = hashlib.sha256(b"edges.csv" + data + b"nodes.csv" + b"id\n").hexdigest()
+        assert dataset_fingerprint([tmp_path / "nodes.csv", tmp_path / "edges.csv"]) == expected
 
 
 @pytest.fixture(scope="module")
