@@ -11,51 +11,38 @@ learned per-node preference vector and a shared projection of the
 embedding, softmaxes across paths, and fuses.  A linear classifier head
 with summed cross-entropy closes the objective.
 
-A batch of B target nodes is computed at once.  Per meta path, the
-batch's neighbor lists (sampled or whole) are laid end to end in one
-flat ``idx`` array: batch row b owns ``idx[indptr[b]:indptr[b + 1]]``,
-and ``owner`` names the batch row of every entry.  Whole lists are
-sliced straight from the adjacency's CSR ``indptr``/``indices``.  To
-sample, every entry of the whole lists draws a uniform key (one
-``rng.random(E)`` per path), one ``argsort`` orders the keys within each
-segment, and each segment keeps its ``sample_size`` smallest: a uniform
-sample without replacement, still in ascending neighbor order.
+The M meta paths are one block-diagonal (M N x M N) CSR matrix: row
+``p * N + i`` is node i's adjacency row in path p, its columns offset by
+``p * N``, and ``wt`` read as one (M N, d) block holds the transforms in
+the same order.  So the node level runs once for all paths: a batch of B
+nodes becomes the M B stacked rows ``p * N + batch``, and row or segment
+``p * B + b`` of every node-level array is batch node b in path p.  The
+meta-path level is (B, M, .) array algebra.
 
-The pass then works on the R rows it touches: the batch and its
-neighbors.  Their adjacency rows ``A[rows]`` are sliced out once, as the
-CSR arrays ``(indptr, indices, data)``, and transformed into the (R, d)
-block ``H = A[rows] @ wt``, and ``idx`` and the batch are renumbered
-to positions in ``rows``.  Slicing copies the touched rows' entries, so
-when most rows are touched (an evaluation pass over every node, or a
-large batch at a small width) the block is the whole matrix instead.
-Node-level attention is a segment softmax (the per-segment max from
-``np.maximum.reduceat`` over the non-empty segments, the sums from
-``np.bincount``), and the neighbor aggregate is ``C @ H`` with ``C`` the
-sparse (B, R) matrix of attention coefficients laid out by the segments.
-Cosine numerators are read from the (B, R) block ``H[own] @ H.T``,
-computed a fixed number of rows at a time, so no (entries x d) gather
-over the neighbor lists is ever built.  The meta-path level is
-(B, M, .) array algebra.
+The stacked rows' neighbor lists (sampled or whole) are laid end to end
+in one flat ``idx`` array: segment s owns ``idx[indptr[s]:indptr[s + 1]]``
+and ``owner`` names the segment of every entry.  To sample, every entry
+draws a uniform key from one ``rng.random(E)``, one ``argsort`` orders the
+keys within each segment, and each segment keeps its ``sample_size``
+smallest: a uniform sample without replacement, in ascending order.
+
+The pass works on the R rows it touches, the stacked batch and its
+neighbors, sliced out of the matrix when few enough are touched and the
+whole matrix otherwise.  ``H = A[rows] @ wt`` is their (R, d) transform.
+Node-level attention is a segment softmax, the neighbor aggregate is
+``C @ H`` with ``C`` the sparse (M B, R) matrix of attention
+coefficients, and cosine numerators are read from per-path GEMM blocks
+``H[own] @ H.T``, so no (entries x d) gather is ever built.
 
 ``backward`` mirrors the forward pass with scatters that stay correct
-when a neighbor or a batch node repeats: the sparse transposes
-``C.T @ dU`` and ``W.T @ H[own]``, ``np.bincount`` over neighbor
-positions and ``np.add.at`` over batch positions, then
-``A[rows].T @ dH`` for the transform weights, added straight into the
-gradient buffer.  It returns exact reverse-mode gradients of the batch
-loss with respect to every parameter tensor; they are hand-derived for
-this fixed architecture and checked against central finite differences
-in the test suite, as is the forward pass against a per-node reference.
-
-Every per-batch sparse-dense product (``A[rows] @ wt``, ``C @ H``,
-``C.T @ dU``, ``W @ H``, ``W.T @ H[own]`` and ``A[rows].T @ dH``, with
-``W`` the (B, R) matrix of the cosine gradients' per-entry weights)
-calls scipy's compiled kernels on the segment or adjacency arrays
-directly: ``csr_matvecs``, and ``csc_matvecs`` for a transpose, since a
-CSR matrix's arrays read as CSC are its transpose.  These are the
-kernels ``csr_matrix.__matmul__`` calls, so the sums are scipy's, bit
-for bit, and no sparse matrix object is built per batch.  Only the
-model's adjacency matrices, built once, are scipy objects.
+when a neighbor or a batch node repeats, and adds ``A[rows].T @ dH``
+straight into the gradient buffer.  Its gradients are hand-derived and
+checked against central finite differences in the test suite, as is the
+forward pass against a per-node reference.  Every per-batch sparse-dense
+product calls scipy's compiled ``csr_matvecs`` (or ``csc_matvecs`` for a
+transpose: a CSR matrix's arrays read as CSC are its transpose), the
+kernels ``csr_matrix.__matmul__`` calls, so the sums are scipy's bit for
+bit and no sparse matrix object is built per batch.
 
 All arithmetic is float64.
 """
@@ -321,18 +308,18 @@ _BLOCK_ROWS = 256
 
 @dataclass(frozen=True)
 class NeighborSegments:
-    """One meta path's neighbor lists for a batch, laid end to end.
+    """The stacked batch rows' neighbor lists, laid end to end.
 
-    Batch row b owns ``idx[indptr[b]:indptr[b + 1]]``; ``owner[e]`` is the
-    batch row of entry e.  A segment never repeats a neighbor and lists its
+    Segment s owns ``idx[indptr[s]:indptr[s + 1]]``; ``owner[e]`` is the
+    segment of entry e.  A segment never repeats a neighbor and lists its
     neighbors in ascending order.  ``indptr`` and ``idx`` share the CSR
     index dtype, so with a value per entry they are the CSR arrays of a
-    sparse (B, .) matrix S holding the values at (owner, idx).
+    sparse (M B, .) matrix S holding the values at (owner, idx).
     """
 
-    idx: np.ndarray     # (E,) neighbor ids, or their positions in the touched rows
-    indptr: np.ndarray  # (B + 1,) segment offsets
-    owner: np.ndarray   # (E,) batch row of each entry
+    idx: np.ndarray     # (E,) neighbor rows, or their positions in the touched rows
+    indptr: np.ndarray  # (M B + 1,) segment offsets
+    owner: np.ndarray   # (E,) segment of each entry
 
     @property
     def n_rows(self) -> int:
@@ -359,24 +346,29 @@ class NeighborSegments:
         e = np.exp(x - peak[self.owner])
         return e / self.sums(e)[self.owner]
 
-    def gather(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """``(left @ right.T)[owner, idx]``, one block of ``_BLOCK_ROWS`` rows at a time."""
+    def gather(self, left: np.ndarray, right: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """``(left @ right.T)[owner, idx]``.  The segments split evenly among
+        the paths and path p's neighbors are ``right[bounds[p]:bounds[p + 1]]``,
+        so each path's segments meet only its own rows, ``_BLOCK_ROWS`` at a time."""
         out = np.empty(self.idx.size)
-        for start in range(0, self.n_rows, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, self.n_rows)
-            lo, hi = self.indptr[start], self.indptr[stop]
-            block = left[start:stop] @ right.T
-            out[lo:hi] = block[self.owner[lo:hi] - start, self.idx[lo:hi]]
+        per_path = self.n_rows // (bounds.size - 1)
+        for p, (lo_col, hi_col) in enumerate(zip(bounds, bounds[1:])):
+            cols, end = right[lo_col:hi_col].T, (p + 1) * per_path
+            for start in range(p * per_path, end, _BLOCK_ROWS):
+                stop = min(start + _BLOCK_ROWS, end)
+                lo, hi = self.indptr[start], self.indptr[stop]
+                block = left[start:stop] @ cols
+                out[lo:hi] = block[self.owner[lo:hi] - start, self.idx[lo:hi] - lo_col]
         return out
 
 
 def _touched_rows(
     mat: sp.csr_matrix, batch: np.ndarray, seg: NeighborSegments, width: int
 ) -> tuple[np.ndarray, CsrArrays, np.ndarray, NeighborSegments]:
-    """The rows one path's pass reads, sliced out when that pays: ``rows``,
-    the sorted union of the batch and its neighbors; their adjacency rows
-    as CSR arrays; and the batch and the segments renumbered to positions
-    in ``rows``.
+    """The rows the pass reads, sliced out when that pays: ``rows``, the
+    sorted union of the batch rows and their neighbors; their adjacency
+    rows as CSR arrays; and the batch and the segments renumbered to
+    positions in ``rows``.
     When slicing does not pay, ``rows`` is every row and nothing changes."""
     n = mat.shape[0]
     mask = np.zeros(n, dtype=bool)
@@ -402,31 +394,30 @@ def _touched_rows(
 # -- forward trace ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathTrace:
-    """One meta path's part of a batch forward pass, over the R rows it touches."""
-
-    rows: np.ndarray            # (R,) the batch and its sampled neighbors, or all N rows
-    adjacency: CsrArrays        # (R, N) their adjacency rows A[rows]
-    transformed: np.ndarray     # (R, d) transformed features H = A[rows] @ wt
-    norms: np.ndarray           # (R,) row norms of H
-    own: np.ndarray             # (B,) each batch node's position in rows
-    segments: NeighborSegments  # sampled neighbor lists, as positions in rows
-    sims: np.ndarray            # (E,) cosine similarities, 0 where degenerate
-    sim_valid: np.ndarray       # (E,) False where a norm was zero
-    coeffs: np.ndarray          # (E,) node-level attention, a simplex per segment
-    preact: np.ndarray          # (B, d) coefficient-weighted neighbor sums u
-    aggregated: np.ndarray      # (B, d) act(u)
-
-
 @dataclass
 class ForwardTrace:
-    """Batch forward record: everything ``backward`` needs, as batched arrays."""
+    """Batch forward record: everything ``backward`` needs, as batched arrays.
+
+    The node-level fields stack the meta paths: their row (or segment)
+    ``p * B + b`` is batch node b in path p, and path p's touched rows are
+    ``rows[bounds[p]:bounds[p + 1]]``, rows of the block-diagonal matrix.
+    """
 
     params: ModelParams
     batch: np.ndarray                  # (B,) target node indices
     labels: np.ndarray                 # (B,) labels, -1 for an unlabeled pass
-    paths: list[PathTrace]
+    rows: np.ndarray                   # (R,) the stacked batch and its neighbors, or all M N rows
+    bounds: np.ndarray                 # (M + 1,) each path's span of rows
+    adjacency: CsrArrays               # (R, M N) their adjacency rows A[rows]
+    transformed: np.ndarray            # (R, d) transformed features H = A[rows] @ wt
+    norms: np.ndarray                  # (R,) row norms of H
+    own: np.ndarray                    # (M B,) each stacked batch row's position in rows
+    segments: NeighborSegments         # sampled neighbor lists, as positions in rows
+    sims: np.ndarray                   # (E,) cosine similarities, 0 where degenerate
+    sim_valid: np.ndarray              # (E,) False where a norm was zero
+    coeffs: np.ndarray                 # (E,) node-level attention, a simplex per segment
+    preact: np.ndarray                 # (M B, d) coefficient-weighted neighbor sums u
+    aggregated: np.ndarray             # (M B, d) act(u)
     path_embed: np.ndarray             # (B, M, d)
     projected: np.ndarray              # (B, M, k)
     raw_path_scores: np.ndarray        # (B, M)
@@ -445,12 +436,12 @@ class ForwardTrace:
 class AttentionModel:
     """Embedding network bound to a fixed set of meta-path adjacencies.
 
-    The model object holds graph-derived structure only: ``matrices[p]``
-    is a float64 CSR copy of meta path p's adjacency, and the adjacencies
-    it was built from are not kept.  Parameters travel separately so that
-    snapshots can be copied between federated workers.  ``forward`` and
-    ``backward`` keep no per-call state on the instance, so workers may
-    share one model.
+    The model object holds graph-derived structure only: ``matrix`` is
+    the float64 CSR block-diagonal matrix whose block p is meta path p's
+    adjacency, and the adjacencies it was built from are not kept.
+    Parameters travel separately so that snapshots can be copied between
+    federated workers.  ``forward`` and ``backward`` keep no per-call state
+    on the instance, so workers may share one model.
     """
 
     def __init__(
@@ -472,9 +463,18 @@ class AttentionModel:
             raise ModelError(f"unknown activation {activation!r}; choose {sorted(ACTIVATIONS)}")
         if n_labels < 1:
             raise ModelError("n_labels must be >= 1")
-        self.matrices = [
-            adj.matrix.astype(np.float64).tocsr() for adj in adjacencies
-        ]
+        # block p is path p's CSR arrays, columns and row offsets shifted;
+        # sp.block_diag would build COO row and column arrays for every entry
+        mats = [adj.matrix.tocsr() for adj in adjacencies]
+        first = np.cumsum([0] + [mat.nnz for mat in mats])
+        self.matrix = sp.csr_matrix(
+            (
+                np.concatenate([mat.data for mat in mats]).astype(np.float64),
+                np.concatenate([mat.indices + np.int64(p * n) for p, mat in enumerate(mats)]),
+                np.concatenate([[0]] + [mat.indptr[1:] + f for mat, f in zip(mats, first)]),
+            ),
+            shape=(len(mats) * n, len(mats) * n),
+        )
         self.dims = ModelDims(
             n_targets=n,
             n_paths=len(adjacencies),
@@ -487,33 +487,29 @@ class AttentionModel:
         self.sample_size = sample_size
 
     def _neighbor_segments(
-        self, batch: np.ndarray, rng: np.random.Generator | None
-    ) -> list[NeighborSegments]:
-        """Per path, the batch's neighbor lists; lists longer than
+        self, stacked: np.ndarray, rng: np.random.Generator | None
+    ) -> NeighborSegments:
+        """The neighbor lists of the stacked batch rows; lists longer than
         ``sample_size`` are replaced by a sorted uniform sample."""
-        sampling = rng is not None and self.sample_size is not None
-        layouts = []
-        for mat in self.matrices:
-            start = mat.indptr[batch]
-            degree = mat.indptr[batch + 1] - start
-            # segment offsets share the CSR index dtype, as the sparse
-            # products require
-            indptr = np.zeros(batch.size + 1, dtype=mat.indices.dtype)
-            np.cumsum(degree, out=indptr[1:])
-            owner = np.repeat(np.arange(batch.size), degree)
-            offsets = start[owner] + np.arange(indptr[-1]) - indptr[owner]
-            if sampling:
-                # each entry draws a uniform key and each segment keeps its
-                # sample_size smallest keys, so a sample is uniform without
-                # replacement; 2 * owner keeps segments apart where owner + key
-                # would round up to owner + 1
-                order = np.argsort(2 * owner + rng.random(owner.size))
-                keep = np.zeros(owner.size, dtype=bool)
-                keep[order[np.arange(owner.size) - indptr[owner] < self.sample_size]] = True
-                offsets, owner = offsets[keep], owner[keep]
-                np.cumsum(np.minimum(degree, self.sample_size), out=indptr[1:])
-            layouts.append(NeighborSegments(idx=mat.indices[offsets], indptr=indptr, owner=owner))
-        return layouts
+        mat = self.matrix
+        start = mat.indptr[stacked]
+        degree = mat.indptr[stacked + 1] - start
+        # segment offsets share the CSR index dtype, as the sparse products require
+        indptr = np.zeros(stacked.size + 1, dtype=mat.indices.dtype)
+        np.cumsum(degree, out=indptr[1:])
+        owner = np.repeat(np.arange(stacked.size), degree)
+        offsets = start[owner] + np.arange(indptr[-1]) - indptr[owner]
+        if rng is not None and self.sample_size is not None:
+            # each entry draws a uniform key and each segment keeps its
+            # sample_size smallest keys, so a sample is uniform without
+            # replacement; 2 * owner keeps segments apart where owner + key
+            # would round up to owner + 1
+            order = np.argsort(2 * owner + rng.random(owner.size))
+            keep = np.zeros(owner.size, dtype=bool)
+            keep[order[np.arange(owner.size) - indptr[owner] < self.sample_size]] = True
+            offsets, owner = offsets[keep], owner[keep]
+            np.cumsum(np.minimum(degree, self.sample_size), out=indptr[1:])
+        return NeighborSegments(idx=mat.indices[offsets], indptr=indptr, owner=owner)
 
     def forward(
         self,
@@ -529,8 +525,12 @@ class AttentionModel:
         the pass is deterministic in (params, graph).
         """
         dims = self.dims
+        n, n_paths, d = dims.n_targets, dims.n_paths, dims.embedding_dim
         batch = np.asarray(batch, dtype=np.int64)
-        n_batch, n_paths = batch.size, dims.n_paths
+        outside = np.flatnonzero((batch < 0) | (batch >= n))
+        if outside.size:
+            raise ModelError(f"batch id {batch[outside[0]]} is outside 0..{n - 1}")
+        n_batch = batch.size
         node_labels = np.full(n_batch, -1, dtype=np.int64)
         if labels is not None:
             node_labels = np.asarray(labels, dtype=np.int64)[batch]
@@ -540,35 +540,30 @@ class AttentionModel:
                     f"node {batch[missing[0]]} has no label; cannot contribute to the loss"
                 )
 
-        segments = self._neighbor_segments(batch, rng)
-        zero_events = 0
-
-        # node level, one meta path at a time, over the rows the batch touches
-        paths = []
-        path_embed = np.empty((n_batch, n_paths, dims.embedding_dim))
-        for p, (mat, seg) in enumerate(zip(self.matrices, segments)):
-            rows, adjacency, own, seg = _touched_rows(mat, batch, seg, dims.embedding_dim)
-            # (R, d); row r = A[rows[r]] @ wt
-            h = _csr_matmul(*adjacency, params.wt[p])
-            norm = np.linalg.norm(h, axis=1)
-            hb = h[own]
-            denom = norm[own][seg.owner] * norm[seg.idx]
-            valid = denom > 0.0
-            sims = np.zeros(seg.idx.size)
-            sims[valid] = seg.gather(hb, h)[valid] / denom[valid]
-            zero_events += int((~valid).sum())
-            coeffs = seg.softmax(sims)
-            u = seg.matmul(coeffs, h)
-            a = self._act(u)
-            path_embed[:, p] = np.concatenate([a, hb], axis=1) @ params.wc[p].T
-            paths.append(
-                PathTrace(rows=rows, adjacency=adjacency, transformed=h, norms=norm, own=own,
-                          segments=seg, sims=sims, sim_valid=valid, coeffs=coeffs,
-                          preact=u, aggregated=a)
-            )
+        # node level, all meta paths at once, over the rows the batch touches
+        stacked = (n * np.arange(n_paths)[:, None] + batch).ravel()
+        seg = self._neighbor_segments(stacked, rng)
+        rows, adjacency, own, seg = _touched_rows(self.matrix, stacked, seg, d)
+        bounds = np.searchsorted(rows, n * np.arange(n_paths + 1))
+        # (R, d); row r = A[rows[r]] @ wt
+        h = _csr_matmul(*adjacency, params.wt.reshape(-1, d))
+        norm = np.linalg.norm(h, axis=1)
+        hb = h[own]
+        denom = norm[own][seg.owner] * norm[seg.idx]
+        valid = denom > 0.0
+        sims = np.zeros(seg.idx.size)
+        sims[valid] = seg.gather(hb, h, bounds)[valid] / denom[valid]
+        zero_events = int((~valid).sum())
+        coeffs = seg.softmax(sims)
+        u = seg.matmul(coeffs, h)
+        a = self._act(u)
+        combined = np.concatenate([a, hb], axis=1).reshape(n_paths, n_batch, 2 * d)
+        path_embed = np.ascontiguousarray(
+            (combined @ params.wc.transpose(0, 2, 1)).transpose(1, 0, 2)
+        )
 
         # meta-path level: cosine against the node's preference vector
-        projected = (path_embed.reshape(-1, dims.embedding_dim) @ params.wp.T).reshape(
+        projected = (path_embed.reshape(-1, d) @ params.wp.T).reshape(
             n_batch, n_paths, dims.preference_dim
         )
         pref = params.pref[batch]
@@ -591,20 +586,12 @@ class AttentionModel:
             total = math.fsum(losses)
 
         return ForwardTrace(
-            params=params,
-            batch=batch,
-            labels=node_labels,
-            paths=paths,
-            path_embed=path_embed,
-            projected=projected,
-            raw_path_scores=raw_scores,
-            path_score_valid=score_valid,
-            path_coeffs=path_coeffs,
-            fused=fused,
-            probs=probs,
-            losses=losses,
-            total_loss=total,
-            zero_norm_events=zero_events,
+            params=params, batch=batch, labels=node_labels, rows=rows, bounds=bounds,
+            adjacency=adjacency, transformed=h, norms=norm, own=own, segments=seg, sims=sims,
+            sim_valid=valid, coeffs=coeffs, preact=u, aggregated=a, path_embed=path_embed,
+            projected=projected, raw_path_scores=raw_scores, path_score_valid=score_valid,
+            path_coeffs=path_coeffs, fused=fused, probs=probs, losses=losses,
+            total_loss=total, zero_norm_events=zero_events,
         )
 
     def backward(self, trace: ForwardTrace) -> ModelParams:
@@ -648,33 +635,36 @@ class AttentionModel:
         grads.wp[...] = dprojected.reshape(-1, k).T @ trace.path_embed.reshape(-1, d)
         dpath_embed += dprojected @ params.wp
 
-        for p, pt in enumerate(trace.paths):
-            seg, h, norm, own, r = pt.segments, pt.transformed, pt.norms, pt.own, pt.rows.size
-            hb = h[own]
-            de = dpath_embed[:, p]
-            # e_p = wc @ concat(a, hi)
-            grads.wc[p] = de.T @ np.concatenate([pt.aggregated, hb], axis=1)
-            dstacked = de @ params.wc[p]
-            dhb = dstacked[:, d:]
-            # a = act(u), u = C @ H
-            du = dstacked[:, :d] * self._act_grad(pt.preact)
-            dh = seg.matmul_t(pt.coeffs, du, r)  # (R, d)
+        # node level, all meta paths at once, rows in the forward's stacked order
+        seg, h, norm, own = trace.segments, trace.transformed, trace.norms, trace.own
+        r, hb = trace.rows.size, h[own]
+        de = dpath_embed.transpose(1, 0, 2)                                # (M, B, d)
+        # e_p = wc_p @ concat(a, hi)
+        combined = np.concatenate([trace.aggregated, hb], axis=1)
+        combined = combined.reshape(dims.n_paths, batch.size, 2 * d)
+        np.matmul(de.transpose(0, 2, 1), combined, out=grads.wc)
+        dstacked = (de @ params.wc).reshape(-1, 2 * d)
+        dhb = dstacked[:, d:]
+        # a = act(u), u = C @ H
+        du = dstacked[:, :d] * self._act_grad(trace.preact)
 
-            # coeffs = segment softmax(sims)
-            dcoeffs = seg.gather(du, h)
-            dsims = pt.coeffs * (dcoeffs - seg.sums(pt.coeffs * dcoeffs)[seg.owner])
-            dsims = np.where(pt.sim_valid, dsims, 0.0)
+        # coeffs = segment softmax(sims); the gather's GEMM blocks are the
+        # pass's largest temporaries, so it runs before dH is allocated
+        dcoeffs = seg.gather(du, h, trace.bounds)
+        dsims = trace.coeffs * (dcoeffs - seg.sums(trace.coeffs * dcoeffs)[seg.owner])
+        dsims = np.where(trace.sim_valid, dsims, 0.0)
 
-            # d cos(hi, hj) / d hi and / d hj; degenerate cosines are constants
-            nb = norm[own]
-            nn = np.where(pt.sim_valid, norm[seg.idx], 1.0)
-            wvals = dsims / np.where(pt.sim_valid, nb[seg.owner] * nn, 1.0)
-            nb = np.where(nb > 0.0, nb, 1.0)
-            dhb = dhb + seg.matmul(wvals, h) - (seg.sums(dsims * pt.sims) / nb**2)[:, None] * hb
-            dh += seg.matmul_t(wvals, hb, r)
-            dh -= np.bincount(seg.idx, weights=dsims * pt.sims / nn**2, minlength=r)[:, None] * h
-            np.add.at(dh, own, dhb)
+        # d cos(hi, hj) / d hi and / d hj; degenerate cosines are constants
+        nb = norm[own]
+        nn = np.where(trace.sim_valid, norm[seg.idx], 1.0)
+        wvals = dsims / np.where(trace.sim_valid, nb[seg.owner] * nn, 1.0)
+        nb = np.where(nb > 0.0, nb, 1.0)
+        dhb = dhb + seg.matmul(wvals, h) - (seg.sums(dsims * trace.sims) / nb**2)[:, None] * hb
+        dh = seg.matmul_t(trace.coeffs, du, r)  # (R, d)
+        dh += seg.matmul_t(wvals, hb, r)
+        dh -= np.bincount(seg.idx, weights=dsims * trace.sims / nn**2, minlength=r)[:, None] * h
+        np.add.at(dh, own, dhb)
 
-            # h = A[rows] @ wt, so d wt = A[rows].T @ dH, added into the zeros
-            _csr_matmul_t(*pt.adjacency, dh, dims.n_targets, out=grads.wt[p])
+        # h = A[rows] @ wt, so d wt = A[rows].T @ dH, added into the zeros
+        _csr_matmul_t(*trace.adjacency, dh, self.matrix.shape[0], out=grads.wt.reshape(-1, d))
         return grads

@@ -357,9 +357,9 @@ def f1_by_confusion(predictions, truths, n_labels) -> tuple[float, float]:
 # -- per-node reference of the attention model ----------------------------------
 #
 # One target node and one meta path at a time, straight from the dense
-# adjacency row.  Only the model's structure (its adjacency ``matrices``,
-# dimensions, activation, sample size) and the parameter tensors are read
-# from the package.
+# adjacency row.  Only the model's structure (its block-diagonal adjacency
+# ``matrix``, dimensions, activation, sample size) and the parameter tensors
+# are read from the package.
 
 
 def _activate(name, x):
@@ -376,9 +376,18 @@ def _softmax(values):
     return e / e.sum()
 
 
+def path_block(model, path: int) -> sp.csr_matrix:
+    """Diagonal block ``path`` of the model's block-diagonal matrix: that
+    meta path's adjacency, node by node."""
+    n = model.dims.n_targets
+    return model.matrix[path * n : (path + 1) * n, path * n : (path + 1) * n]
+
+
 def adjacency_row(model, path: int, i: int) -> np.ndarray:
     """Dense float64 adjacency vector of node ``i`` (local index) in ``path``."""
-    return np.asarray(model.matrices[path].getrow(i).todense(), dtype=np.float64).ravel()
+    n = model.dims.n_targets
+    row = model.matrix[path * n + i].toarray().ravel()
+    return np.asarray(row[path * n : (path + 1) * n], dtype=np.float64)
 
 
 def neighbors(model, path: int, i: int) -> np.ndarray:
@@ -494,21 +503,26 @@ def reference_forward(model, params, batch, labels=None, samples=None) -> list[d
 def per_node(trace) -> list[SimpleNamespace]:
     """A batched ``ForwardTrace`` node by node, in batch order: each node's
     index, label, loss and rows of the (B, ...) arrays, and per meta path
-    its neighbor ids, cosines, their validity and its coefficients."""
+    (segment ``p * B + b``) its neighbor ids, cosines, their validity and
+    its coefficients."""
+    n_batch, n_paths = trace.path_embed.shape[:2]
+    n = trace.params.dims.n_targets
+    seg = trace.segments
     nodes = []
     for b, i in enumerate(trace.batch):
         spans = [
-            (pt, slice(pt.segments.indptr[b], pt.segments.indptr[b + 1])) for pt in trace.paths
+            (p, slice(seg.indptr[p * n_batch + b], seg.indptr[p * n_batch + b + 1]))
+            for p in range(n_paths)
         ]
         nodes.append(
             SimpleNamespace(
                 index=int(i),
                 label=int(trace.labels[b]),
                 loss=float(trace.losses[b]),
-                samples=[pt.rows[pt.segments.idx[s]] for pt, s in spans],
-                sims=[pt.sims[s] for pt, s in spans],
-                sim_valid=[pt.sim_valid[s] for pt, s in spans],
-                coeffs=[pt.coeffs[s] for pt, s in spans],
+                samples=[trace.rows[seg.idx[s]] - p * n for p, s in spans],
+                sims=[trace.sims[s] for _, s in spans],
+                sim_valid=[trace.sim_valid[s] for _, s in spans],
+                coeffs=[trace.coeffs[s] for _, s in spans],
                 path_embed=trace.path_embed[b],
                 raw_path_scores=trace.raw_path_scores[b],
                 path_coeffs=trace.path_coeffs[b],
@@ -517,6 +531,30 @@ def per_node(trace) -> list[SimpleNamespace]:
             )
         )
     return nodes
+
+
+def reference_neighbor_segments(model, batch, rng) -> list[SimpleNamespace]:
+    """Per meta path, the batch's neighbor lists as ``idx``, ``indptr`` and
+    ``owner``, sampled when ``rng`` and the model's ``sample_size`` are set:
+    the sampler as one loop over the paths, each drawing its own
+    ``rng.random`` keys in path order."""
+    sampling = rng is not None and model.sample_size is not None
+    layouts = []
+    for mat in (path_block(model, p) for p in range(model.dims.n_paths)):
+        start = mat.indptr[batch]
+        degree = mat.indptr[batch + 1] - start
+        indptr = np.zeros(batch.size + 1, dtype=mat.indices.dtype)
+        np.cumsum(degree, out=indptr[1:])
+        owner = np.repeat(np.arange(batch.size), degree)
+        offsets = start[owner] + np.arange(indptr[-1]) - indptr[owner]
+        if sampling:
+            order = np.argsort(2 * owner + rng.random(owner.size))
+            keep = np.zeros(owner.size, dtype=bool)
+            keep[order[np.arange(owner.size) - indptr[owner] < model.sample_size]] = True
+            offsets, owner = offsets[keep], owner[keep]
+            np.cumsum(np.minimum(degree, model.sample_size), out=indptr[1:])
+        layouts.append(SimpleNamespace(idx=mat.indices[offsets], indptr=indptr, owner=owner))
+    return layouts
 
 
 def edge_case_adjacencies(rng: np.random.Generator, codes=("APA", "APPA")) -> list:

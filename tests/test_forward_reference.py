@@ -7,9 +7,15 @@ import pytest
 import scipy.sparse as sp
 
 from fedhin.graph import MetaPathAdjacency, MetaPathSpec
-from fedhin.model import AttentionModel, init_params
+from fedhin.model import AttentionModel, ModelError, init_params
 
-from oracles import edge_case_adjacencies, neighbors, per_node, reference_forward
+from oracles import (
+    edge_case_adjacencies,
+    neighbors,
+    per_node,
+    reference_forward,
+    reference_neighbor_segments,
+)
 
 TOL = 1e-12
 
@@ -100,7 +106,7 @@ def test_batch_local_forward_equals_per_node_reference(seed, sample_size):
         model, params, np.array([9, 10, 19, 9]), labels,
         np.random.default_rng(seed) if sample_size is not None else None,
     )
-    assert all(pt.rows.size < model.dims.n_targets for pt in trace.paths)
+    assert np.all(np.diff(trace.bounds) < model.dims.n_targets)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -121,6 +127,43 @@ def test_sampled_segments_are_sorted_subsets(seed):
                 assert got.size == model.sample_size
                 cut += 1
     assert whole and cut
+
+
+@pytest.mark.parametrize("sample_size", [None, 2])
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_sampler_equals_per_path_reference(seed, sample_size):
+    # one key draw over every path's entries equals one draw per path in
+    # path order, and the 2 * owner + key sort keeps the M * B segments apart
+    model, _, _ = build(seed, sample_size)
+    n, n_paths = model.dims.n_targets, model.dims.n_paths
+    batch = np.concatenate([[3, 0, 2, 1, 3], np.arange(4, n)])
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    stacked = (n * np.arange(n_paths)[:, None] + batch).ravel()
+    seg = model._neighbor_segments(stacked, rng)
+    expected = reference_neighbor_segments(model, batch, reference_rng)
+    for p, ref in enumerate(expected):
+        first, stop = p * batch.size, (p + 1) * batch.size
+        lo, hi = seg.indptr[first], seg.indptr[stop]
+        np.testing.assert_array_equal(seg.idx[lo:hi] - p * n, ref.idx)
+        np.testing.assert_array_equal(seg.indptr[first : stop + 1] - lo, ref.indptr)
+        np.testing.assert_array_equal(seg.owner[lo:hi] - first, ref.owner)
+    assert seg.indptr[-1] == seg.idx.size == seg.owner.size
+    assert rng.random() == reference_rng.random()
+
+
+@pytest.mark.parametrize("sample_size", [None, 2])
+@pytest.mark.parametrize("bad", ["-1", "-5", "-N", "N"])
+def test_batch_id_outside_the_targets_is_a_model_error(bad, sample_size):
+    # a negative id would wrap to another node, and in the stacked rows to
+    # another meta path's block
+    model, params, labels = build(0, sample_size)
+    n = model.dims.n_targets
+    bad = int(bad.replace("N", str(n)))
+    # the error names the first id outside the range
+    for batch in ([1, bad], [bad, n + 3]):
+        for rng in (None, np.random.default_rng(0)):
+            with pytest.raises(ModelError, match=rf"batch id {bad} is outside 0\.\.{n - 1}"):
+                model.forward(params, batch, labels, rng=rng)
 
 
 def test_sampled_inclusion_frequency_is_uniform():

@@ -142,8 +142,7 @@ class TestBackward:
         labels = np.random.default_rng(10).integers(0, 3, size=12)
         batch = np.array([6, 7])
         trace = model.forward(params, batch, labels, rng=np.random.default_rng(5))
-        for pt in trace.paths:
-            assert pt.rows.size < 12 / 2
+        assert np.all(np.diff(trace.bounds) < 12 / 2)
         assert 6 in per_node(trace)[1].samples[0]
         check_all_tensors(
             model, params, labels, batch, coords=40, rng_factory=lambda: np.random.default_rng(5)

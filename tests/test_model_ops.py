@@ -21,6 +21,7 @@ from oracles import (
     metapath_embedding,
     node_attention,
     node_similarity,
+    path_block,
     per_node,
     random_hin,
     softmax_loops,
@@ -76,11 +77,17 @@ class TestTransformFeatures:
         graph = random_hin(np.random.default_rng(4))
         adjs = [metapath_adjacency(graph, MetaPathSpec.from_string(c)) for c in ("APA", "APPA")]
         model = AttentionModel(adjs, n_labels=2, embedding_dim=2, preference_dim=2)
-        for adj, matrix in zip(adjs, model.matrices):
-            assert adj.matrix.dtype == np.int64 and matrix.dtype == np.float64
-            np.testing.assert_array_equal(matrix.indptr, adj.matrix.indptr)
-            np.testing.assert_array_equal(matrix.indices, adj.matrix.indices)
-            np.testing.assert_array_equal(matrix.data, adj.matrix.data)
+        n = model.dims.n_targets
+        assert model.matrix.dtype == np.float64 and model.matrix.shape == (2 * n, 2 * n)
+        for p, adj in enumerate(adjs):
+            block = path_block(model, p)
+            assert adj.matrix.dtype == np.int64
+            np.testing.assert_array_equal(block.indptr, adj.matrix.indptr)
+            np.testing.assert_array_equal(block.indices, adj.matrix.indices)
+            np.testing.assert_array_equal(block.data, adj.matrix.data)
+            for q in range(2):
+                if q != p:
+                    assert model.matrix[p * n : (p + 1) * n, q * n : (q + 1) * n].nnz == 0
         refs = [weakref.ref(adj.matrix) for adj in adjs]
         del adjs, adj
         gc.collect()
