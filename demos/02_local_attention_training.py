@@ -11,7 +11,6 @@ centralized training, so we reuse the experiment runner with clients=1.
 import numpy as np
 
 from fedhin import build_experiment, preset_synthetic_config, run_experiment, synthetic_hin
-from fedhin.model import unpack_shared
 
 graph = synthetic_hin(seed=0)  # 400 authors, 4 classes
 config = preset_synthetic_config(
@@ -32,9 +31,7 @@ print(f"untrained baseline was {records[0].micro_f1:.3f} (chance is 0.25)")
 
 # The per-path attention is interpretable: which meta path does each
 # author lean on?  Install the trained aggregate to peek at the trace.
-params = setup.initial_params.copy()
-unpack_shared(setup.server.current_aggregate(), params)
-trace = setup.model.forward(params, np.arange(8))
+trace = setup.model.forward(setup.global_params(), np.arange(8))
 print("\nmeta-path attention of the first 8 authors (APA vs APPA):")
 for author, coeffs in zip(trace.batch, trace.path_coeffs):
     print(f"  author {author}: {np.round(coeffs, 3)}")

@@ -21,7 +21,7 @@ from .config import ConfigError, ExperimentConfig, parse_config, read_document
 from .evaluation import EvaluationError, evaluate
 from .federation import FederationError, ParameterServer, ClientUpdate
 from .graph import GraphError, HeterogeneousGraph, load_graph, write_graph
-from .model import ModelError, shape_manifest, unpack_shared
+from .model import ModelError, shape_manifest
 from .simulation import SimulationError, build_experiment, client_partition, run_experiment
 from .storage import (
     RunManifest,
@@ -98,7 +98,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    config = parse_config(args.config) if args.config else ExperimentConfig()
+    config = parse_config(args.config)
     graph = _load_dataset(args.data, config)
     part = client_partition(config, graph, args.clients)
     doc = {str(cid): nodes.tolist() for cid, nodes in enumerate(part)}
@@ -123,7 +123,7 @@ def cmd_train(args) -> int:
                 f"{manifest.dataset_fingerprint} ({data_dir} has {fingerprint})"
             )
     else:
-        config = parse_config(args.config) if args.config else ExperimentConfig()
+        config = parse_config(args.config)
         data_dir = args.data
         fingerprint = None  # hashed after the load, whose GraphError names a missing dataset
     if data_dir is None:
@@ -166,16 +166,14 @@ def cmd_train(args) -> int:
             raise
     write_jsonl(outputs["decisions"], setup.server.decision_log)
 
-    final = setup.initial_params.copy()
-    unpack_shared(setup.server.current_aggregate(), final)
-    save_checkpoint(outputs["checkpoint"], final)
+    save_checkpoint(outputs["checkpoint"], setup.global_params())
 
     print(json.dumps({"rounds": last.round, "micro_f1": last.micro_f1, "out": str(run_dir)}))
     return 0
 
 
 def _restore_model(args):
-    config = parse_config(args.config) if args.config else ExperimentConfig()
+    config = parse_config(args.config)
     graph = _load_dataset(args.data, config)
     setup = build_experiment(config, graph)
     params = params_from_checkpoint(
@@ -230,7 +228,7 @@ def cmd_aggregate_demo(args) -> int:
     # printed as the option's float, also when the file gives an integer
     alpha = float(args.alpha if doc.alpha is None else doc.alpha)
     server = ParameterServer(
-        client_ids=[update.client_id for update in updates],
+        client_ids={update.client_id for update in updates},  # once each, however many uploads
         aggregator="staleness",
         staleness_exponent=alpha,
         gap_threshold=doc.gap_threshold,

@@ -6,23 +6,26 @@ read by :func:`read_document`: a UTF-8 JSON object (an empty file is ``{}``)
 with no unknown key and no missing one, whose values match their fields'
 annotations.  A bool is not an integer, an integer must fit in 64 bits,
 a number must be finite, a tuple is a JSON list, a dataclass a JSON
-object, and nothing is coerced.  Ranges are checked after types, by the
-document's own code (for the config, :meth:`ExperimentConfig.validate`).
+object, a choice field (a ``Literal``) one of its strings, and nothing is
+coerced.  Ranges are checked after types, by the document's own code (for
+the config, :meth:`ExperimentConfig.validate`, which checks the choice
+fields of a config built in Python too).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import sys
 import types
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from .federation import AGGREGATORS
-from .graph import DEFAULT_TYPE_ALPHABET
+from .graph import ADJACENCY_MODES, DEFAULT_TYPE_ALPHABET
 from .model import ACTIVATIONS
 
 
@@ -47,9 +50,14 @@ _PLAIN = {
 }
 
 
+_hints = functools.cache(get_type_hints)  # a dataclass's resolved field annotations
+
+
 def _conforms(value, hint) -> bool:
     """Whether ``value`` has the type annotation ``hint`` of a document field."""
     origin, args = get_origin(hint), get_args(hint)
+    if origin is Literal:  # of strings
+        return isinstance(value, str) and value in args
     if origin in (Union, types.UnionType):
         return any(_conforms(value, arg) for arg in args)
     if origin is tuple:  # tuple[X, ...], or tuple[X, X, X] for exactly three X
@@ -69,6 +77,8 @@ def _conforms(value, hint) -> bool:
 
 def _describe(hint, plural: bool = False) -> str:
     origin, args = get_origin(hint), get_args(hint)
+    if origin is Literal:
+        return " or ".join(map(repr, args))
     if origin in (Union, types.UnionType):
         return " or ".join(_describe(arg, plural) for arg in args)
     if origin is tuple:
@@ -97,7 +107,7 @@ def from_json(value, hint, error, where: str = ""):
                    and f.default is f.default_factory is dataclasses.MISSING]
         if missing:
             raise error(f"{prefix}missing key(s): {missing}")
-        hints = get_type_hints(hint)
+        hints = _hints(hint)
         kwargs = {}
         for name, item in value.items():
             key = f"{where}.{name}" if where else name
@@ -137,17 +147,17 @@ class ExperimentConfig:
     embedding_dim: int = 128
     preference_dim: int = 16
     metapaths: tuple[str, ...] = ("APA", "APPA")
-    adjacency_mode: str = "counts"
-    activation: str = "elu"
+    adjacency_mode: Literal[ADJACENCY_MODES] = "counts"
+    activation: Literal[tuple(ACTIVATIONS)] = "elu"
     neighbor_sample_size: int | None = 16
-    aggregator: str = "staleness"
+    aggregator: Literal[AGGREGATORS] = "staleness"
     staleness_exponent: float = 0.5
     gap_threshold: int = 5
     ema_beta: float = 0.9
     speed_multipliers: tuple[int, ...] | None = None
-    granularity: str = "round"
-    scheduling: str = "deterministic"
-    partition_strategy: str = "uniform"
+    granularity: Literal["round", "batch"] = "round"
+    scheduling: Literal["deterministic", "concurrent"] = "deterministic"
+    partition_strategy: Literal["uniform", "label_skew"] = "uniform"
     dirichlet_alpha: float = 1.0
     train_fraction: float = 0.8
     target_type: str = "author"
@@ -158,11 +168,15 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Check each field's range; its type is :func:`from_json`'s to check."""
+        """Check each field's range and choice; other types are :func:`from_json`'s to check."""
         def require(cond: bool, message: str):
             if not cond:
                 raise ConfigError(message)
 
+        for name, hint in _hints(type(self)).items():
+            if get_origin(hint) is Literal:
+                value = getattr(self, name)
+                require(_conforms(value, hint), f"{name} must be {_describe(hint)}, got {value!r}")
         require(self.clients >= 1, f"clients must be >= 1, got {self.clients}")
         require(self.rounds >= 0, f"rounds must be >= 0, got {self.rounds}")
         require(self.local_epochs >= 0, f"local_epochs must be >= 0, got {self.local_epochs}")
@@ -172,20 +186,8 @@ class ExperimentConfig:
         require(self.preference_dim >= 1, f"preference_dim must be >= 1, got {self.preference_dim}")
         require(len(self.metapaths) >= 1, "metapaths must list at least one meta path")
         require(
-            self.adjacency_mode in ("counts", "binary"),
-            f"adjacency_mode must be 'counts' or 'binary', got {self.adjacency_mode!r}",
-        )
-        require(
-            self.activation in ACTIVATIONS,
-            f"activation must be one of {sorted(ACTIVATIONS)}, got {self.activation!r}",
-        )
-        require(
             self.neighbor_sample_size is None or self.neighbor_sample_size >= 1,
             f"neighbor_sample_size must be >= 1 or null, got {self.neighbor_sample_size}",
-        )
-        require(
-            self.aggregator in AGGREGATORS,
-            f"aggregator must be one of {AGGREGATORS}, got {self.aggregator!r}",
         )
         require(
             self.staleness_exponent >= 0,
@@ -202,18 +204,6 @@ class ExperimentConfig:
                 all(s >= 1 for s in self.speed_multipliers),
                 "speed_multipliers must be positive integers",
             )
-        require(
-            self.granularity in ("round", "batch"),
-            f"granularity must be 'round' or 'batch', got {self.granularity!r}",
-        )
-        require(
-            self.scheduling in ("deterministic", "concurrent"),
-            f"scheduling must be 'deterministic' or 'concurrent', got {self.scheduling!r}",
-        )
-        require(
-            self.partition_strategy in ("uniform", "label_skew"),
-            f"partition_strategy must be 'uniform' or 'label_skew', got {self.partition_strategy!r}",
-        )
         require(self.dirichlet_alpha > 0, f"dirichlet_alpha must be > 0, got {self.dirichlet_alpha}")
         require(
             0.0 < self.train_fraction < 1.0,
@@ -231,6 +221,8 @@ class ExperimentConfig:
         return from_json(raw, cls, ConfigError)
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Load and validate a config file; empty or blank files mean defaults."""
+def parse_config(path=None) -> ExperimentConfig:
+    """Load and validate a config file; no path, or an empty or blank file, means defaults."""
+    if not path:
+        return ExperimentConfig()
     return read_document(path, ExperimentConfig, ConfigError, "config file")

@@ -285,8 +285,8 @@ class FederatedClient:
         params: ModelParams,
         train_nodes: Sequence[int],
         labels: np.ndarray,
-        learning_rate: float = 0.001,
-        rng: np.random.Generator | None = None,
+        learning_rate: float,
+        rng: np.random.Generator,
     ):
         train_nodes = np.asarray(train_nodes, dtype=np.int64)
         if train_nodes.size == 0:
@@ -296,7 +296,7 @@ class FederatedClient:
         self.params = params
         self.train_nodes = train_nodes
         self.labels = labels
-        self.rng = rng if rng is not None else np.random.default_rng()
+        self.rng = rng
         self.adam = AdamState.for_params(params, learning_rate=learning_rate)
         self.version = 0
         self.last_loss_sum = 0.0

@@ -41,6 +41,8 @@ DEFAULT_TYPE_ALPHABET: Mapping[str, str] = {
     "T": "term",
 }
 
+ADJACENCY_MODES = ("counts", "binary")
+
 
 class GraphError(Exception):
     """Base class for graph construction and validation failures."""
@@ -298,8 +300,8 @@ def metapath_adjacency(
     ``mode="counts"`` keeps walk multiplicities; ``mode="binary"`` reduces to
     the 0/1 indicator.  The result is deterministic.
     """
-    if mode not in ("counts", "binary"):
-        raise ValidationError(f"mode must be 'counts' or 'binary', got {mode!r}")
+    if mode not in ADJACENCY_MODES:
+        raise ValidationError(f"mode must be {' or '.join(map(repr, ADJACENCY_MODES))}, got {mode!r}")
     spec.validate_against(graph)
     seq = spec.type_sequence
     mats = [graph.biadjacency(a, b) for a, b in zip(seq, seq[1:])]

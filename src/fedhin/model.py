@@ -484,7 +484,8 @@ class AttentionModel:
         )
         self.activation = activation
         self._act, self._act_grad = ACTIVATIONS[activation]
-        self.sample_size = sample_size
+        # no list is longer than N, and a cap past the index dtype overflows it
+        self.sample_size = sample_size if sample_size is None else min(sample_size, n)
 
     def _neighbor_segments(
         self, stacked: np.ndarray, rng: np.random.Generator | None

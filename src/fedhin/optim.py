@@ -2,7 +2,8 @@
 
 The moment accumulators are parameter buffers of the model's layout and
 persist across federated rounds on each client; downloading aggregated
-weights replaces parameter values only, never optimizer state.
+weights replaces parameter values only, never optimizer state.  Only the
+learning rate is an experiment's to set; Adam's other constants are fixed.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from .model import ModelParams
 # buffer, this was fastest at 177k parameters (2-core Xeon, 2 MB L2 per core).
 _BLOCK = 32768
 
+# Kingma and Ba's moment decay rates and denominator floor
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class NonFiniteGradient(Exception):
     """A gradient tensor contained NaN or infinity; carries the tensor name."""
@@ -26,18 +30,15 @@ class NonFiniteGradient(Exception):
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus hyperparameters."""
+    """First/second moment accumulators, the learning rate and the step count."""
 
     m: ModelParams
     v: ModelParams
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    learning_rate: float
     step: int = 0
 
     @classmethod
-    def for_params(cls, params: ModelParams, learning_rate: float = 0.001) -> "AdamState":
+    def for_params(cls, params: ModelParams, learning_rate: float) -> "AdamState":
         return cls(m=params.zeros_like(), v=params.zeros_like(), learning_rate=learning_rate)
 
 
@@ -56,7 +57,7 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> None
         raise NonFiniteGradient(f"gradient for tensor {name!r} is not finite")
     state.step += 1
     t = state.step
-    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
+    b1, b2, lr, eps = BETA1, BETA2, state.learning_rate, EPS
     correction1 = 1.0 - b1**t
     correction2 = 1.0 - b2**t
     buffers = (params.buffer, grads.buffer, state.m.buffer, state.v.buffer)

@@ -70,7 +70,8 @@ def _diverged(
     if diagnostics_dir is not None:
         from .storage import save_checkpoint
 
-        checkpoint_path = Path(diagnostics_dir) / f"diverged_round{round_}.npz"
+        # named by client too: concurrent clients can diverge in the same round
+        checkpoint_path = Path(diagnostics_dir) / f"diverged_round{round_}_client{client.client_id}.npz"
         save_checkpoint(checkpoint_path, client.params, allow_non_finite=True)
         message = f"{message}; parameters saved to {checkpoint_path}"
     return TrainingDiverged(message, checkpoint_path=checkpoint_path)
@@ -117,6 +118,9 @@ def partition(
             remainder = members.size - counts.sum()
             for idx in np.argsort(-proportions)[:remainder]:
                 counts[idx] += 1
+            if counts.sum() != members.size:  # proportions that underflowed to 0
+                raise SimulationError(f"dirichlet_alpha {dirichlet_alpha} drew proportions "
+                                      f"{proportions.tolist()}, which cannot split class {cls}")
             offset = 0
             for c in range(n_clients):
                 buckets[c].extend(members[offset : offset + counts[c]])
@@ -183,6 +187,12 @@ class ExperimentSetup:
     split: EvalSplit
     part: tuple[np.ndarray, ...]
     labels: np.ndarray
+
+    def global_params(self) -> ModelParams:
+        """The global model: the server's aggregate in a copy of the initial parameters."""
+        params = self.initial_params.copy()
+        unpack_shared(self.server.current_aggregate(), params)
+        return params
 
 
 def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> ExperimentSetup:
@@ -259,9 +269,7 @@ def _evaluated_record(
     config: ExperimentConfig, setup: ExperimentSetup, round_: int, loss, elapsed: float
 ) -> RoundMetrics:
     """A round's record: test scores of the server's current aggregate."""
-    params = setup.initial_params.copy()
-    unpack_shared(setup.server.current_aggregate(), params)
-    micro, macro = evaluate(setup.model, params, setup.labels, setup.split)
+    micro, macro = evaluate(setup.model, setup.global_params(), setup.labels, setup.split)
     return RoundMetrics(
         round=round_,
         aggregator=config.aggregator,

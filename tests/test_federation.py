@@ -358,6 +358,7 @@ def training_client():
             params=params.copy(),
             train_nodes=nodes,
             labels=labels,
+            learning_rate=0.001,
             rng=np.random.default_rng(seed),
         )
 
@@ -375,6 +376,8 @@ class TestClientRound:
                 params=params.copy(),
                 train_nodes=np.array([], dtype=np.int64),
                 labels=client.labels,
+                learning_rate=0.001,
+                rng=np.random.default_rng(0),
             )
 
     def test_zero_epochs_returns_downloaded_weights(self, training_client):

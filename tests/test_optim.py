@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from fedhin import ExperimentConfig, build_experiment, synthetic_hin
 from fedhin.model import ModelDims, ModelParams, init_params
 from fedhin.optim import AdamState, NonFiniteGradient, adam_step
 
@@ -23,7 +24,7 @@ class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = scalarish_params(2.5)
         grads = params.zeros_like()
-        state = AdamState.for_params(params)
+        state = AdamState.for_params(params, learning_rate=0.001)
         before = params.copy()
         adam_step(params, grads, state)
         for (_, a), (_, b) in zip(params.tensor_items(), before.tensor_items()):
@@ -60,25 +61,33 @@ class TestAdam:
         params = scalarish_params()
         grads = params.zeros_like()
         grads.wp[0, 0] = np.nan
-        state = AdamState.for_params(params)
+        state = AdamState.for_params(params, learning_rate=0.001)
         with pytest.raises(NonFiniteGradient, match="'wp'"):
             adam_step(params, grads, state)
 
     def test_moment_shapes_mirror_params(self):
         params = scalarish_params()
-        state = AdamState.for_params(params)
+        state = AdamState.for_params(params, learning_rate=0.001)
         m, v = dict(state.m.tensor_items()), dict(state.v.tensor_items())
         for name, tensor in params.tensor_items():
             assert m[name].shape == tensor.shape
             assert v[name].shape == tensor.shape
         assert state.step == 0
 
-    def test_defaults_match_training_configuration(self):
-        state = AdamState.for_params(scalarish_params())
-        assert state.learning_rate == 0.001
-        assert state.beta1 == 0.9
-        assert state.beta2 == 0.999
-        assert state.eps == 1e-8
+    def test_every_client_steps_with_the_configured_learning_rate(self):
+        graph = synthetic_hin(n_authors=60, n_papers=150, n_venues=6, classes=3,
+                              p_in=0.15, p_out=0.02, seed=4)
+        config = ExperimentConfig(clients=3, rounds=1, batch_size=10_000, embedding_dim=4,
+                                  preference_dim=2, learning_rate=0.0375)
+        setup = build_experiment(config, graph)
+        for client in setup.clients:
+            before = client.params.buffer.copy()
+            client.run_round(epochs=1, batch_size=config.batch_size)
+            # Adam's first step moves each weight by lr * g / (|g| + eps), so
+            # by lr where the gradient is large
+            moved = np.abs(client.params.buffer - before)
+            assert client.adam.step == 1
+            assert moved.max() == pytest.approx(config.learning_rate, rel=1e-6)
 
     def test_non_finite_gradient_moves_nothing(self):
         # wp follows every wt_* and wc_* tensor in the buffer, so a check made
@@ -87,7 +96,7 @@ class TestAdam:
                                        preference_dim=2, n_labels=2))
         rng = np.random.default_rng(0)
         params.buffer[...] = rng.standard_normal(params.buffer.size)
-        state = AdamState.for_params(params)
+        state = AdamState.for_params(params, learning_rate=0.001)
         for _ in range(2):
             grads = params.zeros_like()
             grads.buffer[...] = rng.standard_normal(grads.buffer.size)

@@ -184,4 +184,4 @@ class TestAdamOverTheBuffer:
             grads = params.zeros_like()
             dict(grads.tensor_items())[name].flat[-1] = np.inf
             with pytest.raises(NonFiniteGradient, match=repr(name)):
-                adam_step(params, grads, AdamState.for_params(params))
+                adam_step(params, grads, AdamState.for_params(params, learning_rate=0.001))

@@ -53,6 +53,12 @@ class TestPartition:
         skewed = chi2(partition(g, 3, "label_skew", seed=0, dirichlet_alpha=0.1))
         assert skewed > uniform
 
+    def test_proportions_that_cannot_split_a_class_are_refused(self):
+        # a Dirichlet this concentrated draws proportions that underflow to 0
+        g = synthetic_hin(n_authors=30, n_papers=60, n_venues=3, classes=2, seed=0)
+        with pytest.raises(SimulationError, match="dirichlet_alpha"):
+            partition(g, 3, strategy="label_skew", seed=0, dirichlet_alpha=1e308)
+
     def test_too_many_clients_rejected(self):
         g = synthetic_hin(n_authors=8, n_papers=20, n_venues=2, classes=2, seed=0)
         with pytest.raises(SimulationError):
@@ -247,6 +253,17 @@ class TestRunExperiment:
         assert [c.aggregator for c in configs] == ["staleness", "fedavg", "ema"]
         assert all(c.speed_multipliers == (1, 1, 3) for c in configs)
 
+    def test_a_sample_size_past_every_neighbor_list_gives_one_stream(self, small_graph):
+        # a cap at or above the longest list keeps every entry and the same
+        # draws; caps from 2**31 up once overflowed the int32 list offsets
+        streams = {
+            metrics_to_jsonl(list(run_experiment(
+                small_config(rounds=2, neighbor_sample_size=size), small_graph
+            )))
+            for size in (10**6, 2**31, 2**63 - 1)
+        }
+        assert len(streams) == 1
+
 
 class TestBuildExperiment:
     def test_server_initial_weights_share_no_memory_with_clients(self, small_graph):
@@ -383,6 +400,21 @@ class TestFailuresReachTheCaller:
         path = excinfo.value.checkpoint_path
         assert path is not None and path.exists()
         assert np.isnan(pack_shared(params_from_checkpoint(path))).any()
+
+    def test_clients_diverging_in_one_round_keep_their_own_checkpoints(
+        self, small_graph, tmp_path
+    ):
+        from fedhin import params_from_checkpoint
+        from fedhin.simulation import _diverged, build_experiment
+
+        setup = build_experiment(small_config(), small_graph)
+        clients = setup.clients[:2]
+        for client in clients:
+            client.params.wo[0, 0] = client.client_id + 0.5
+        paths = [_diverged("diverged", client, 1, tmp_path).checkpoint_path for client in clients]
+        assert len(set(paths)) == 2
+        for client, path in zip(clients, paths):
+            assert params_from_checkpoint(path).buffer.tobytes() == client.params.buffer.tobytes()
 
     def test_concurrent_thread_failure_is_raised(self, small_graph):
         from fedhin.simulation import build_experiment, run_experiment

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -88,6 +89,23 @@ class TestParseConfig:
         path.write_text(json.dumps({"clients": 3, "speed_multipliers": [1, 2]}))
         with pytest.raises(ConfigError, match="speed_multipliers"):
             parse_config(path)
+
+    @pytest.mark.parametrize("field, allowed", [
+        ("adjacency_mode", "'counts' or 'binary'"),
+        ("activation", "'identity' or 'relu' or 'elu'"),
+        ("aggregator", "'staleness' or 'fedavg' or 'ema'"),
+        ("granularity", "'round' or 'batch'"),
+        ("scheduling", "'deterministic' or 'concurrent'"),
+        ("partition_strategy", "'uniform' or 'label_skew'"),
+    ])
+    def test_bad_choice_names_the_field_and_its_values(self, tmp_path, field, allowed):
+        message = re.escape(f"{field} must be {allowed}, got 'bogus'")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({field: "bogus"}))
+        with pytest.raises(ConfigError, match=message):
+            parse_config(path)
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**{field: "bogus"})
 
     @given(field=st.sampled_from(sorted(asdict(ExperimentConfig()))), value=JSON_VALUES)
     @settings(max_examples=300, deadline=None)
@@ -466,6 +484,21 @@ class TestCli:
         combined = [n for nodes in doc.values() for n in nodes]
         assert len(combined) == len(set(combined)) == 60
 
+    def test_partition_refuses_proportions_that_cannot_split_a_class(
+        self, dataset_dir, tmp_path, capsys
+    ):
+        # a Dirichlet this concentrated draws proportions that underflow to 0
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"partition_strategy": "label_skew",
+                                           "dirichlet_alpha": 1e308}))
+        out = tmp_path / "partition.json"
+        argv = ["partition", "--data", str(dataset_dir), "--config", str(config_path),
+                "--out", str(out)]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "SimulationError" and "dirichlet_alpha" in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("clients", [None, 2])
     def test_partition_command_prints_the_training_split(self, dataset_dir, tmp_path, clients):
         doc = {"clients": 3, "partition_strategy": "label_skew", "dirichlet_alpha": 0.5,
@@ -637,6 +670,21 @@ class TestCli:
         assert payload["coefficients"] == [0.75, 0.25]
         assert payload["aggregate"] == [2.0, 2.0]
         assert payload["max_version_gap"] == 2
+
+    def test_aggregate_demo_takes_several_uploads_of_one_client(self, tmp_path, capsys):
+        def run(uploads):
+            records = tmp_path / "records.json"
+            records.write_text(json.dumps({"records": [
+                {"client": c, "version": v, "weights": w} for c, v, w in uploads
+            ]}))
+            code = main(["aggregate-demo", "--records", str(records)])
+            return code, capsys.readouterr()
+
+        code, repeated = run([(0, 1, [1.0, 1.0]), (0, 2, [3.0, 3.0]), (1, 1, [5.0, 5.0])])
+        assert code == 0
+        assert repeated.out == run([(0, 2, [3.0, 3.0]), (1, 1, [5.0, 5.0])])[1].out
+        code, refused = run([(0, 1, [1.0]), (0, 1, [2.0])])
+        assert code == 1 and json.loads(refused.err)["error"] == "StalenessRejected"
 
     def test_train_with_no_client_due_on_the_first_tick(self, dataset_dir, tmp_path):
         config_path = tmp_path / "config.json"
