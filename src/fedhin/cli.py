@@ -111,6 +111,15 @@ def cmd_partition(args) -> int:
 
 def cmd_train(args) -> int:
     if args.manifest:
+        # a replay takes its config and dataset from the manifest, so a flag
+        # that names others would be silently ignored
+        given = [flag for flag, value in (("--config", args.config), ("--data", args.data))
+                 if value is not None]
+        if given:
+            raise ConfigError(
+                f"train --manifest replays the config and dataset its manifest records; "
+                f"drop {' and '.join(given)}"
+            )
         manifest = read_document(args.manifest, RunManifest, StorageError, "manifest")
         config = ExperimentConfig.from_dict(manifest.config)
         data_dir = manifest.data_dir
@@ -123,11 +132,11 @@ def cmd_train(args) -> int:
                 f"{manifest.dataset_fingerprint} ({data_dir} has {fingerprint})"
             )
     else:
+        if args.data is None:
+            raise ConfigError("train needs --data, or --manifest to replay a run")
         config = parse_config(args.config)
         data_dir = args.data
         fingerprint = None  # hashed after the load, whose GraphError names a missing dataset
-    if data_dir is None:
-        raise ConfigError("train needs --data (or a manifest that records it)")
     graph = _load_dataset(data_dir, config)
     # an --out that names a file is refused before the experiment is built,
     # and the run directory is created only for an experiment that can start
@@ -217,7 +226,6 @@ class RecordsFile:
 
     records: tuple[UploadRecord, ...]
     alpha: float = None  # absent: the --alpha option
-    gap_threshold: int = 5
 
 
 def cmd_aggregate_demo(args) -> int:
@@ -231,7 +239,6 @@ def cmd_aggregate_demo(args) -> int:
         client_ids={update.client_id for update in updates},  # once each, however many uploads
         aggregator="staleness",
         staleness_exponent=alpha,
-        gap_threshold=doc.gap_threshold,
     )
     aggregate, _ = server.handle(updates)
     ids, coeffs = server.staleness_coefficients()
@@ -281,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run a federated experiment from a config file")
     p.add_argument("--data")
     p.add_argument("--config")
-    p.add_argument("--manifest", help="replay a previous run from its manifest")
+    p.add_argument("--manifest", help="replay a run from its manifest (no --config or --data)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

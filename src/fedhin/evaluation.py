@@ -63,20 +63,11 @@ def f1_scores(predictions: Sequence[int], truths: Sequence[int], n_labels: int) 
     if pred.min() < 0 or pred.max() >= n_labels or true.min() < 0 or true.max() >= n_labels:
         raise EvaluationError(f"labels must lie in 0..{n_labels - 1}")
 
-    tp = np.zeros(n_labels)
-    fp = np.zeros(n_labels)
-    fn = np.zeros(n_labels)
-    for cls in range(n_labels):
-        tp[cls] = np.sum((pred == cls) & (true == cls))
-        fp[cls] = np.sum((pred == cls) & (true != cls))
-        fn[cls] = np.sum((pred != cls) & (true == cls))
-
-    def f1(tp_, fp_, fn_):
-        denom = 2 * tp_ + fp_ + fn_
-        return 2 * tp_ / denom if denom > 0 else 0.0
-
-    micro = f1(tp.sum(), fp.sum(), fn.sum())
-    macro = float(np.mean([f1(tp[c], fp[c], fn[c]) for c in range(n_labels)]))
+    tp = np.bincount(true[pred == true], minlength=n_labels).astype(np.float64)
+    # per class 2 tp + fp + fn: its predictions plus its truths
+    denom = np.bincount(pred, minlength=n_labels) + np.bincount(true, minlength=n_labels)
+    micro = tp.sum() / pred.size  # pooled 2 tp / (2 tp + fp + fn), as fp + fn = 2 (size - tp)
+    macro = float(np.mean(np.divide(2 * tp, denom, out=np.zeros(n_labels), where=denom > 0)))
     return float(micro), macro
 
 

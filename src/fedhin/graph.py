@@ -278,14 +278,12 @@ class MetaPathAdjacency:
     walks from the i-th node of the first type to the j-th node of the last
     type.  When the endpoint types coincide the diagonal is zeroed: a node
     is not its own meta-path neighbor, its own structural feature enters
-    the model separately.  ``node_ids`` maps local row indices back to
-    global node ids.
+    the model separately.  Row and column i are the i-th node of their
+    type in global id order, as ``HeterogeneousGraph.nodes_of_type`` lists
+    them.
     """
 
-    metapath: MetaPathSpec
     matrix: sp.csr_matrix
-    mode: str
-    node_ids: np.ndarray
 
     @property
     def n(self) -> int:
@@ -313,9 +311,7 @@ def metapath_adjacency(
     if mode == "binary":
         product.data[:] = 1
     product.sort_indices()
-    return MetaPathAdjacency(
-        metapath=spec, matrix=product, mode=mode, node_ids=graph.nodes_of_type(seq[0])
-    )
+    return MetaPathAdjacency(product)
 
 
 # -- tabular loading -----------------------------------------------------

@@ -417,7 +417,7 @@ class ForwardTrace:
     sim_valid: np.ndarray              # (E,) False where a norm was zero
     coeffs: np.ndarray                 # (E,) node-level attention, a simplex per segment
     preact: np.ndarray                 # (M B, d) coefficient-weighted neighbor sums u
-    aggregated: np.ndarray             # (M B, d) act(u)
+    combined: np.ndarray               # (M, B, 2d) concat(act(u), H[own]) per path
     path_embed: np.ndarray             # (B, M, d)
     projected: np.ndarray              # (B, M, k)
     raw_path_scores: np.ndarray        # (B, M)
@@ -448,8 +448,8 @@ class AttentionModel:
         self,
         adjacencies: Sequence[MetaPathAdjacency],
         n_labels: int,
-        embedding_dim: int = 128,
-        preference_dim: int = 16,
+        embedding_dim: int,
+        preference_dim: int,
         activation: str = "elu",
         sample_size: int | None = 16,
     ):
@@ -589,7 +589,7 @@ class AttentionModel:
         return ForwardTrace(
             params=params, batch=batch, labels=node_labels, rows=rows, bounds=bounds,
             adjacency=adjacency, transformed=h, norms=norm, own=own, segments=seg, sims=sims,
-            sim_valid=valid, coeffs=coeffs, preact=u, aggregated=a, path_embed=path_embed,
+            sim_valid=valid, coeffs=coeffs, preact=u, combined=combined, path_embed=path_embed,
             projected=projected, raw_path_scores=raw_scores, path_score_valid=score_valid,
             path_coeffs=path_coeffs, fused=fused, probs=probs, losses=losses,
             total_loss=total, zero_norm_events=zero_events,
@@ -641,9 +641,7 @@ class AttentionModel:
         r, hb = trace.rows.size, h[own]
         de = dpath_embed.transpose(1, 0, 2)                                # (M, B, d)
         # e_p = wc_p @ concat(a, hi)
-        combined = np.concatenate([trace.aggregated, hb], axis=1)
-        combined = combined.reshape(dims.n_paths, batch.size, 2 * d)
-        np.matmul(de.transpose(0, 2, 1), combined, out=grads.wc)
+        np.matmul(de.transpose(0, 2, 1), trace.combined, out=grads.wc)
         dstacked = (de @ params.wc).reshape(-1, 2 * d)
         dhb = dstacked[:, d:]
         # a = act(u), u = C @ H

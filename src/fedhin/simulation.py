@@ -185,7 +185,6 @@ class ExperimentSetup:
     clients: list[FederatedClient]
     server: ParameterServer
     split: EvalSplit
-    part: tuple[np.ndarray, ...]
     labels: np.ndarray
 
     def global_params(self) -> ModelParams:
@@ -260,7 +259,6 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
         clients=clients,
         server=server,
         split=split,
-        part=part,
         labels=local_labels,
     )
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedhin import (
     AttentionModel,
@@ -15,7 +17,7 @@ from fedhin import (
 )
 from fedhin.evaluation import EvaluationError
 
-from oracles import f1_by_confusion
+from oracles import f1_by_confusion, reference_f1_scores
 
 
 class TestF1Scores:
@@ -59,6 +61,15 @@ class TestF1Scores:
             got = f1_scores(pred, true, n_labels)
             expected = f1_by_confusion(pred.tolist(), true.tolist(), n_labels)
             np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    @given(data=st.data(), n_labels=st.integers(1, 300), size=st.integers(1, 80))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_class_loop_bit_for_bit(self, data, n_labels, size):
+        # few labels in use among many ids, as when graph.num_labels is large
+        in_use = data.draw(st.lists(st.integers(0, n_labels - 1), min_size=1, max_size=5))
+        labels = st.lists(st.sampled_from(in_use), min_size=size, max_size=size)
+        pred, true = data.draw(labels), data.draw(labels)
+        assert f1_scores(pred, true, n_labels) == reference_f1_scores(pred, true, n_labels)
 
     def test_micro_equals_accuracy(self):
         rng = np.random.default_rng(1)

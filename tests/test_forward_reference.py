@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fedhin.graph import MetaPathAdjacency, MetaPathSpec
+from fedhin.graph import MetaPathAdjacency
 from fedhin.model import AttentionModel, ModelError, init_params
 
 from oracles import (
@@ -85,17 +85,12 @@ def test_batch_local_forward_equals_per_node_reference(seed, sample_size):
     # at this width for the pass to slice them out and work on positions.
     rng = np.random.default_rng(seed)
     adjs = []
-    for code in ("APA", "APPA"):
+    for _path in range(2):
         dense = np.zeros((20, 20), dtype=np.int64)
         for i in range(19):
             for step in (1, 2, 3):
                 dense[i, (i + step) % 19] = dense[i, (i - step) % 19] = rng.integers(1, 4)
-        adjs.append(
-            MetaPathAdjacency(
-                metapath=MetaPathSpec.from_string(code), matrix=sp.csr_matrix(dense),
-                mode="counts", node_ids=np.arange(20),
-            )
-        )
+        adjs.append(MetaPathAdjacency(sp.csr_matrix(dense)))
     model = AttentionModel(
         adjs, n_labels=3, embedding_dim=32, preference_dim=4, activation="elu",
         sample_size=sample_size,
@@ -171,10 +166,7 @@ def test_sampled_inclusion_frequency_is_uniform():
     deg, k, draws = 69, 16, 4000
     dense = np.zeros((deg + 1, deg + 1), dtype=np.int64)
     dense[0, 1:] = dense[1:, 0] = 1
-    adj = MetaPathAdjacency(
-        metapath=MetaPathSpec.from_string("APA"), matrix=sp.csr_matrix(dense), mode="counts",
-        node_ids=np.arange(deg + 1),
-    )
+    adj = MetaPathAdjacency(sp.csr_matrix(dense))
     model = AttentionModel([adj], n_labels=2, embedding_dim=3, preference_dim=2, sample_size=k)
     params = init_params(model.dims, np.random.default_rng(0))
     trace = model.forward(params, np.zeros(draws, dtype=np.int64), rng=np.random.default_rng(12))

@@ -122,19 +122,14 @@ class TestBackward:
         rng = np.random.default_rng(31)
         rest = [0, 1, 2, 3, 4, 5, 8, 9, 10, 11]
         adjs = []
-        for code in ("APA", "APPA"):
+        for _path in range(2):
             dense = np.zeros((12, 12), dtype=np.int64)
             dense[6, [7, 8, 9]] = rng.integers(1, 4, size=3)
             dense[7, [6, 10]] = rng.integers(1, 4, size=2)
             sparse_counts = rng.integers(0, 4, size=(10, 10)) * (rng.random((10, 10)) < 0.5)
             dense[np.ix_(rest, rest)] = sparse_counts
             dense[8:11, 0] += 1  # no zero rows among the touched neighbors
-            adjs.append(
-                MetaPathAdjacency(
-                    metapath=MetaPathSpec.from_string(code), matrix=sp.csr_matrix(dense),
-                    mode="counts", node_ids=np.arange(12),
-                )
-            )
+            adjs.append(MetaPathAdjacency(sp.csr_matrix(dense)))
         model = AttentionModel(
             adjs, n_labels=3, embedding_dim=24, preference_dim=3, activation="elu", sample_size=2
         )
@@ -152,12 +147,7 @@ class TestBackward:
         # saturate the classifier so every batch node is predicted with
         # probability 1: the loss is 0 and so is its gradient
         matrix = sp.csr_matrix(np.array([[0, 1], [1, 0]], dtype=np.int64))
-        adj = MetaPathAdjacency(
-            metapath=MetaPathSpec.from_string("APA"),
-            matrix=matrix,
-            mode="counts",
-            node_ids=np.arange(2),
-        )
+        adj = MetaPathAdjacency(matrix)
         model = AttentionModel(
             [adj], n_labels=2, embedding_dim=2, preference_dim=2, sample_size=None
         )
@@ -182,12 +172,7 @@ class TestBackward:
 
         doubled = base.copy()
         doubled[i, j] *= 2
-        adj2 = MetaPathAdjacency(
-            metapath=adjs[0].metapath,
-            matrix=sp.csr_matrix(doubled),
-            mode="counts",
-            node_ids=adjs[0].node_ids,
-        )
+        adj2 = MetaPathAdjacency(sp.csr_matrix(doubled))
         variant = AttentionModel(
             [adj2, adjs[1]],
             n_labels=3,

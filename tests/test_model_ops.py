@@ -31,12 +31,7 @@ from oracles import (
 
 def wrap_adjacency(matrix) -> MetaPathAdjacency:
     matrix = np.asarray(matrix)
-    return MetaPathAdjacency(
-        metapath=MetaPathSpec.from_string("APA"),
-        matrix=sp.csr_matrix(matrix),
-        mode="counts",
-        node_ids=np.arange(matrix.shape[0]),
-    )
+    return MetaPathAdjacency(sp.csr_matrix(matrix))
 
 
 def craft_model(matrices, n_labels=4, d=2, k=2, activation="identity"):

@@ -275,12 +275,13 @@ class TestBuildExperiment:
             assert not np.shares_memory(initial, params.buffer)
 
     def test_client_train_nodes_are_target_indices_of_their_partition(self, small_graph):
-        from fedhin.simulation import build_experiment
+        from fedhin.simulation import build_experiment, client_partition
 
         setup = build_experiment(small_config(), small_graph)
         authors = small_graph.nodes_of_type("author").tolist()
         train = set(setup.split.train_nodes.tolist())
-        for client, owned in zip(setup.clients, setup.part):
+        part = client_partition(small_config(), small_graph)
+        for client, owned in zip(setup.clients, part, strict=True):
             expected = sorted(authors.index(g) for g in owned.tolist() if authors.index(g) in train)
             assert client.train_nodes.tolist() == expected
             assert client.train_nodes.dtype == np.int64

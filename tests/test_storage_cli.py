@@ -25,7 +25,7 @@ from fedhin import (
 from fedhin.cli import _dataset_files, _load_dataset, main
 from fedhin.config import ConfigError
 from fedhin.model import ModelDims, init_params
-from fedhin.simulation import build_experiment
+from fedhin.simulation import client_partition
 from fedhin.storage import StorageError, dataset_fingerprint, export_embeddings
 
 
@@ -387,7 +387,7 @@ _FUZZ_BASE = {
         ["train", "--manifest", "{doc}", "--out", "{tmp}/out"],
     ),
     "records": (
-        {"alpha": 1.0, "gap_threshold": 5,
+        {"alpha": 1.0,
          "records": [{"client": 0, "version": 5, "weights": [1.0, 1.0]},
                      {"client": 1, "version": 3, "weights": [5.0, 5.0]}]},
         ["aggregate-demo", "--records", "{doc}"],
@@ -513,7 +513,8 @@ class TestCli:
             doc["clients"] = clients
         assert main(argv) == 0
         config = ExperimentConfig.from_dict(doc)
-        part = build_experiment(config, _load_dataset(str(dataset_dir), config)).part
+        # build_experiment trains on client_partition's split (test_simulation.py)
+        part = client_partition(config, _load_dataset(str(dataset_dir), config))
         assert json.loads(out.read_text()) == {str(c): p.tolist() for c, p in enumerate(part)}
 
     def test_train_outputs_complete_run_directory(self, train_run):
@@ -785,6 +786,9 @@ class TestCli:
                           "records-alpha-true"),
             _records_case(f'{{"gap_threshold": 2.7, "records": [{_RECORD}]}}', "gap_threshold",
                           "records-gap-threshold-not-an-integer"),
+            # aggregate-demo prints no dispatch mode, so it reads no threshold
+            _records_case(f'{{"gap_threshold": 1, "records": [{_RECORD}]}}', "gap_threshold",
+                          "records-gap-threshold-is-not-a-key"),
             _records_case('{"records": [{"client": 0, "version": 1, "weights": [1e400]}]}',
                           "weights", "record-weight-beyond-the-float-range"),
             _records_case('{"records": [{"client": 0, "version": 1, "weights": [null]}]}',
@@ -808,6 +812,19 @@ class TestCli:
                 {**TINY_DATASET, "many.json": json.dumps({"clients": 2**40})},
                 ["train", "--data", "{tmp}", "--config", "{tmp}/many.json", "--out", "{tmp}/o"],
                 "SimulationError", "clients", id="config-clients-beyond-the-labeled-nodes",
+            ),
+            # a replay's config and dataset are its manifest's; the run exists
+            pytest.param(
+                {"small": _small_run},
+                ["train", "--manifest", "{tmp}/small/run/manifest.json",
+                 "--config", "{tmp}/small/config.json", "--out", "{tmp}/o"],
+                "ConfigError", "--config", id="manifest-with-config",
+            ),
+            pytest.param(
+                {"small": _small_run},
+                ["train", "--manifest", "{tmp}/small/run/manifest.json",
+                 "--data", "{tmp}/small/data", "--out", "{tmp}/o"],
+                "ConfigError", "--data", id="manifest-with-data",
             ),
             pytest.param(
                 {"manifest.json": json.dumps(_manifest_doc(config=5))},
@@ -916,6 +933,7 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == error
         assert fragment in err["message"]
+        assert not (tmp_path / "o").exists()  # a refused train creates no run directory
 
     # a fuzzed learning rate may diverge the run, with overflow warnings
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
