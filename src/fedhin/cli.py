@@ -46,7 +46,6 @@ _ERRORS = (
     ModelError,
     SimulationError,
     StorageError,
-    FileNotFoundError,
 )
 
 

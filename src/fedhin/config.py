@@ -190,8 +190,8 @@ class ExperimentConfig:
             f"neighbor_sample_size must be >= 1 or null, got {self.neighbor_sample_size}",
         )
         require(
-            self.staleness_exponent >= 0,
-            f"staleness_exponent must be >= 0, got {self.staleness_exponent}",
+            0 <= self.staleness_exponent < math.inf,
+            f"staleness_exponent must be finite and >= 0, got {self.staleness_exponent}",
         )
         require(self.gap_threshold >= 1, f"gap_threshold must be >= 1, got {self.gap_threshold}")
         require(0.0 <= self.ema_beta <= 1.0, f"ema_beta must lie in [0, 1], got {self.ema_beta}")

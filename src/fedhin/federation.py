@@ -116,8 +116,10 @@ class ParameterServer:
         if aggregator not in AGGREGATORS:
             raise FederationError(f"unknown aggregator {aggregator!r}; choose {AGGREGATORS}")
         # written so that NaN, which compares False, is refused
-        if not staleness_exponent >= 0:
-            raise FederationError(f"staleness exponent must be >= 0, got {staleness_exponent}")
+        if not 0 <= staleness_exponent < np.inf:
+            raise FederationError(
+                f"staleness exponent must be finite and >= 0, got {staleness_exponent}"
+            )
         if not gap_threshold >= 1:
             raise FederationError(f"gap threshold must be a positive integer, got {gap_threshold}")
         if not 0.0 <= ema_beta <= 1.0:

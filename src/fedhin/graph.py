@@ -433,7 +433,8 @@ def write_graph(nodes_path, edges_path, graph: HeterogeneousGraph) -> None:
 
     The bytes are ``csv.writer``'s: each type and relation name is quoted once
     by the ``csv`` module, and the rows are formatted around it a block at a
-    time, so no Python list spans the table."""
+    time, so no Python list spans the table.  A failed open, write or close
+    is a ``GraphError`` naming the file."""
     types = [_csv_field(name) for name in graph.types]
     relations = [_csv_field(name) for name in graph.relations]
 
@@ -453,10 +454,9 @@ def write_graph(nodes_path, edges_path, graph: HeterogeneousGraph) -> None:
         (edges_path, EDGE_HEADER, graph.num_edges, edge_lines),
     ):
         try:
-            fh = open(path, "w", newline="", encoding="utf-8")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerow(header)
+                for lo in range(0, count, _WRITE_BLOCK):
+                    fh.write("".join(lines(lo, min(lo + _WRITE_BLOCK, count))))
         except OSError as exc:
             raise GraphError(f"cannot write {path}: {exc}") from None
-        with fh:
-            csv.writer(fh).writerow(header)
-            for lo in range(0, count, _WRITE_BLOCK):
-                fh.write("".join(lines(lo, min(lo + _WRITE_BLOCK, count))))

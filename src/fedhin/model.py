@@ -31,8 +31,8 @@ neighbors, sliced out of the matrix when few enough are touched and the
 whole matrix otherwise.  ``H = A[rows] @ wt`` is their (R, d) transform.
 Node-level attention is a segment softmax, the neighbor aggregate is
 ``C @ H`` with ``C`` the sparse (M B, R) matrix of attention
-coefficients, and cosine numerators are read from per-path GEMM blocks
-``H[own] @ H.T``, so no (entries x d) gather is ever built.
+coefficients, and each cosine numerator is its own entry's dot product,
+so a node's node-level values are the same bits in any batch.
 
 ``backward`` mirrors the forward pass with scatters that stay correct
 when a neighbor or a batch node repeats, and adds ``A[rows].T @ dH``
@@ -301,9 +301,10 @@ def _csr_matmul_t(
 
 # -- neighbor segments -------------------------------------------------------
 
-# Batch rows per (rows x N) similarity block: bounds the block's memory for
-# any batch size, N and embedding width.
-_BLOCK_ROWS = 256
+# Gathered values per operand in one chunk of per-entry dots (256 KB): a
+# full-neighbor pass over thousands of nodes has millions of entries, whose
+# whole (entries x d) gathers would take gigabytes.
+_DOT_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -314,7 +315,8 @@ class NeighborSegments:
     segment of entry e.  A segment never repeats a neighbor and lists its
     neighbors in ascending order.  ``indptr`` and ``idx`` share the CSR
     index dtype, so with a value per entry they are the CSR arrays of a
-    sparse (M B, .) matrix S holding the values at (owner, idx).
+    sparse (M B, .) matrix S holding the values at (owner, idx).  Each
+    method computes a segment's values from its own entries alone.
     """
 
     idx: np.ndarray     # (E,) neighbor rows, or their positions in the touched rows
@@ -346,19 +348,14 @@ class NeighborSegments:
         e = np.exp(x - peak[self.owner])
         return e / self.sums(e)[self.owner]
 
-    def gather(self, left: np.ndarray, right: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-        """``(left @ right.T)[owner, idx]``.  The segments split evenly among
-        the paths and path p's neighbors are ``right[bounds[p]:bounds[p + 1]]``,
-        so each path's segments meet only its own rows, ``_BLOCK_ROWS`` at a time."""
+    def dots(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """``(left @ right.T)[owner, idx]``, one dot product per entry, over
+        chunks of entries whose gathered rows hold ``_DOT_VALUES`` values."""
         out = np.empty(self.idx.size)
-        per_path = self.n_rows // (bounds.size - 1)
-        for p, (lo_col, hi_col) in enumerate(zip(bounds, bounds[1:])):
-            cols, end = right[lo_col:hi_col].T, (p + 1) * per_path
-            for start in range(p * per_path, end, _BLOCK_ROWS):
-                stop = min(start + _BLOCK_ROWS, end)
-                lo, hi = self.indptr[start], self.indptr[stop]
-                block = left[start:stop] @ cols
-                out[lo:hi] = block[self.owner[lo:hi] - start, self.idx[lo:hi] - lo_col]
+        step = max(1, _DOT_VALUES // left.shape[1])
+        for lo in range(0, out.size, step):
+            hi = lo + step
+            np.einsum("ij,ij->i", left[self.owner[lo:hi]], right[self.idx[lo:hi]], out=out[lo:hi])
         return out
 
 
@@ -399,15 +396,14 @@ class ForwardTrace:
     """Batch forward record: everything ``backward`` needs, as batched arrays.
 
     The node-level fields stack the meta paths: their row (or segment)
-    ``p * B + b`` is batch node b in path p, and path p's touched rows are
-    ``rows[bounds[p]:bounds[p + 1]]``, rows of the block-diagonal matrix.
+    ``p * B + b`` is batch node b in path p, and ``rows`` are rows of the
+    block-diagonal matrix.
     """
 
     params: ModelParams
     batch: np.ndarray                  # (B,) target node indices
     labels: np.ndarray                 # (B,) labels, -1 for an unlabeled pass
     rows: np.ndarray                   # (R,) the stacked batch and its neighbors, or all M N rows
-    bounds: np.ndarray                 # (M + 1,) each path's span of rows
     adjacency: CsrArrays               # (R, M N) their adjacency rows A[rows]
     transformed: np.ndarray            # (R, d) transformed features H = A[rows] @ wt
     norms: np.ndarray                  # (R,) row norms of H
@@ -545,7 +541,6 @@ class AttentionModel:
         stacked = (n * np.arange(n_paths)[:, None] + batch).ravel()
         seg = self._neighbor_segments(stacked, rng)
         rows, adjacency, own, seg = _touched_rows(self.matrix, stacked, seg, d)
-        bounds = np.searchsorted(rows, n * np.arange(n_paths + 1))
         # (R, d); row r = A[rows[r]] @ wt
         h = _csr_matmul(*adjacency, params.wt.reshape(-1, d))
         norm = np.linalg.norm(h, axis=1)
@@ -553,7 +548,7 @@ class AttentionModel:
         denom = norm[own][seg.owner] * norm[seg.idx]
         valid = denom > 0.0
         sims = np.zeros(seg.idx.size)
-        sims[valid] = seg.gather(hb, h, bounds)[valid] / denom[valid]
+        sims[valid] = seg.dots(hb, h)[valid] / denom[valid]
         zero_events = int((~valid).sum())
         coeffs = seg.softmax(sims)
         u = seg.matmul(coeffs, h)
@@ -587,7 +582,7 @@ class AttentionModel:
             total = math.fsum(losses)
 
         return ForwardTrace(
-            params=params, batch=batch, labels=node_labels, rows=rows, bounds=bounds,
+            params=params, batch=batch, labels=node_labels, rows=rows,
             adjacency=adjacency, transformed=h, norms=norm, own=own, segments=seg, sims=sims,
             sim_valid=valid, coeffs=coeffs, preact=u, combined=combined, path_embed=path_embed,
             projected=projected, raw_path_scores=raw_scores, path_score_valid=score_valid,
@@ -647,9 +642,8 @@ class AttentionModel:
         # a = act(u), u = C @ H
         du = dstacked[:, :d] * self._act_grad(trace.preact)
 
-        # coeffs = segment softmax(sims); the gather's GEMM blocks are the
-        # pass's largest temporaries, so it runs before dH is allocated
-        dcoeffs = seg.gather(du, h, trace.bounds)
+        # coeffs = segment softmax(sims)
+        dcoeffs = seg.dots(du, h)
         dsims = trace.coeffs * (dcoeffs - seg.sums(trace.coeffs * dcoeffs)[seg.owner])
         dsims = np.where(trace.sim_valid, dsims, 0.0)
 

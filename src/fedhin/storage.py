@@ -6,6 +6,7 @@ bit-identical and a resumed run continues with exactly the same numbers.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 from dataclasses import asdict, dataclass, is_dataclass
@@ -97,11 +98,14 @@ def params_from_checkpoint(path, expected_manifest: list[dict] | None = None) ->
 # -- embeddings & metrics ----------------------------------------------------
 
 
+@contextlib.contextmanager
 def open_output(path):
-    """``path`` opened for writing UTF-8 text; ``StorageError`` when it cannot
-    be, e.g. because it names a directory."""
+    """A context manager over ``path`` opened for writing UTF-8 text; an
+    ``OSError`` from the open, a write or the close is a ``StorageError``
+    naming ``path``, e.g. when it names a directory or the disk is full."""
     try:
-        return open(path, "w", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
     except OSError as exc:
         raise StorageError(f"cannot write {path}: {exc}") from None
 

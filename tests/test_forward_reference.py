@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fedhin.graph import MetaPathAdjacency
-from fedhin.model import AttentionModel, ModelError, init_params
+from fedhin.graph import MetaPathAdjacency, MetaPathSpec, metapath_adjacency
+from fedhin.model import _DOT_VALUES, AttentionModel, ModelError, init_params
+from fedhin.synthetic import synthetic_hin
 
 from oracles import (
     edge_case_adjacencies,
@@ -101,7 +102,41 @@ def test_batch_local_forward_equals_per_node_reference(seed, sample_size):
         model, params, np.array([9, 10, 19, 9]), labels,
         np.random.default_rng(seed) if sample_size is not None else None,
     )
-    assert np.all(np.diff(trace.bounds) < model.dims.n_targets)
+    # each path's touched rows are fewer than its N: the pass sliced them out
+    assert np.all(np.bincount(trace.rows // 20, minlength=2) < 20)
+
+
+@pytest.mark.parametrize("d", [5, 32, 128])
+def test_node_level_values_do_not_depend_on_the_batch(d):
+    # a node's similarities, coefficients and neighbor sums are the same bits
+    # alone as in any batch, whether the pass slices the touched rows out
+    # (small batches) or works on the whole matrix (the 512-node batch, whose
+    # entries span several chunks of per-entry dots at every width)
+    graph = synthetic_hin(n_authors=400, seed=0)
+    adjs = [metapath_adjacency(graph, MetaPathSpec.from_string(c)) for c in ("APA", "APPA")]
+    model = AttentionModel(adjs, n_labels=4, embedding_dim=d, preference_dim=4, sample_size=None)
+    params = init_params(model.dims, np.random.default_rng(d))
+    n, n_paths = model.dims.n_targets, model.dims.n_paths
+    rng = np.random.default_rng(d + 1)
+    alone, sliced = {}, set()
+    for size in (1, 2, 5, 512):
+        batch = rng.integers(0, n, size=size)
+        trace = model.forward(params, batch)
+        sliced.add(trace.rows.size < n_paths * n)
+        for b, node in enumerate(per_node(trace)):
+            if node.index not in alone:
+                alone[node.index] = model.forward(params, [node.index])
+            ref = alone[node.index]
+            (ref_node,) = per_node(ref)
+            for p in range(n_paths):
+                np.testing.assert_array_equal(node.samples[p], ref_node.samples[p])
+                # float64 read as int64: equal bits, not merely equal values
+                for got, want in ((node.sims[p], ref_node.sims[p]),
+                                  (node.coeffs[p], ref_node.coeffs[p]),
+                                  (trace.preact[p * size + b], ref.preact[p])):
+                    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    assert sliced == {True, False}
+    assert trace.segments.idx.size > 3 * (_DOT_VALUES // d)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -72,6 +72,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="staleness_exponent"):
             parse_config(path)
 
+    def test_infinite_staleness_exponent_rejected_in_python(self):
+        # JSON has no infinity, so only a config built in Python can hold one
+        with pytest.raises(ConfigError, match="staleness_exponent must be finite"):
+            ExperimentConfig(staleness_exponent=float("inf"))
+
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"learning_rte": 0.01}))
@@ -335,6 +340,10 @@ def _small_run(root) -> None:
 
 def _directory(path) -> None:
     path.mkdir(parents=True)
+
+
+# a device whose every write fails with "No space left on device"
+_NEEDS_DEV_FULL = pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
 
 
 def _output_names_a_directory(name, error) -> pytest.param:
@@ -802,6 +811,12 @@ class TestCli:
                 ["aggregate-demo", "--records", "{tmp}/records.json", "--alpha", "nan"],
                 "FederationError", "staleness exponent", id="aggregate-demo-alpha-nan",
             ),
+            # printed, an infinite alpha is JSON's invalid Infinity
+            pytest.param(
+                {"records.json": f'{{"records": [{_RECORD}]}}'},
+                ["aggregate-demo", "--records", "{tmp}/records.json", "--alpha", "inf"],
+                "FederationError", "staleness exponent", id="aggregate-demo-alpha-inf",
+            ),
             pytest.param(
                 {**TINY_DATASET, "schema.json": json.dumps(
                     {"triples": [["author", "writes", "paper"]], "targettype": "author"})},
@@ -861,6 +876,21 @@ class TestCli:
                  "--checkpoint", "{tmp}/small/run/checkpoint.npz",
                  "--config", "{tmp}/small/config.json", "--out", "{tmp}/small"],
                 "StorageError", "cannot write", id="export-out-names-a-directory",
+            ),
+            # the open succeeds and a write or the close fails
+            pytest.param(
+                TINY_DATASET,
+                ["partition", "--data", "{tmp}", "--out", "/dev/full", "--clients", "1"],
+                "StorageError", "cannot write /dev/full", id="partition-out-on-a-full-disk",
+                marks=_NEEDS_DEV_FULL,
+            ),
+            pytest.param(
+                {"small": _small_run},
+                ["export-embeddings", "--data", "{tmp}/small/data",
+                 "--checkpoint", "{tmp}/small/run/checkpoint.npz",
+                 "--config", "{tmp}/small/config.json", "--out", "/dev/full"],
+                "StorageError", "cannot write /dev/full", id="export-out-on-a-full-disk",
+                marks=_NEEDS_DEV_FULL,
             ),
             pytest.param(
                 {"afile": "not a directory"},
@@ -1016,13 +1046,28 @@ class TestCli:
     def test_divergence_is_reported_when_decisions_cannot_be_written(
         self, dataset_dir, tmp_path, capsys
     ):
+        (tmp_path / "out" / "decisions.jsonl").mkdir(parents=True)
+        self._diverges_reporting_only_that(dataset_dir, tmp_path, capsys)
+
+    @_NEEDS_DEV_FULL
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_reported_when_decisions_hit_a_full_disk(
+        self, dataset_dir, tmp_path, capsys
+    ):
+        # the open succeeds and a write or the close fails; uploaded per
+        # batch, the run has a decision to write when it diverges in round 1
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "decisions.jsonl").symlink_to("/dev/full")
+        self._diverges_reporting_only_that(dataset_dir, tmp_path, capsys, granularity="batch")
+
+    @staticmethod
+    def _diverges_reporting_only_that(dataset_dir, tmp_path, capsys, **settings):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({
             "clients": 2, "rounds": 3, "batch_size": 16, "embedding_dim": 6,
-            "preference_dim": 3, "learning_rate": 1e300, "seed": 1,
+            "preference_dim": 3, "learning_rate": 1e300, "seed": 1, **settings,
         }))
         out = tmp_path / "out"
-        (out / "decisions.jsonl").mkdir(parents=True)
         code = main([
             "train", "--data", str(dataset_dir), "--config", str(config_path), "--out", str(out),
         ])
