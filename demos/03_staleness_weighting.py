@@ -15,7 +15,7 @@ from fedhin import ClientUpdate, ParameterServer
 def show(alpha):
     server = ParameterServer(
         client_ids=[0, 1, 2], aggregator="staleness",
-        staleness_exponent=alpha, gap_threshold=5,
+        staleness_exponent=alpha, gap_threshold=5, initial_weights=np.zeros(2),
     )
     # one call carrying three uploads gets one answer: (aggregate, mode)
     agg, mode = server.handle([
@@ -39,7 +39,10 @@ print(f"\nmax version gap {server.max_version_gap()} >= threshold 5 "
 
 # The textbook two-client case: versions (5, 3) with alpha=1 give raw
 # weights (1, 1/3), i.e. normalized (0.75, 0.25).
-server = ParameterServer(client_ids=[0, 1], aggregator="staleness", staleness_exponent=1.0)
+server = ParameterServer(
+    client_ids=[0, 1], aggregator="staleness", staleness_exponent=1.0,
+    initial_weights=np.zeros(2),
+)
 server.submit(ClientUpdate(0, np.array([1.0, 1.0]), version=5))
 server.submit(ClientUpdate(1, np.array([5.0, 5.0]), version=3))
 _, coeffs = server.staleness_coefficients()

@@ -224,20 +224,27 @@ class RecordsFile:
     """An ``aggregate-demo --records`` file."""
 
     records: tuple[UploadRecord, ...]
-    alpha: float = None  # absent: the --alpha option
+    alpha: float = None  # absent: the --alpha option, else the server's default
 
 
 def cmd_aggregate_demo(args) -> int:
     """Replay the staleness-weighted aggregation on a supplied record table."""
     doc = read_document(args.records, RecordsFile, FederationError, "records file")
+    if not doc.records:
+        raise FederationError(f"{args.records}: the records file holds no upload")
+    if doc.alpha is not None and args.alpha is not None:
+        raise FederationError(
+            f"{args.records} gives alpha {doc.alpha} and --alpha gives {args.alpha}; give one"
+        )
+    alpha = args.alpha if doc.alpha is None else doc.alpha
     updates = [ClientUpdate(r.client, np.asarray(r.weights, dtype=np.float64), r.version)
                for r in doc.records]
-    # printed as the option's float, also when the file gives an integer
-    alpha = float(args.alpha if doc.alpha is None else doc.alpha)
     server = ParameterServer(
         client_ids={update.client_id for update in updates},  # once each, however many uploads
         aggregator="staleness",
-        staleness_exponent=alpha,
+        # the zeros are never printed: handle records an upload before it aggregates
+        initial_weights=np.zeros(updates[0].weights.size),
+        **({} if alpha is None else {"staleness_exponent": alpha}),
     )
     aggregate, _ = server.handle(updates)
     ids, coeffs = server.staleness_coefficients()
@@ -245,7 +252,8 @@ def cmd_aggregate_demo(args) -> int:
     print(
         json.dumps(
             {
-                "alpha": alpha,
+                # a float also when the file gives an integer
+                "alpha": float(server.staleness_exponent),
                 "latest_version": latest,
                 "clients": ids,
                 "version_gaps": (latest - server.versions).tolist(),
@@ -306,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aggregate-demo", help="replay staleness weighting on a record table")
     p.add_argument("--records", required=True)
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=float,
+                   help="the staleness exponent, for a records file that gives none")
     p.set_defaults(func=cmd_aggregate_demo)
 
     return parser

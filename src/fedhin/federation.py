@@ -5,8 +5,8 @@ with one row per registered client (in ``roster`` order) holding that
 client's latest uploaded flat weight vector, and an int64 vector
 ``versions`` aligned with it holding the latest version number (a
 monotone upload counter starting at 1; 0 means nothing recorded yet).
-The table's width is fixed by the initial weights, or else by the first
-upload.  Three aggregation rules are provided:
+The table's width is fixed by the initial weights.  Three aggregation
+rules are provided:
 
 * ``staleness`` — each recorded vector is weighted by
   ``(gap + 1) ** -alpha`` where ``gap`` is how many versions the record
@@ -100,7 +100,8 @@ class ClientUpdate:
 class ParameterServer:
     """Keeps the record table and applies one aggregation rule.
 
-    The server owns the ``initial_weights`` array it is given (it is not
+    ``initial_weights`` is the global model before any upload; its size is
+    the table's width.  The server owns the array it is given (it is not
     copied) and never writes it; the caller must not write it either.
     """
 
@@ -111,7 +112,8 @@ class ParameterServer:
         staleness_exponent: float = 0.5,
         gap_threshold: int = 5,
         ema_beta: float = 0.9,
-        initial_weights: np.ndarray | None = None,
+        *,
+        initial_weights: np.ndarray,
     ):
         if aggregator not in AGGREGATORS:
             raise FederationError(f"unknown aggregator {aggregator!r}; choose {AGGREGATORS}")
@@ -131,13 +133,9 @@ class ParameterServer:
         self.staleness_exponent = staleness_exponent
         self.gap_threshold = gap_threshold
         self.ema_beta = ema_beta
-        self.initial_weights: np.ndarray | None = (
-            None if initial_weights is None else np.asarray(initial_weights, dtype=np.float64)
-        )
+        self.initial_weights = np.asarray(initial_weights, dtype=np.float64)
         # zeros, not empty: absent rows are weighted 0, and 0 * nan is nan
-        self.records: np.ndarray | None = None
-        if self.initial_weights is not None:
-            self.records = np.zeros((len(self.roster), self.initial_weights.size))
+        self.records = np.zeros((len(self.roster), self.initial_weights.size))
         self.versions = np.zeros(len(self.roster), dtype=np.int64)
         self._ema_vector = self.initial_weights  # rebound by updates, never written in place
         self._aggregate: np.ndarray | None = None  # current_aggregate's answer until a submit
@@ -147,7 +145,7 @@ class ParameterServer:
 
     def _check(self, updates: Sequence[ClientUpdate]) -> None:
         """Raise unless every upload, taken in order, may be recorded; writes nothing."""
-        width = self.records.shape[1] if self.records is not None else np.size(updates[0].weights)
+        width = self.records.shape[1]
         seen: dict[int, int] = {}
         for update in updates:
             cid = int(update.client_id)
@@ -169,14 +167,13 @@ class ParameterServer:
     def submit(self, update: ClientUpdate) -> None:
         """Record one upload; only the uploader's row and version change."""
         self._check((update,))
-        if self.records is None:
-            self.records = np.zeros((len(self.roster), np.size(update.weights)))
         row = self.roster.index(int(update.client_id))
         self.records[row] = update.weights
         self.versions[row] = update.version
         self._aggregate = None
         if self.aggregator == "ema":
-            self._apply_ema(update)
+            beta = self.ema_beta
+            self._ema_vector = beta * self._ema_vector + (1.0 - beta) * self.records[row]
 
     def latest_version(self) -> int:
         return int(self.versions.max(initial=0))
@@ -213,13 +210,6 @@ class ParameterServer:
         record the weight 1/n."""
         return self.aggregate_staleness_weighted(exponent=0.0)
 
-    def _apply_ema(self, update: ClientUpdate) -> None:
-        incoming = np.asarray(update.weights, dtype=np.float64)
-        if self._ema_vector is None:
-            self._ema_vector = incoming.copy()
-        else:
-            self._ema_vector = self.ema_beta * self._ema_vector + (1.0 - self.ema_beta) * incoming
-
     def current_aggregate(self) -> np.ndarray:
         """The global model under the configured rule, given current records;
         the initial weights while no client has submitted.
@@ -233,8 +223,6 @@ class ParameterServer:
 
     def _compute_aggregate(self) -> np.ndarray:
         if not self.versions.any():
-            if self.initial_weights is None:
-                raise EmptyRecords("no client records to aggregate and no initial weights")
             return self.initial_weights
         if self.aggregator == "fedavg":
             return self.aggregate_fedavg()

@@ -99,8 +99,9 @@ class MetaPathSpec:
         for t in self.type_sequence:
             if graph.type_count(t) == 0:
                 raise EmptyTypeError(f"meta path {self.name!r}: no nodes of type {t!r}")
+        pairs = {(s, d) for s, _, d in graph.schema}
         for a, b in zip(self.type_sequence, self.type_sequence[1:]):
-            if not graph.schema_has_pair(a, b):
+            if (a, b) not in pairs:
                 raise SchemaViolation(
                     f"meta path {self.name!r}: schema has no relation from {a!r} to {b!r}"
                 )
@@ -190,7 +191,6 @@ class HeterogeneousGraph:
                 f"{self.types[self.type_code[self.dst[e]]]!r}) matches no schema triple"
             )
 
-        self._pair_relations: set[tuple[str, str]] = {(s, d) for s, _, d in self.schema}
         self._nodes_of_type = {
             t: _read_only(np.flatnonzero(self.type_code == i)) for i, t in enumerate(self.types)
         }
@@ -217,9 +217,6 @@ class HeterogeneousGraph:
 
     def type_count(self, t: str) -> int:
         return len(self.nodes_of_type(t))
-
-    def schema_has_pair(self, src_type: str, dst_type: str) -> bool:
-        return (src_type, dst_type) in self._pair_relations
 
     def labeled_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.labels >= 0)

@@ -31,7 +31,6 @@ any other failure of a client thread reaches the caller as
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass
@@ -337,7 +336,9 @@ def _client_round(
 ) -> None:
     """One local round: download, train, and upload through ``submit`` after
     every batch (``granularity="batch"``) or once at the end.  A non-finite
-    gradient or loss raises ``TrainingDiverged`` with this client's checkpoint."""
+    gradient raises ``TrainingDiverged`` with this client's checkpoint.  The
+    loss needs no check: it clamps each probability before the log, so only
+    a NaN probability makes it non-finite, and that NaN reaches the gradient."""
     delivery.download(client)
     per_batch = config.granularity == "batch"
     try:
@@ -348,11 +349,6 @@ def _client_round(
         raise _diverged(
             f"client {client.client_id}: {exc} at round {round_}", client, round_, diagnostics_dir
         ) from exc
-    if not math.isfinite(client.last_loss_sum):
-        raise _diverged(
-            f"client {client.client_id}: non-finite training loss at round {round_}",
-            client, round_, diagnostics_dir,
-        )
     if not per_batch:
         submit(update)
 

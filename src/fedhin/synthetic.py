@@ -55,7 +55,8 @@ def synthetic_hin(
     ratio ``p_in / (p_in + p_out)``.  All relations are emitted in both
     directions so meta-path products behave undirectedly.  Deterministic
     given the seed.  Time grows linearly with the number of author pairs
-    and of papers; memory with the number of papers.
+    and of papers; memory with the number of papers.  Counts too large to
+    allocate raise ``SimulationError``.
     """
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise SimulationError(
@@ -67,6 +68,17 @@ def synthetic_hin(
         raise SimulationError(
             f"need n_papers >= 0 and n_venues >= 0, got {n_papers} and {n_venues}"
         )
+    try:
+        return _synthetic_graph(n_authors, n_papers, n_venues, classes, p_in, p_out, seed)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+        raise SimulationError(
+            f"cannot allocate a graph of {n_authors} authors, {n_papers} papers and "
+            f"{n_venues} venues: {exc}"
+        ) from None
+
+
+def _synthetic_graph(n_authors, n_papers, n_venues, classes, p_in, p_out, seed):
+    """``synthetic_hin`` on arguments it has checked."""
     rng = np.random.default_rng(seed)
     sizes = np.full(classes, n_authors // classes)
     sizes[: n_authors % classes] += 1
@@ -76,41 +88,36 @@ def synthetic_hin(
     # co-write events: one paper per successful pair draw
     first, second = _coauthor_pairs(rng, author_class, p_in, p_out)
     # Every later draw is a scalar ``random()`` or ``integers(0, size)`` in a
-    # fixed order, replayed from the generator's raw words (``_RawReplay``):
-    # the lonely-author loop one draw at a time, the per-paper loops in
-    # vectorized runs wherever their use of raw words is known before
-    # drawing.  A draw from a pool keeps its index and is mapped to a node id
-    # afterwards in one array pass; ``pool[rng.integers(0, pool.size)]`` is
-    # the same draw as ``rng.choice(pool)`` (tests/test_simulation.py checks
-    # it, and the loops as they were drawn are in tests/oracles.py).
+    # fixed order, replayed from the generator's raw words by
+    # ``_replay_draws``.  A draw from a pool keeps its index and is mapped to
+    # a node id afterwards in one array pass; ``pool[rng.integers(0,
+    # pool.size)]`` is the same draw as ``rng.choice(pool)``
+    # (tests/test_simulation.py checks it, and the loops as they were drawn
+    # are in tests/oracles.py).
     replay = _RawReplay(rng.bit_generator)
-    random, integers = replay.random, replay.integers
     within_bias = p_in / (p_in + p_out) if (p_in + p_out) > 0 else 0.5
     # guarantee one co-authored paper per author (class-biased like regular
     # co-writes) so no node is featureless; then pad the paper count with
-    # solo papers
-    lonely: list[int] = []
-    partners: list[int] = []
-    if p_in > 0:
-        covered = np.zeros(n_authors, dtype=bool)
-        covered[first] = covered[second] = True
-        for a in np.flatnonzero(~covered).tolist():
-            start, size = int(class_start[author_class[a]]), int(sizes[author_class[a]])
-            # the own pool is the class without ``a``, the other pool every
-            # author outside it, each in ascending id order
-            own = random() < within_bias or size == n_authors
-            if p_out == 0.0:
-                own = True
-            pool_size = size - 1 if own else n_authors - size
-            if pool_size:
-                k = integers(pool_size)
-                lonely.append(a)
-                if own:
-                    partners.append(start + k + (start + k >= a))
-                else:
-                    partners.append(k if k < start else k + size)
-    first = np.concatenate([first, np.array(lonely, dtype=np.int64)])
-    second = np.concatenate([second, np.array(partners, dtype=np.int64)])
+    # solo papers.  An uncovered author draws a double, then an index into
+    # its own pool (its class without it) or, unless the own pool is forced
+    # (one class, or p_out = 0), into the authors outside its class; each
+    # pool is in ascending id order, and an empty one draws no index
+    covered = np.zeros(n_authors, dtype=bool)
+    covered[first] = covered[second] = True
+    lonely = np.flatnonzero(~covered) if p_in > 0 else np.zeros(0, dtype=np.int64)
+    lonely_size = sizes[author_class[lonely]]
+    forced = (lonely_size == n_authors) | (p_out == 0.0)
+
+    def lonely_plan(lo: int, hi: int):
+        size = lonely_size[lo:hi]
+        other = np.where(forced[lo:hi], size - 1, n_authors - size)
+        return np.ones(hi - lo, dtype=bool), size - 1, other, np.full(hi - lo, -1)
+
+    take, k = _replay_draws(replay, lonely.size, lonely_plan, within_bias)
+    start, own, drawn = class_start[author_class[lonely]], take | forced, k >= 0
+    partners = np.where(own, start + k + (start + k >= lonely), k + lonely_size * (k >= start))
+    first = np.concatenate([first, lonely[drawn]])
+    second = np.concatenate([second, partners[drawn]])
 
     def solo_plan(lo: int, hi: int):
         bound = np.full(hi - lo, n_authors)

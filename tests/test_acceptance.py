@@ -164,7 +164,8 @@ def test_criterion_4_staleness_degeneracy():
 
         def fresh_server(alpha):
             return ParameterServer(
-                client_ids=range(4), aggregator="staleness", staleness_exponent=alpha
+                client_ids=range(4), aggregator="staleness", staleness_exponent=alpha,
+                initial_weights=np.zeros(16),
             )
 
         # equal versions
@@ -186,7 +187,8 @@ def test_criterion_4_staleness_degeneracy():
 
         # hand case: versions (5, 3) with alpha 1 give weights (0.75, 0.25)
         server = ParameterServer(
-            client_ids=[0, 1], aggregator="staleness", staleness_exponent=1.0
+            client_ids=[0, 1], aggregator="staleness", staleness_exponent=1.0,
+            initial_weights=np.zeros(2),
         )
         server.submit(ClientUpdate(0, np.array([1.0, 1.0]), version=5))
         server.submit(ClientUpdate(1, np.array([5.0, 5.0]), version=3))

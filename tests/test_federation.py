@@ -20,8 +20,8 @@ from fedhin.model import AttentionModel, init_params, pack_shared
 from oracles import random_hin
 
 
-def make_server(**kwargs):
-    defaults = dict(client_ids=[0, 1], aggregator="staleness")
+def make_server(width=2, **kwargs):
+    defaults = dict(client_ids=[0, 1], aggregator="staleness", initial_weights=np.zeros(width))
     defaults.update(kwargs)
     return ParameterServer(**defaults)
 
@@ -38,7 +38,7 @@ class TestSubmit:
         np.testing.assert_array_equal(server.records[0], [1.0, 2.0])
 
     def test_duplicate_version_rejected(self):
-        server = make_server()
+        server = make_server(width=1)
         server.submit(up(0, [1.0], 1))
         with pytest.raises(StalenessRejected):
             server.submit(up(0, [9.0], 1))
@@ -73,7 +73,7 @@ class TestSubmit:
     def test_interleaved_submissions_match_replay_log(self):
         # replay-log oracle: apply the same event stream to plain dicts
         events = [(0, [1.0], 1), (1, [2.0], 1), (0, [3.0], 2), (1, [4.0], 2), (0, [5.0], 3)]
-        server = make_server()
+        server = make_server(width=1)
         log_w, log_v = {}, {}
         for cid, w, v in events:
             server.submit(up(cid, w, v))
@@ -84,7 +84,7 @@ class TestSubmit:
             np.testing.assert_array_equal(server.records[cid], log_w[cid])
 
     def test_handle_gives_one_answer_per_call(self):
-        server = make_server(gap_threshold=2)
+        server = make_server(width=1, gap_threshold=2)
         aggregate, mode = server.handle([up(0, [1.0], 3), up(1, [3.0], 1)], tick=4)
         assert mode == "broadcast"
         np.testing.assert_array_equal(aggregate, server.current_aggregate())
@@ -118,7 +118,7 @@ class TestAggregateReuse:
         assert server.current_aggregate().tobytes() == fresh.tobytes()
 
     def test_one_product_per_record_change(self, monkeypatch):
-        server = make_server()
+        server = make_server(width=1)
         products = []
         compute = server.aggregate_staleness_weighted
 
@@ -136,7 +136,7 @@ class TestAggregateReuse:
         assert len(products) == 2
 
     def test_rejected_call_keeps_the_answer(self):
-        server = make_server()
+        server = make_server(width=1)
         aggregate, _ = server.handle([up(0, [1.0], 2)])
         with pytest.raises(StalenessRejected):
             server.handle([up(1, [5.0], 1), up(0, [4.0], 2)])
@@ -145,7 +145,7 @@ class TestAggregateReuse:
 
 class TestStalenessAggregation:
     def test_equal_versions_match_fedavg(self):
-        server = make_server()
+        server = make_server(width=8)
         rng = np.random.default_rng(0)
         for cid in (0, 1):
             server.submit(up(cid, rng.normal(size=8), 1))
@@ -185,8 +185,6 @@ class TestStalenessAggregation:
         with pytest.raises(ValueError, match="read-only"):
             aggregate[0] = 9.0  # the server's initial weights stay put
         np.testing.assert_array_equal(server.current_aggregate(), initial)
-        with pytest.raises(EmptyRecords):
-            make_server(aggregator=aggregator).current_aggregate()
 
     def test_server_owns_the_initial_weights_it_is_given(self):
         initial = np.array([0.5, -1.5])
@@ -197,6 +195,7 @@ class TestStalenessAggregation:
         for _ in range(200):
             n = int(rng.integers(1, 6))
             server = make_server(
+                width=3,
                 client_ids=range(n), staleness_exponent=float(rng.uniform(0, 3))
             )
             versions = rng.integers(1, 30, size=n)
@@ -229,7 +228,7 @@ class TestStalenessAggregation:
 
     def test_aggregate_within_componentwise_bounds(self):
         rng = np.random.default_rng(3)
-        server = make_server(client_ids=range(4), staleness_exponent=0.7)
+        server = make_server(width=6, client_ids=range(4), staleness_exponent=0.7)
         vectors = rng.normal(size=(4, 6))
         for cid in range(4):
             server.submit(up(cid, vectors[cid], int(rng.integers(1, 9))))
@@ -253,7 +252,7 @@ class TestFedavg:
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(4)
         vectors = rng.normal(size=(3, 5))
-        server = make_server(client_ids=range(3), aggregator="fedavg")
+        server = make_server(width=5, client_ids=range(3), aggregator="fedavg")
         for cid in range(3):
             server.submit(up(cid, vectors[cid], 1))
         expected = [sum(vectors[c][j] for c in range(3)) / 3.0 for j in range(5)]
@@ -297,19 +296,19 @@ class TestSettings:
 
 class TestDispatch:
     def test_equal_versions_targeted(self):
-        server = make_server(gap_threshold=5)
+        server = make_server(width=1, gap_threshold=5)
         server.submit(up(0, [1.0], 3))
         server.submit(up(1, [1.0], 3))
         assert server.dispatch() == "targeted"
 
     def test_wide_gap_broadcasts(self):
-        server = make_server(gap_threshold=5)
+        server = make_server(width=1, gap_threshold=5)
         server.submit(up(0, [1.0], 9))
         server.submit(up(1, [1.0], 1))
         assert server.dispatch() == "broadcast"
 
     def test_gap_just_under_threshold_targeted(self):
-        server = make_server(gap_threshold=5)
+        server = make_server(width=1, gap_threshold=5)
         server.submit(up(0, [1.0], 9))
         server.submit(up(1, [1.0], 5))
         assert server.dispatch() == "targeted"
@@ -319,7 +318,7 @@ class TestDispatch:
         for _ in range(300):
             n = int(rng.integers(1, 6))
             threshold = int(rng.integers(1, 10))
-            server = make_server(client_ids=range(n), gap_threshold=threshold)
+            server = make_server(width=1, client_ids=range(n), gap_threshold=threshold)
             versions = rng.integers(1, 20, size=n)
             for cid in range(n):
                 server.submit(up(cid, [0.0], int(versions[cid])))

@@ -817,6 +817,13 @@ class TestCli:
                 ["aggregate-demo", "--records", "{tmp}/records.json", "--alpha", "inf"],
                 "FederationError", "staleness exponent", id="aggregate-demo-alpha-inf",
             ),
+            # neither may silently override the other
+            pytest.param(
+                {"records.json": f'{{"alpha": 1.0, "records": [{_RECORD}]}}'},
+                ["aggregate-demo", "--records", "{tmp}/records.json", "--alpha", "2"],
+                "FederationError", "--alpha", id="aggregate-demo-alpha-in-file-and-option",
+            ),
+            _records_case('{"records": []}', "no upload", "records-empty"),
             pytest.param(
                 {**TINY_DATASET, "schema.json": json.dumps(
                     {"triples": [["author", "writes", "paper"]], "targettype": "author"})},
@@ -939,6 +946,13 @@ class TestCli:
                 {}, ["generate", "--out", "{tmp}/out", "--venues", "-1"],
                 "SimulationError", "n_venues", id="generate-negative-venues",
             ),
+            # beyond a 47-bit address space, and beyond numpy's size limit
+            *(pytest.param(
+                {}, ["generate", "--out", "{tmp}/out", "--authors", "40", "--papers", "10",
+                     "--venues", str(venues)],
+                "SimulationError", f"{venues} venues", id=case_id,
+            ) for venues, case_id in ((10**14, "generate-venues-beyond-memory"),
+                                      (2**62, "generate-venues-beyond-numpy-size-limit"))),
             _output_names_a_directory("nodes.csv", "GraphError"),
             _output_names_a_directory("edges.csv", "GraphError"),
             *(_output_names_a_directory(name, "StorageError") for name in (
