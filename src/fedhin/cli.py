@@ -73,15 +73,9 @@ def _load_dataset(data_dir: str, config: ExperimentConfig) -> HeterogeneousGraph
 
 
 def cmd_generate(args) -> int:
-    graph = synthetic_hin(
-        n_authors=args.authors,
-        n_papers=args.papers,
-        n_venues=args.venues,
-        classes=args.classes,
-        p_in=args.p_in,
-        p_out=args.p_out,
-        seed=args.seed,
-    )
+    # a flag not given is absent from args, so synthetic_hin's default holds
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    graph = synthetic_hin(**options)
     out = make_output_dir(args.out)
     nodes, edges, schema_file = _dataset_files(out)
     write_graph(nodes, edges, graph)
@@ -99,7 +93,7 @@ def cmd_generate(args) -> int:
 def cmd_partition(args) -> int:
     config = parse_config(args.config)
     graph = _load_dataset(args.data, config)
-    part = client_partition(config, graph, args.clients)
+    part = client_partition(config, graph)
     doc = {str(cid): nodes.tolist() for cid, nodes in enumerate(part)}
     with open_output(args.out) as fh:
         json.dump(doc, fh)
@@ -137,10 +131,14 @@ def cmd_train(args) -> int:
         data_dir = args.data
         fingerprint = None  # hashed after the load, whose GraphError names a missing dataset
     graph = _load_dataset(data_dir, config)
-    # an --out that names a file is refused before the experiment is built,
-    # and the run directory is created only for an experiment that can start
-    if Path(args.out).exists() and not Path(args.out).is_dir():
-        raise StorageError(f"cannot create the output directory {args.out}: it names a file")
+    # an --out that names a file or holds a run is refused before the
+    # experiment is built, and the run directory is created only for an
+    # experiment that can start
+    out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        raise StorageError(f"cannot create the output directory {out}: it names a file")
+    if (out / "manifest.json").exists():
+        raise StorageError(f"{out / 'manifest.json'} exists: a run directory holds one run")
     setup = build_experiment(config, graph)
 
     run_dir = make_output_dir(args.out)
@@ -224,7 +222,7 @@ class RecordsFile:
     """An ``aggregate-demo --records`` file."""
 
     records: tuple[UploadRecord, ...]
-    alpha: float = None  # absent: the --alpha option, else the server's default
+    alpha: float = None  # absent: the server's default
 
 
 def cmd_aggregate_demo(args) -> int:
@@ -232,11 +230,6 @@ def cmd_aggregate_demo(args) -> int:
     doc = read_document(args.records, RecordsFile, FederationError, "records file")
     if not doc.records:
         raise FederationError(f"{args.records}: the records file holds no upload")
-    if doc.alpha is not None and args.alpha is not None:
-        raise FederationError(
-            f"{args.records} gives alpha {doc.alpha} and --alpha gives {args.alpha}; give one"
-        )
-    alpha = args.alpha if doc.alpha is None else doc.alpha
     updates = [ClientUpdate(r.client, np.asarray(r.weights, dtype=np.float64), r.version)
                for r in doc.records]
     server = ParameterServer(
@@ -244,7 +237,7 @@ def cmd_aggregate_demo(args) -> int:
         aggregator="staleness",
         # the zeros are never printed: handle records an upload before it aggregates
         initial_weights=np.zeros(updates[0].weights.size),
-        **({} if alpha is None else {"staleness_exponent": alpha}),
+        **({} if doc.alpha is None else {"staleness_exponent": doc.alpha}),
     )
     aggregate, _ = server.handle(updates)
     ids, coeffs = server.staleness_coefficients()
@@ -274,22 +267,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write a synthetic academic graph to files")
+    # each flag's dest is the synthetic_hin parameter it sets
+    p = sub.add_parser("generate", help="write a synthetic academic graph to files",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
-    p.add_argument("--authors", type=int, default=400)
-    p.add_argument("--papers", type=int, default=1500)
-    p.add_argument("--venues", type=int, default=20)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--p-in", type=float, default=0.05, dest="p_in")
-    p.add_argument("--p-out", type=float, default=0.005, dest="p_out")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--authors", type=int, dest="n_authors")
+    p.add_argument("--papers", type=int, dest="n_papers")
+    p.add_argument("--venues", type=int, dest="n_venues")
+    p.add_argument("--classes", type=int)
+    p.add_argument("--p-in", type=float, dest="p_in")
+    p.add_argument("--p-out", type=float, dest="p_out")
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("partition", help="split labeled nodes across clients")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--clients", type=int)
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("train", help="run a federated experiment from a config file")
@@ -314,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aggregate-demo", help="replay staleness weighting on a record table")
     p.add_argument("--records", required=True)
-    p.add_argument("--alpha", type=float,
-                   help="the staleness exponent, for a records file that gives none")
     p.set_defaults(func=cmd_aggregate_demo)
 
     return parser

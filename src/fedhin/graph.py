@@ -320,11 +320,13 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 
 def _read_rows(path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """The 1-based line number and the stripped fields of each non-blank row
-    after the header of the table at ``path``, checked as ``csv.reader``
+    """The physical line on which each non-blank row after the header of
+    the table at ``path`` ends (1-based; a quoted line break in a field
+    counts) and the row's stripped fields, checked as ``csv.reader``
     yields it: the header must be ``header`` and each row three columns."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = ((lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row)
+        reader = csv.reader(fh)
+        rows = ((reader.line_num, row) for row in reader if row)
         try:
             lineno, first = next(rows, (1, None))
             if first is None:

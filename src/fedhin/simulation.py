@@ -142,14 +142,13 @@ _INIT_CHILD, _SPLIT_CHILD, _PARTITION_CHILD, _FIRST_CLIENT_CHILD = range(4)
 
 
 def client_partition(
-    config: ExperimentConfig, graph: HeterogeneousGraph, n_clients: int | None = None
+    config: ExperimentConfig, graph: HeterogeneousGraph
 ) -> tuple[np.ndarray, ...]:
-    """The split ``build_experiment`` trains ``config`` on, over ``n_clients``
-    clients (``config.clients`` by default)."""
+    """The split ``build_experiment`` trains ``config`` on."""
     child = np.random.SeedSequence(config.seed).spawn(_PARTITION_CHILD + 1)[_PARTITION_CHILD]
     return partition(
         graph,
-        config.clients if n_clients is None else n_clients,
+        config.clients,
         strategy=config.partition_strategy,
         seed=int(np.random.default_rng(child).integers(0, 2**31 - 1)),
         dirichlet_alpha=config.dirichlet_alpha,
@@ -380,13 +379,8 @@ def run_experiment(
     for tick in range(1, config.rounds + 1):
         # round granularity delivers the tick's uploads together at its end
         updates: list[ClientUpdate] = []
-
-        def submit(update: ClientUpdate) -> None:
-            if config.granularity == "batch":
-                delivery.deliver([update], tick)
-            else:
-                updates.append(update)
-
+        submit = updates.append if config.granularity == "round" else (
+            lambda update: delivery.deliver([update], tick))
         trained = [c for c in setup.clients if tick % speeds[c.client_id] == 0]
         for client in trained:
             _client_round(client, config, tick, delivery, submit, diagnostics_dir)

@@ -282,12 +282,14 @@ class TestEma:
 
 class TestSettings:
     # NaN compares False with every bound, so a check written as
-    # ``value < bound`` lets it through
+    # ``value < bound`` lets it through; an infinite exponent passes such a
+    # check too
     @pytest.mark.parametrize(
         "setting, fragment",
         [({"staleness_exponent": float("nan")}, "staleness exponent"),
+         ({"staleness_exponent": float("inf")}, "staleness exponent"),
          ({"gap_threshold": float("nan")}, "gap threshold")],
-        ids=["staleness-exponent", "gap-threshold"],
+        ids=["staleness-exponent", "staleness-exponent-inf", "gap-threshold"],
     )
     def test_nan_setting_refused(self, setting, fragment):
         with pytest.raises(FederationError, match=fragment):

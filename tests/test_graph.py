@@ -183,6 +183,16 @@ class TestLoader:
         with pytest.raises(ParseError, match="line 3"):
             load_graph(np_, ep, COAUTHOR_SCHEMA)
 
+    def test_line_numbers_are_physical_lines(self, tmp_path):
+        # each quoted line break in a name takes its row over one more line
+        np_, ep = self._write(
+            tmp_path,
+            'id,type,label\n0,"au\r\nthor",0\nbad,"au\r\nthor",1\n',
+            "src,dst,relation\n",
+        )
+        with pytest.raises(ParseError, match="^line 5: node id 'bad' is not an integer"):
+            load_graph(np_, ep, COAUTHOR_SCHEMA)
+
     def test_schema_violation_names_edge(self, tmp_path):
         np_, ep = self._write(
             tmp_path,

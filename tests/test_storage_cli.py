@@ -302,6 +302,7 @@ TINY_DATASET = {
     "nodes.csv": "id,type,label\n0,author,0\n1,paper,\n",
     "edges.csv": "src,dst,relation\n0,1,writes\n",
 }
+_ONE_CLIENT = json.dumps({"clients": 1})  # a config TINY_DATASET's one labeled node can split
 
 
 def _config_case(field, value) -> pytest.param:
@@ -313,14 +314,20 @@ def _config_case(field, value) -> pytest.param:
     )
 
 
-def _model_case(embedding_dim) -> pytest.param:
-    """A train run on a generated dataset whose model is too large to allocate."""
+def _generated_dataset(classes):
+    """A callable that generates a 30-author dataset of ``classes`` label classes at its path."""
     def dataset(path) -> None:
         assert main(["generate", "--out", str(path), "--authors", "30", "--papers", "60",
-                     "--venues", "3", "--classes", "2"]) == 0
+                     "--venues", "3", "--classes", str(classes)]) == 0
 
+    return dataset
+
+
+def _model_case(embedding_dim) -> pytest.param:
+    """A train run on a generated dataset whose model is too large to allocate."""
     return pytest.param(
-        {"data": dataset, "big.json": json.dumps({"embedding_dim": embedding_dim, "rounds": 1})},
+        {"data": _generated_dataset(2),
+         "big.json": json.dumps({"embedding_dim": embedding_dim, "rounds": 1})},
         ["train", "--data", "{tmp}/data", "--config", "{tmp}/big.json", "--out", "{tmp}/o"],
         "ModelError", "float64 parameters", id=f"config-embedding_dim-{embedding_dim}-unallocatable",
     )
@@ -330,8 +337,7 @@ def _small_run(root) -> None:
     """A generated dataset in ``root/data``, its config in ``root/config.json``
     and its untrained model's checkpoint in ``root/run``."""
     root.mkdir()
-    assert main(["generate", "--out", str(root / "data"), "--authors", "30", "--papers", "60",
-                 "--venues", "3", "--classes", "2"]) == 0
+    _generated_dataset(2)(root / "data")
     (root / "config.json").write_text(json.dumps({"rounds": 0, "embedding_dim": 4,
                                                   "preference_dim": 2}))
     assert main(["train", "--data", str(root / "data"), "--config", str(root / "config.json"),
@@ -487,7 +493,7 @@ class TestCli:
 
     def test_partition_command(self, dataset_dir, tmp_path):
         out = tmp_path / "partition.json"
-        assert main(["partition", "--data", str(dataset_dir), "--out", str(out), "--clients", "3"]) == 0
+        assert main(["partition", "--data", str(dataset_dir), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert len(doc) == 3
         combined = [n for nodes in doc.values() for n in nodes]
@@ -510,16 +516,15 @@ class TestCli:
 
     @pytest.mark.parametrize("clients", [None, 2])
     def test_partition_command_prints_the_training_split(self, dataset_dir, tmp_path, clients):
-        doc = {"clients": 3, "partition_strategy": "label_skew", "dirichlet_alpha": 0.5,
+        doc = {"partition_strategy": "label_skew", "dirichlet_alpha": 0.5,
                "embedding_dim": 4, "preference_dim": 2, "seed": 7}
+        if clients is not None:  # else the default count
+            doc["clients"] = clients
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(doc))
         out = tmp_path / "partition.json"
         argv = ["partition", "--data", str(dataset_dir), "--config", str(config_path),
                 "--out", str(out)]
-        if clients is not None:
-            argv += ["--clients", str(clients)]
-            doc["clients"] = clients
         assert main(argv) == 0
         config = ExperimentConfig.from_dict(doc)
         # build_experiment trains on client_partition's split (test_simulation.py)
@@ -696,6 +701,30 @@ class TestCli:
         code, refused = run([(0, 1, [1.0]), (0, 1, [2.0])])
         assert code == 1 and json.loads(refused.err)["error"] == "StalenessRejected"
 
+    # without the refusal, the diverging rerun overflows with warnings
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("second", [{"seed": 2}, {"learning_rate": 1e300}],
+                             ids=["another-seed", "diverging"])
+    def test_train_refuses_an_out_that_holds_a_run(self, dataset_dir, tmp_path, capsys, second):
+        base = {"clients": 2, "rounds": 1, "batch_size": 64, "embedding_dim": 4,
+                "preference_dim": 2}
+        out = tmp_path / "run"
+
+        def train(doc) -> int:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(doc))
+            return main(["train", "--data", str(dataset_dir), "--config", str(config_path),
+                         "--out", str(out)])
+
+        assert train(base) == 0
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert train({**base, **second}) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "StorageError"
+        assert str(out / "manifest.json") in err["message"]
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+
     def test_train_with_no_client_due_on_the_first_tick(self, dataset_dir, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({
@@ -806,23 +835,6 @@ class TestCli:
                           "records-unknown-key"),
             _records_case('{"records": [{"client": 0, "version": 1, "weights": [1.0], '
                           '"wieghts": [2.0]}]}', "wieghts", "record-unknown-key"),
-            pytest.param(
-                {"records.json": f'{{"records": [{_RECORD}]}}'},
-                ["aggregate-demo", "--records", "{tmp}/records.json", "--alpha", "nan"],
-                "FederationError", "staleness exponent", id="aggregate-demo-alpha-nan",
-            ),
-            # printed, an infinite alpha is JSON's invalid Infinity
-            pytest.param(
-                {"records.json": f'{{"records": [{_RECORD}]}}'},
-                ["aggregate-demo", "--records", "{tmp}/records.json", "--alpha", "inf"],
-                "FederationError", "staleness exponent", id="aggregate-demo-alpha-inf",
-            ),
-            # neither may silently override the other
-            pytest.param(
-                {"records.json": f'{{"alpha": 1.0, "records": [{_RECORD}]}}'},
-                ["aggregate-demo", "--records", "{tmp}/records.json", "--alpha", "2"],
-                "FederationError", "--alpha", id="aggregate-demo-alpha-in-file-and-option",
-            ),
             _records_case('{"records": []}', "no upload", "records-empty"),
             pytest.param(
                 {**TINY_DATASET, "schema.json": json.dumps(
@@ -874,7 +886,8 @@ class TestCli:
             _model_case(2**40),
             _model_case(2**24),
             pytest.param(
-                TINY_DATASET, ["partition", "--data", "{tmp}", "--out", "{tmp}", "--clients", "1"],
+                {**TINY_DATASET, "one.json": _ONE_CLIENT},
+                ["partition", "--data", "{tmp}", "--config", "{tmp}/one.json", "--out", "{tmp}"],
                 "StorageError", "cannot write", id="partition-out-names-a-directory",
             ),
             pytest.param(
@@ -886,8 +899,9 @@ class TestCli:
             ),
             # the open succeeds and a write or the close fails
             pytest.param(
-                TINY_DATASET,
-                ["partition", "--data", "{tmp}", "--out", "/dev/full", "--clients", "1"],
+                {**TINY_DATASET, "one.json": _ONE_CLIENT},
+                ["partition", "--data", "{tmp}", "--config", "{tmp}/one.json",
+                 "--out", "/dev/full"],
                 "StorageError", "cannot write /dev/full", id="partition-out-on-a-full-disk",
                 marks=_NEEDS_DEV_FULL,
             ),
@@ -911,8 +925,49 @@ class TestCli:
             ),
             pytest.param(
                 {**TINY_DATASET, "nodes.csv": "id,type,label\n0,author,100000000000000000000\n"},
-                ["partition", "--data", "{tmp}", "--out", "{tmp}/partition.json", "--clients", "1"],
+                ["partition", "--data", "{tmp}", "--out", "{tmp}/partition.json"],
                 "ParseError", "line 2: label", id="label-beyond-int64",
+            ),
+            *(pytest.param(
+                {**TINY_DATASET, "nodes.csv": nodes},
+                ["train", "--data", "{tmp}", "--out", "{tmp}/o"],
+                "ParseError", fragment, id=case_id,
+            ) for nodes, fragment, case_id in (
+                ("", "nodes.csv: empty table", "nodes-empty"),
+                ("id,kind,label\n0,author,0\n", "line 1: expected header", "nodes-header-kind"),
+                ("id,type,label\n0,author,0,1\n", "line 2: expected 3 columns, got 4",
+                 "nodes-row-of-four-columns"),
+                ("id,type,label\n0,author,x\n", "line 2: label 'x' is not an integer",
+                 "nodes-label-not-an-integer"),
+            )),
+            pytest.param(
+                {**TINY_DATASET, "edges.csv": "src,dst,relation\n0,x,writes\n"},
+                ["train", "--data", "{tmp}", "--out", "{tmp}/o"],
+                "ParseError", "line 2: edge endpoints '0','x' must be integers",
+                id="edge-endpoint-not-an-integer",
+            ),
+            pytest.param(
+                {"schema.json": TINY_DATASET["schema.json"]},
+                ["train", "--data", "{tmp}", "--out", "{tmp}/o"],
+                "GraphError", "cannot read the dataset", id="data-without-nodes-csv",
+            ),
+            pytest.param(
+                {"data": _generated_dataset(1)},
+                ["train", "--data", "{tmp}/data", "--out", "{tmp}/o"],
+                "SimulationError", "need at least two label classes", id="one-label-class",
+            ),
+            pytest.param(
+                {}, ["train", "--out", "{tmp}/o"],
+                "ConfigError", "train needs --data", id="train-without-data-or-manifest",
+            ),
+            pytest.param(
+                {"afile": "not a directory"}, ["generate", "--out", "{tmp}/afile"],
+                "StorageError", "cannot create the output directory",
+                id="generate-out-names-a-file",
+            ),
+            pytest.param(
+                {}, ["generate", "--out", "{tmp}/out", "--classes", "0"],
+                "SimulationError", "need at least one author per class", id="generate-zero-classes",
             ),
             pytest.param(
                 TINY_DATASET,
