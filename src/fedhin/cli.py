@@ -102,6 +102,26 @@ def cmd_partition(args) -> int:
     return 0
 
 
+def _read_run(manifest_path) -> tuple[ExperimentConfig, str, str]:
+    """The config, the dataset directory and the dataset's fingerprint of the
+    run whose manifest is ``manifest_path``.  A run is read only on the seed
+    and the dataset bytes it had, or not at all."""
+    manifest = read_document(manifest_path, RunManifest, StorageError, "manifest")
+    try:
+        config = ExperimentConfig.from_dict(manifest.config)
+    except ConfigError as exc:
+        raise ConfigError(f"{manifest_path}: {exc}") from None
+    data_dir = manifest.data_dir
+    fingerprint = dataset_fingerprint(_dataset_files(data_dir))
+    if manifest.seed != config.seed or fingerprint != manifest.dataset_fingerprint:
+        raise StorageError(
+            f"manifest {manifest_path} does not match its run: seed "
+            f"{manifest.seed} (the config's is {config.seed}), dataset fingerprint "
+            f"{manifest.dataset_fingerprint} ({data_dir} has {fingerprint})"
+        )
+    return config, data_dir, fingerprint
+
+
 def cmd_train(args) -> int:
     if args.manifest:
         # a replay takes its config and dataset from the manifest, so a flag
@@ -113,17 +133,7 @@ def cmd_train(args) -> int:
                 f"train --manifest replays the config and dataset its manifest records; "
                 f"drop {' and '.join(given)}"
             )
-        manifest = read_document(args.manifest, RunManifest, StorageError, "manifest")
-        config = ExperimentConfig.from_dict(manifest.config)
-        data_dir = manifest.data_dir
-        # a replay runs on the seed and the dataset bytes its run had, or not at all
-        fingerprint = dataset_fingerprint(_dataset_files(data_dir))
-        if manifest.seed != config.seed or fingerprint != manifest.dataset_fingerprint:
-            raise StorageError(
-                f"manifest {args.manifest} does not match what it replays: seed "
-                f"{manifest.seed} (the config's is {config.seed}), dataset fingerprint "
-                f"{manifest.dataset_fingerprint} ({data_dir} has {fingerprint})"
-            )
+        config, data_dir, fingerprint = _read_run(args.manifest)
     else:
         if args.data is None:
             raise ConfigError("train needs --data, or --manifest to replay a run")
@@ -178,18 +188,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _restore_model(args):
-    config = parse_config(args.config)
-    graph = _load_dataset(args.data, config)
+def _restore_model(run: Path):
+    """The graph, the experiment and the checkpointed parameters of the run in ``run``."""
+    config, data_dir, _ = _read_run(run / "manifest.json")
+    graph = _load_dataset(data_dir, config)
     setup = build_experiment(config, graph)
     params = params_from_checkpoint(
-        args.checkpoint, expected_manifest=shape_manifest(setup.initial_params)
+        run / "checkpoint.npz", expected_manifest=shape_manifest(setup.initial_params)
     )
     return graph, setup, params
 
 
 def cmd_eval(args) -> int:
-    _, setup, params = _restore_model(args)
+    _, setup, params = _restore_model(args.run)
     micro, macro = evaluate(setup.model, params, setup.labels, setup.split)
     print(
         json.dumps(
@@ -200,7 +211,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
-    graph, setup, params = _restore_model(args)
+    graph, setup, params = _restore_model(args.run)
     target_ids = graph.nodes_of_type(graph.target_type)
     embeddings = setup.model.forward(params, np.arange(target_ids.size)).fused
     export_embeddings(args.out, target_ids, embeddings)
@@ -293,16 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a checkpoint on the held-out test nodes")
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config")
+    p = sub.add_parser("eval", help="score a run's checkpoint on its held-out test nodes")
+    p.add_argument("--run", type=Path, required=True, help="the run directory train wrote")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("export-embeddings", help="write fused node embeddings to CSV")
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config")
+    p = sub.add_parser("export-embeddings", help="write a run's fused node embeddings to CSV")
+    p.add_argument("--run", type=Path, required=True, help="the run directory train wrote")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_embeddings)
 

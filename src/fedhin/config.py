@@ -156,7 +156,6 @@ class ExperimentConfig:
     ema_beta: float = 0.9
     speed_multipliers: tuple[int, ...] | None = None
     granularity: Literal["round", "batch"] = "round"
-    scheduling: Literal["deterministic", "concurrent"] = "deterministic"
     partition_strategy: Literal["uniform", "label_skew"] = "uniform"
     dirichlet_alpha: float = 1.0
     train_fraction: float = 0.8

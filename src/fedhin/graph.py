@@ -16,8 +16,8 @@ COO build over per-type local indices (``local_index``).  ``load_graph``
 reads the node and edge tables into these arrays, keeping the edges in
 input order.
 
-Graphs and adjacencies are immutable after construction and safe to
-share read-only across concurrent workers.
+Graphs and adjacencies are immutable after construction, so every client
+of an experiment reads the same ones.
 """
 
 from __future__ import annotations

@@ -15,24 +15,16 @@ is aggregated on arrival.  A client with multiplier ``s`` therefore trains
 once per ``s`` ticks, which is what makes version gaps (and the staleness
 discount) actually occur.
 
-A free-running concurrent mode drives the same server from one thread
-per client, honouring ``granularity`` too; arrival order is then real, so
-runs are reproducible only in expectation.
-
-Every mode shares one client round and one delivery rule (``Delivery``).
-After the server handles an upload, each uploader installs the aggregate
-at once and loses any download still pending for it; after a broadcast
-every other client gets the aggregate in a pending slot, where the latest
-broadcast wins, and installs it when its next round starts.  A client
-whose training goes non-finite aborts the run with ``TrainingDiverged``;
-any other failure of a client thread reaches the caller as
-``SimulationError``.
+Every upload goes through one delivery rule (``Delivery``).  After the
+server handles an upload, each uploader installs the aggregate at once and
+loses any download still pending for it; after a broadcast every other
+client gets the aggregate in a pending slot, where the latest broadcast
+wins, and installs it when its next round starts.  A client whose training
+goes non-finite aborts the run with ``TrainingDiverged``.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -69,7 +61,6 @@ def _diverged(
     if diagnostics_dir is not None:
         from .storage import save_checkpoint
 
-        # named by client too: concurrent clients can diverge in the same round
         checkpoint_path = Path(diagnostics_dir) / f"diverged_round{round_}_client{client.client_id}.npz"
         save_checkpoint(checkpoint_path, client.params, allow_non_finite=True)
         message = f"{message}; parameters saved to {checkpoint_path}"
@@ -296,35 +287,31 @@ def _pooled_loss(clients: list[FederatedClient]) -> float | None:
 
 
 class Delivery:
-    """The delivery rule of the module docstring.  Pending slots are read and
-    written under ``lock``, so client threads may share one ``Delivery``."""
+    """The delivery rule of the module docstring."""
 
     def __init__(self, server: ParameterServer, clients: list[FederatedClient]):
         self.server, self.clients = server, clients
         self.pending: dict[int, np.ndarray] = {}
-        self.lock = threading.Lock()
 
-    def deliver(self, updates: list[ClientUpdate], tick: int | None = None) -> None:
-        """Hand ``updates`` to the server; uploaders install its aggregate now,
-        and after a broadcast every other client finds it in its pending slot.
-        An empty call is skipped."""
+    def deliver(self, updates: list[ClientUpdate], tick: int) -> None:
+        """Hand ``updates`` to the server at ``tick``; uploaders install its
+        aggregate now, and after a broadcast every other client finds it in
+        its pending slot.  An empty call is skipped."""
         if not updates:
             return
-        with self.lock:
-            aggregate, mode = self.server.handle(updates, tick=tick)
-            uploaders = {int(update.client_id) for update in updates}
-            for cid in uploaders:
-                self.pending.pop(cid, None)
-                self.clients[cid].install(aggregate)
-            if mode == "broadcast":
-                for client in self.clients:
-                    if client.client_id not in uploaders:
-                        self.pending[client.client_id] = aggregate
+        aggregate, mode = self.server.handle(updates, tick=tick)
+        uploaders = {int(update.client_id) for update in updates}
+        for cid in uploaders:
+            self.pending.pop(cid, None)
+            self.clients[cid].install(aggregate)
+        if mode == "broadcast":
+            for client in self.clients:
+                if client.client_id not in uploaders:
+                    self.pending[client.client_id] = aggregate
 
     def download(self, client: FederatedClient) -> None:
         """Install the client's pending broadcast, if one is waiting."""
-        with self.lock:
-            aggregate = self.pending.pop(client.client_id, None)
+        aggregate = self.pending.pop(client.client_id, None)
         if aggregate is not None:
             client.install(aggregate)
 
@@ -361,18 +348,13 @@ def run_experiment(
     """Stream one RoundMetrics per communication round.
 
     Round 0 is the untrained evaluation; with a round budget of zero the
-    stream contains only that record.  In deterministic scheduling mode
-    ``elapsed`` is the virtual tick count, so identical configs and seeds
-    produce byte-identical streams; the concurrent mode reports wall time.
+    stream contains only that record.  ``elapsed`` is the virtual tick
+    count, so identical configs and seeds produce byte-identical streams.
     A non-finite training loss aborts the run; when ``diagnostics_dir`` is
     set, the offending client's parameters are checkpointed there first.
     """
     if setup is None:
         setup = build_experiment(config, graph)
-    if config.scheduling == "concurrent":
-        yield from _run_concurrent(config, setup, diagnostics_dir)
-        return
-
     delivery = Delivery(setup.server, setup.clients)
     yield _untrained_record(config, setup)
     speeds = config.speeds()
@@ -386,58 +368,6 @@ def run_experiment(
             _client_round(client, config, tick, delivery, submit, diagnostics_dir)
         delivery.deliver(updates, tick)
         yield _evaluated_record(config, setup, tick, _pooled_loss(trained), float(tick))
-
-
-def _run_concurrent(
-    config: ExperimentConfig, setup: ExperimentSetup, diagnostics_dir=None
-) -> Iterator[RoundMetrics]:
-    """Free-running mode: one thread per client, honouring ``granularity``.
-
-    Each upload goes alone through the shared ``Delivery``: the uploader
-    installs the answer at once, and a broadcast reaches another client
-    when that client's next round starts, so no thread writes parameters
-    another thread trains on.  The first failure of a client thread stops
-    the others before their next round and is raised here once all threads
-    have ended.  The final record is numbered ``config.rounds``, like the
-    deterministic stream's last; a budget of 0 yields round 0 alone.
-    """
-    delivery = Delivery(setup.server, setup.clients)
-    failures: list[tuple[FederatedClient, Exception]] = []
-    stop = threading.Event()
-    start = time.perf_counter()
-    speeds = config.speeds()
-
-    def client_loop(client: FederatedClient):
-        try:
-            for round_ in range(1, config.rounds // speeds[client.client_id] + 1):
-                if stop.is_set():
-                    return
-                _client_round(
-                    client, config, round_, delivery, lambda u: delivery.deliver([u]),
-                    diagnostics_dir,
-                )
-        except Exception as exc:  # handed to the caller after join
-            with delivery.lock:
-                failures.append((client, exc))
-            stop.set()
-
-    yield _untrained_record(config, setup)
-    if config.rounds == 0:
-        return
-    threads = [threading.Thread(target=client_loop, args=(c,)) for c in setup.clients]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if failures:
-        client, exc = failures[0]
-        if isinstance(exc, TrainingDiverged):
-            raise exc
-        raise SimulationError(f"client {client.client_id} failed: {exc!r}") from exc
-
-    yield _evaluated_record(
-        config, setup, config.rounds, _pooled_loss(setup.clients), time.perf_counter() - start
-    )
 
 
 # -- experiment presets ------------------------------------------------------------

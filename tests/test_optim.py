@@ -1,13 +1,10 @@
 """Adam optimizer behavior."""
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 
 from fedhin import ExperimentConfig, build_experiment, synthetic_hin
-from fedhin.model import ModelDims, ModelParams, init_params
+from fedhin.model import ModelDims, ModelParams
 from fedhin.optim import AdamState, NonFiniteGradient, adam_step
 
 
@@ -111,42 +108,3 @@ class TestAdam:
         after = [params.buffer.tobytes(), state.m.buffer.tobytes(), state.v.buffer.tobytes()]
         assert after == before
         assert state.step == 2
-
-    def test_states_stepped_from_threads_match_sequential_steps(self):
-        # concurrent scheduling runs each client's Adam step in its own thread
-        dims = ModelDims(n_targets=400, n_paths=2, embedding_dim=32, preference_dim=16, n_labels=4)
-        n_states, n_steps = 4, 6
-        rng = np.random.default_rng(5)
-        starts = [init_params(dims, rng) for _ in range(n_states)]
-        grads = [[rng.standard_normal(starts[0].buffer.size) for _ in range(n_steps)]
-                 for _ in range(n_states)]
-
-        def run(i, params, state):
-            for g in grads[i]:
-                step_grads = params.zeros_like()
-                step_grads.buffer[...] = g
-                adam_step(params, step_grads, state)
-
-        expected = []
-        for i, start in enumerate(starts):
-            params = start.copy()
-            state = AdamState.for_params(params, learning_rate=0.01)
-            run(i, params, state)
-            expected.append((params.buffer.tobytes(), state.m.buffer.tobytes(),
-                             state.v.buffer.tobytes()))
-
-        pairs = [(p, AdamState.for_params(p, learning_rate=0.01)) for p in (s.copy() for s in starts)]
-        threads = [threading.Thread(target=run, args=(i, *pair)) for i, pair in enumerate(pairs)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        got = [(p.buffer.tobytes(), s.m.buffer.tobytes(), s.v.buffer.tobytes()) for p, s in pairs]
-        assert got == expected
-        assert all(state.step == n_steps for _, state in pairs)

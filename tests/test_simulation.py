@@ -82,11 +82,10 @@ def small_config(**overrides):
 
 class TestRunExperiment:
     def test_zero_round_budget_yields_untrained_record_only(self, small_graph):
-        for scheduling in ("deterministic", "concurrent"):
-            records = list(run_experiment(small_config(rounds=0, scheduling=scheduling), small_graph))
-            assert len(records) == 1
-            assert records[0].round == 0
-            assert 0.0 <= records[0].micro_f1 <= 1.0
+        records = list(run_experiment(small_config(rounds=0), small_graph))
+        assert len(records) == 1
+        assert records[0].round == 0
+        assert 0.0 <= records[0].micro_f1 <= 1.0
 
     def test_single_client_aggregators_coincide(self, small_graph):
         runs = {}
@@ -174,32 +173,10 @@ class TestRunExperiment:
         )
         assert all(r.loss is not None for r in records[2:])
 
-    def test_concurrent_run_without_uploads_completes(self, small_graph):
-        cfg = small_config(clients=2, rounds=1, speed_multipliers=(2, 3), scheduling="concurrent")
-        records = list(run_experiment(cfg, small_graph))
-        assert [r.round for r in records] == [0, 1]
-        assert records[1].loss is None
-        assert records[1].micro_f1 == records[0].micro_f1
-
-    def test_concurrent_batch_granularity_uploads_per_batch(self):
-        from fedhin.simulation import build_experiment, run_experiment
-
-        graph = synthetic_hin(n_authors=120, n_papers=300, n_venues=8, classes=3, seed=2)
-        cfg = small_config(clients=2, rounds=2, batch_size=16, granularity="batch",
-                           scheduling="concurrent")
-        setup = build_experiment(cfg, graph)
-        list(run_experiment(cfg, graph, setup=setup))
-        batches = sum(-(-c.train_nodes.size // 16) for c in setup.clients)
-        assert len(setup.server.decision_log) == cfg.rounds * batches
-        assert [c.version for c in setup.clients] == [
-            cfg.rounds * -(-c.train_nodes.size // 16) for c in setup.clients
-        ]
-
-    @pytest.mark.parametrize("scheduling", ["deterministic", "concurrent"])
-    def test_loss_is_pooled_over_the_clients_examples(self, small_graph, scheduling):
+    def test_loss_is_pooled_over_the_clients_examples(self, small_graph):
         from fedhin.simulation import build_experiment
 
-        cfg = small_config(rounds=2, partition_strategy="label_skew", scheduling=scheduling)
+        cfg = small_config(rounds=2, partition_strategy="label_skew")
         setup = build_experiment(cfg, small_graph)
         assert len({c.train_nodes.size for c in setup.clients}) > 1
         final = list(run_experiment(cfg, small_graph, setup=setup))[-1]
@@ -226,14 +203,6 @@ class TestRunExperiment:
         batch_run = list(run_experiment(batch_cfg, small_graph))
         assert len(batch_run) == len(round_run) == 4
         assert all(np.isfinite(r.loss) for r in batch_run[1:])
-
-    def test_concurrent_mode_smoke(self, small_graph):
-        cfg = small_config(rounds=3, scheduling="concurrent")
-        records = list(run_experiment(cfg, small_graph))
-        assert records[0].round == 0
-        final = records[-1]
-        assert 0.0 <= final.micro_f1 <= 1.0
-        assert final.round == 3  # the round budget, as in the deterministic stream
 
     def test_aggregator_comparison_preset(self):
         from fedhin import preset_aggregator_comparison
@@ -321,37 +290,6 @@ class TestDelivery:
         assert set(delivery.pending) == {0}
 
 
-    def test_concurrent_uploads_survive_frequent_thread_switches(self, small_graph):
-        import sys
-        import threading
-
-        from fedhin.simulation import build_experiment, run_experiment
-
-        # more client threads than cores, switching every few microseconds:
-        # a lost or doubled upload breaks the per-client version sequence
-        cfg = small_config(clients=6, rounds=3, batch_size=4, granularity="batch",
-                           scheduling="concurrent")
-        setup = build_experiment(cfg, small_graph)
-        records = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            runner = threading.Thread(
-                target=lambda: records.extend(run_experiment(cfg, small_graph, setup=setup))
-            )
-            runner.start()
-            runner.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not runner.is_alive()
-        assert len(records) == 2 and np.isfinite(records[-1].loss)
-        for client in setup.clients:
-            versions = [e["version"] for e in setup.server.decision_log
-                        if e["client"] == client.client_id]
-            assert versions == list(range(1, client.version + 1))
-            assert client.version == cfg.rounds * -(-client.train_nodes.size // 4)
-
-
 class TestDefaults:
     def test_config_defaults_mirror_reference_setup(self):
         cfg = ExperimentConfig()
@@ -368,12 +306,10 @@ class TestDefaults:
 
 
 class TestFailuresReachTheCaller:
-    """Real non-finite parameters, in every scheduling mode, end as typed errors."""
+    """Real non-finite parameters, at either granularity, end as typed errors."""
 
     @pytest.mark.parametrize(
-        "overrides",
-        [{}, {"granularity": "batch", "batch_size": 16}, {"scheduling": "concurrent"}],
-        ids=["round", "batch", "concurrent"],
+        "overrides", [{}, {"granularity": "batch", "batch_size": 16}], ids=["round", "batch"]
     )
     def test_nan_parameter_aborts_with_diagnostic_checkpoint(
         self, small_graph, tmp_path, overrides
@@ -405,15 +341,3 @@ class TestFailuresReachTheCaller:
         assert len(set(paths)) == 2
         for client, path in zip(clients, paths):
             assert params_from_checkpoint(path).buffer.tobytes() == client.params.buffer.tobytes()
-
-    def test_concurrent_thread_failure_is_raised(self, small_graph):
-        from fedhin.simulation import build_experiment, run_experiment
-
-        cfg = small_config(rounds=3, scheduling="concurrent")
-        setup = build_experiment(cfg, small_graph)
-        # a label outside the classifier's range fails inside the worker thread
-        setup.clients[2].labels = setup.clients[2].labels.copy()
-        setup.clients[2].labels[setup.clients[2].train_nodes[0]] = 99
-        with pytest.raises(SimulationError, match="client 2 failed"):
-            list(run_experiment(cfg, small_graph, setup=setup))
-        assert len(setup.server.decision_log) < 9

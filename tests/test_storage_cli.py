@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import re
+import shutil
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -100,7 +101,6 @@ class TestParseConfig:
         ("activation", "'identity' or 'relu' or 'elu'"),
         ("aggregator", "'staleness' or 'fedavg' or 'ema'"),
         ("granularity", "'round' or 'batch'"),
-        ("scheduling", "'deterministic' or 'concurrent'"),
         ("partition_strategy", "'uniform' or 'label_skew'"),
     ])
     def test_bad_choice_names_the_field_and_its_values(self, tmp_path, field, allowed):
@@ -293,7 +293,7 @@ def train_run(dataset_dir, tmp_path_factory):
         "--out", str(run_dir / "out"),
     ])
     assert code == 0
-    return dataset_dir, run_dir / "out", config_path
+    return dataset_dir, run_dir / "out"
 
 
 # a dataset small enough to load, for failures after the data is read
@@ -342,6 +342,27 @@ def _small_run(root) -> None:
                                                   "preference_dim": 2}))
     assert main(["train", "--data", str(root / "data"), "--config", str(root / "config.json"),
                  "--out", str(root / "run")]) == 0
+
+
+def _small_run_without_checkpoint(root) -> None:
+    """A ``_small_run`` whose run directory lost its checkpoint, as a diverged run's has none."""
+    _small_run(root)
+    (root / "run" / "checkpoint.npz").unlink()
+
+
+def _small_run_of_a_changed_dataset(root) -> None:
+    """A ``_small_run`` whose dataset gained a parallel edge after the run:
+    it still loads, and would be scored on another graph."""
+    _small_run(root)
+    edges = root / "data" / "edges.csv"
+    with open(edges, "a") as fh:
+        fh.write(edges.read_text().splitlines(keepends=True)[1])
+
+
+def _run_copy(run_dir, dest) -> Path:
+    """A copy of the run directory ``run_dir`` at ``dest``, for a test to change."""
+    shutil.copytree(run_dir, dest)
+    return dest
 
 
 def _directory(path) -> None:
@@ -532,7 +553,7 @@ class TestCli:
         assert json.loads(out.read_text()) == {str(c): p.tolist() for c, p in enumerate(part)}
 
     def test_train_outputs_complete_run_directory(self, train_run):
-        _, out_dir, _ = train_run
+        _, out_dir = train_run
         for name in ("manifest.json", "config.json", "metrics.jsonl", "decisions.jsonl", "checkpoint.npz"):
             assert (out_dir / name).exists(), name
         metrics = [json.loads(line) for line in (out_dir / "metrics.jsonl").read_text().splitlines()]
@@ -542,7 +563,7 @@ class TestCli:
         assert manifest["seed"] == 1
 
     def test_manifest_replay_reproduces_metrics_bit_for_bit(self, train_run, tmp_path):
-        _, out_dir, _ = train_run
+        _, out_dir = train_run
         replay_dir = tmp_path / "replay"
         code = main(["train", "--manifest", str(out_dir / "manifest.json"), "--out", str(replay_dir)])
         assert code == 0
@@ -551,7 +572,7 @@ class TestCli:
         assert original == replayed
 
     def test_replay_hashes_its_dataset_once(self, train_run, tmp_path, monkeypatch):
-        _, out_dir, _ = train_run
+        _, out_dir = train_run
         hashed = []
         monkeypatch.setattr(
             "fedhin.cli.dataset_fingerprint",
@@ -568,7 +589,7 @@ class TestCli:
 
     @pytest.mark.parametrize("edit", ["edges.csv", "seed"])
     def test_replay_of_a_changed_dataset_or_seed_is_refused(self, train_run, tmp_path, capsys, edit):
-        dataset_dir, out_dir, _ = train_run
+        dataset_dir, out_dir = train_run
         data = tmp_path / "data"
         data.mkdir()
         for path in _dataset_files(dataset_dir):
@@ -609,34 +630,25 @@ class TestCli:
         run = tmp_path / "run"
         assert main(["train", "--data", str(data), "--config", str(config_path),
                      "--out", str(run)]) == 0
-        assert main(["eval", "--data", str(data), "--config", str(config_path),
-                     "--checkpoint", str(run / "checkpoint.npz")]) == 0
+        assert main(["eval", "--run", str(run)]) == 0
         out = tmp_path / "embeddings.csv"
-        assert main(["export-embeddings", "--data", str(data), "--config", str(config_path),
-                     "--checkpoint", str(run / "checkpoint.npz"), "--out", str(out)]) == 0
+        assert main(["export-embeddings", "--run", str(run), "--out", str(out)]) == 0
         rows = out.read_text().splitlines()[1:]
         assert [int(row.split(",")[0]) for row in rows] == list(range(4, 28))
 
     def test_eval_command_prints_scores(self, train_run, capsys):
-        dataset_dir, out_dir, config_path = train_run
-        code = main([
-            "eval", "--data", str(dataset_dir), "--checkpoint", str(out_dir / "checkpoint.npz"),
-            "--config", str(config_path),
-        ])
+        _, out_dir = train_run
+        code = main(["eval", "--run", str(out_dir)])
         assert code == 0
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert set(payload) == {"micro_f1", "macro_f1", "n_test"}
         assert payload["n_test"] > 0
 
     def test_eval_rejects_checkpoint_with_wrong_pref_shape(self, train_run, tmp_path, capsys):
-        dataset_dir, out_dir, config_path = train_run
-        bad = tmp_path / "checkpoint.npz"
-        bad.write_bytes((out_dir / "checkpoint.npz").read_bytes())
-        with_bad_pref(bad, np.zeros((59, 3)))
-        code = main([
-            "eval", "--data", str(dataset_dir), "--checkpoint", str(bad),
-            "--config", str(config_path),
-        ])
+        _, out_dir = train_run
+        bad = _run_copy(out_dir, tmp_path / "run")
+        with_bad_pref(bad / "checkpoint.npz", np.zeros((59, 3)))
+        code = main(["eval", "--run", str(bad)])
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "StorageError"
@@ -645,27 +657,19 @@ class TestCli:
     def test_eval_rejects_checkpoint_in_the_transform_major_layout(
         self, train_run, tmp_path, capsys
     ):
-        dataset_dir, out_dir, config_path = train_run
-        old = tmp_path / "checkpoint.npz"
-        old.write_bytes((out_dir / "checkpoint.npz").read_bytes())
-        with_transform_major_layout(old)
-        code = main([
-            "eval", "--data", str(dataset_dir), "--checkpoint", str(old),
-            "--config", str(config_path),
-        ])
+        _, out_dir = train_run
+        old = _run_copy(out_dir, tmp_path / "run")
+        with_transform_major_layout(old / "checkpoint.npz")
+        code = main(["eval", "--run", str(old)])
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "StorageError"
         assert "no model parameter layout" in err["message"]
 
     def test_export_embeddings_command(self, train_run, tmp_path, capsys):
-        dataset_dir, out_dir, config_path = train_run
+        _, out_dir = train_run
         out = tmp_path / "embeddings.csv"
-        code = main([
-            "export-embeddings", "--data", str(dataset_dir),
-            "--checkpoint", str(out_dir / "checkpoint.npz"),
-            "--config", str(config_path), "--out", str(out),
-        ])
+        code = main(["export-embeddings", "--run", str(out_dir), "--out", str(out)])
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 61  # header + one row per author
@@ -875,6 +879,23 @@ class TestCli:
                 ["train", "--manifest", "{tmp}/manifest.json", "--out", "{tmp}/o"],
                 "StorageError", "data_dir", id="manifest-data-dir-not-a-string",
             ),
+            # a config error in a manifest names the manifest; runs once recorded "scheduling"
+            pytest.param(
+                {"manifest.json": json.dumps(_manifest_doc(
+                    config={"rounds": 1, "scheduling": "deterministic"}))},
+                ["train", "--manifest", "{tmp}/manifest.json", "--out", "{tmp}/o"],
+                "ConfigError", "manifest.json: unknown key(s): ['scheduling']",
+                id="manifest-config-with-scheduling",
+            ),
+            # a run is read only with its checkpoint and on the dataset it ran on
+            *(pytest.param(
+                {"small": run}, [*argv, "--run", "{tmp}/small/run"], "StorageError", fragment,
+                id=f"{argv[0]}-{case_id}",
+            ) for argv in (["eval"], ["export-embeddings", "--out", "{tmp}/o"])
+              for run, fragment, case_id in (
+                (_small_run_without_checkpoint, "small/run/checkpoint.npz", "run-without-checkpoint"),
+                (_small_run_of_a_changed_dataset, "dataset fingerprint", "run-of-a-changed-dataset"),
+            )),
             _config_case("embedding_dim", 2.5),
             _config_case("batch_size", 1.5),
             _config_case("clients", True),
@@ -892,9 +913,7 @@ class TestCli:
             ),
             pytest.param(
                 {"small": _small_run},
-                ["export-embeddings", "--data", "{tmp}/small/data",
-                 "--checkpoint", "{tmp}/small/run/checkpoint.npz",
-                 "--config", "{tmp}/small/config.json", "--out", "{tmp}/small"],
+                ["export-embeddings", "--run", "{tmp}/small/run", "--out", "{tmp}/small"],
                 "StorageError", "cannot write", id="export-out-names-a-directory",
             ),
             # the open succeeds and a write or the close fails
@@ -907,9 +926,7 @@ class TestCli:
             ),
             pytest.param(
                 {"small": _small_run},
-                ["export-embeddings", "--data", "{tmp}/small/data",
-                 "--checkpoint", "{tmp}/small/run/checkpoint.npz",
-                 "--config", "{tmp}/small/config.json", "--out", "/dev/full"],
+                ["export-embeddings", "--run", "{tmp}/small/run", "--out", "/dev/full"],
                 "StorageError", "cannot write /dev/full", id="export-out-on-a-full-disk",
                 marks=_NEEDS_DEV_FULL,
             ),
@@ -1072,7 +1089,7 @@ class TestCli:
     def test_any_checkpoint_array_change_ends_in_exit_0_or_one_json_error(
         self, train_run, name, change, command
     ):
-        dataset_dir, out_dir, config_path = train_run
+        _, out_dir = train_run
         with np.load(out_dir / "checkpoint.npz") as archive:
             arrays = dict(archive)
         if change is _DELETE:
@@ -1080,11 +1097,10 @@ class TestCli:
         else:
             arrays[name] = change(arrays[name])
         with tempfile.TemporaryDirectory() as tmp:
-            checkpoint = Path(tmp) / "checkpoint.npz"
+            run = _run_copy(out_dir, Path(tmp) / "run")
             # an object array is stored pickled, which the reader refuses
-            np.savez(checkpoint, **arrays)
-            argv = [command, "--data", str(dataset_dir), "--checkpoint", str(checkpoint),
-                    "--config", str(config_path)]
+            np.savez(run / "checkpoint.npz", **arrays)
+            argv = [command, "--run", str(run)]
             if command == "export-embeddings":
                 argv += ["--out", str(Path(tmp) / "embeddings.csv")]
             _ends_in_exit_0_or_one_json_error(argv)
