@@ -38,6 +38,11 @@ from .storage import (
 )
 from .synthetic import synthetic_hin
 
+# the files of a run directory
+MANIFEST, METRICS, DECISIONS, CHECKPOINT = (
+    "manifest.json", "metrics.jsonl", "decisions.jsonl", "checkpoint.npz"
+)
+
 _ERRORS = (
     ConfigError,
     EvaluationError,
@@ -54,7 +59,7 @@ class DatasetSchema:
     """A dataset's ``schema.json``: (type, relation, type) triples and the target type."""
 
     triples: tuple[tuple[str, str, str], ...]
-    target_type: str = None  # absent: the config's target type
+    target_type: str
 
 
 def _dataset_files(data_dir) -> tuple[Path, Path, Path]:
@@ -62,12 +67,11 @@ def _dataset_files(data_dir) -> tuple[Path, Path, Path]:
     return tuple(Path(data_dir) / name for name in ("nodes.csv", "edges.csv", "schema.json"))
 
 
-def _load_dataset(data_dir: str, config: ExperimentConfig) -> HeterogeneousGraph:
+def _load_dataset(data_dir: str) -> HeterogeneousGraph:
     nodes, edges, schema_file = _dataset_files(data_dir)
     schema = read_document(schema_file, DatasetSchema, GraphError, "schema file")
-    target_type = config.target_type if schema.target_type is None else schema.target_type
     try:
-        return load_graph(nodes, edges, schema=schema.triples, target_type=target_type)
+        return load_graph(nodes, edges, schema=schema.triples, target_type=schema.target_type)
     except OSError as exc:
         raise GraphError(f"cannot read the dataset: {exc}") from None
 
@@ -92,7 +96,7 @@ def cmd_generate(args) -> int:
 
 def cmd_partition(args) -> int:
     config = parse_config(args.config)
-    graph = _load_dataset(args.data, config)
+    graph = _load_dataset(args.data)
     part = client_partition(config, graph)
     doc = {str(cid): nodes.tolist() for cid, nodes in enumerate(part)}
     with open_output(args.out) as fh:
@@ -104,8 +108,8 @@ def cmd_partition(args) -> int:
 
 def _read_run(manifest_path) -> tuple[ExperimentConfig, str, str]:
     """The config, the dataset directory and the dataset's fingerprint of the
-    run whose manifest is ``manifest_path``.  A run is read only on the seed
-    and the dataset bytes it had, or not at all."""
+    run whose manifest is ``manifest_path``.  A run is read only on the
+    dataset bytes it had, or not at all."""
     manifest = read_document(manifest_path, RunManifest, StorageError, "manifest")
     try:
         config = ExperimentConfig.from_dict(manifest.config)
@@ -113,10 +117,9 @@ def _read_run(manifest_path) -> tuple[ExperimentConfig, str, str]:
         raise ConfigError(f"{manifest_path}: {exc}") from None
     data_dir = manifest.data_dir
     fingerprint = dataset_fingerprint(_dataset_files(data_dir))
-    if manifest.seed != config.seed or fingerprint != manifest.dataset_fingerprint:
+    if fingerprint != manifest.dataset_fingerprint:
         raise StorageError(
-            f"manifest {manifest_path} does not match its run: seed "
-            f"{manifest.seed} (the config's is {config.seed}), dataset fingerprint "
+            f"manifest {manifest_path} does not match its run: dataset fingerprint "
             f"{manifest.dataset_fingerprint} ({data_dir} has {fingerprint})"
         )
     return config, data_dir, fingerprint
@@ -140,49 +143,41 @@ def cmd_train(args) -> int:
         config = parse_config(args.config)
         data_dir = args.data
         fingerprint = None  # hashed after the load, whose GraphError names a missing dataset
-    graph = _load_dataset(data_dir, config)
+    graph = _load_dataset(data_dir)
     # an --out that names a file or holds a run is refused before the
     # experiment is built, and the run directory is created only for an
     # experiment that can start
     out = Path(args.out)
     if out.exists() and not out.is_dir():
         raise StorageError(f"cannot create the output directory {out}: it names a file")
-    if (out / "manifest.json").exists():
-        raise StorageError(f"{out / 'manifest.json'} exists: a run directory holds one run")
+    if (out / MANIFEST).exists():
+        raise StorageError(f"{out / MANIFEST} exists: a run directory holds one run")
     setup = build_experiment(config, graph)
 
     run_dir = make_output_dir(args.out)
-    outputs = {
-        "metrics": str(run_dir / "metrics.jsonl"),
-        "decisions": str(run_dir / "decisions.jsonl"),
-        "checkpoint": str(run_dir / "checkpoint.npz"),
-        "config": str(run_dir / "config.json"),
-    }
     manifest = RunManifest(
         config=asdict(config),
-        seed=config.seed,
         code_version=__version__,
         dataset_fingerprint=fingerprint or dataset_fingerprint(_dataset_files(data_dir)),
-        data_dir=str(data_dir),
-        outputs=outputs,
+        # absolute, so the run is read the same from any working directory
+        data_dir=str(Path(data_dir).resolve()),
     )
-    write_manifest(run_dir / "manifest.json", manifest)
-    write_manifest(outputs["config"], config)
+    write_manifest(run_dir / MANIFEST, manifest)
 
     # each record is written as it comes, and the decisions also when the
     # run aborts, so a diverged run keeps what it computed; the run's own
     # error is the one reported, not a failure to write its decisions
-    with open_output(outputs["metrics"]) as fh:
+    with open_output(run_dir / METRICS) as fh:
         try:
             for last in run_experiment(config, graph, setup=setup, diagnostics_dir=run_dir):
                 fh.write(metrics_to_jsonl([last]))
         except Exception:
             with contextlib.suppress(StorageError):
-                write_jsonl(outputs["decisions"], setup.server.decision_log)
+                write_jsonl(run_dir / DECISIONS, setup.server.decision_log)
             raise
-    write_jsonl(outputs["decisions"], setup.server.decision_log)
+    write_jsonl(run_dir / DECISIONS, setup.server.decision_log)
 
-    save_checkpoint(outputs["checkpoint"], setup.global_params())
+    save_checkpoint(run_dir / CHECKPOINT, setup.global_params())
 
     print(json.dumps({"rounds": last.round, "micro_f1": last.micro_f1, "out": str(run_dir)}))
     return 0
@@ -190,11 +185,11 @@ def cmd_train(args) -> int:
 
 def _restore_model(run: Path):
     """The graph, the experiment and the checkpointed parameters of the run in ``run``."""
-    config, data_dir, _ = _read_run(run / "manifest.json")
-    graph = _load_dataset(data_dir, config)
+    config, data_dir, _ = _read_run(run / MANIFEST)
+    graph = _load_dataset(data_dir)
     setup = build_experiment(config, graph)
     params = params_from_checkpoint(
-        run / "checkpoint.npz", expected_manifest=shape_manifest(setup.initial_params)
+        run / CHECKPOINT, expected_manifest=shape_manifest(setup.initial_params)
     )
     return graph, setup, params
 

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from .federation import AGGREGATORS
-from .graph import ADJACENCY_MODES, DEFAULT_TYPE_ALPHABET
-from .model import ACTIVATIONS
+from .graph import DEFAULT_TYPE_ALPHABET
 
 
 class ConfigError(Exception):
@@ -147,8 +146,6 @@ class ExperimentConfig:
     embedding_dim: int = 128
     preference_dim: int = 16
     metapaths: tuple[str, ...] = ("APA", "APPA")
-    adjacency_mode: Literal[ADJACENCY_MODES] = "counts"
-    activation: Literal[tuple(ACTIVATIONS)] = "elu"
     neighbor_sample_size: int | None = 16
     aggregator: Literal[AGGREGATORS] = "staleness"
     staleness_exponent: float = 0.5
@@ -159,7 +156,6 @@ class ExperimentConfig:
     partition_strategy: Literal["uniform", "label_skew"] = "uniform"
     dirichlet_alpha: float = 1.0
     train_fraction: float = 0.8
-    target_type: str = "author"
     type_alphabet: Mapping[str, str] = field(default_factory=lambda: dict(DEFAULT_TYPE_ALPHABET))
     seed: int = 0
 

@@ -41,8 +41,6 @@ DEFAULT_TYPE_ALPHABET: Mapping[str, str] = {
     "T": "term",
 }
 
-ADJACENCY_MODES = ("counts", "binary")
-
 
 class GraphError(Exception):
     """Base class for graph construction and validation failures."""
@@ -269,7 +267,7 @@ def _check_codes(kind: str, codes: np.ndarray, count: int) -> None:
 
 @dataclass(frozen=True)
 class MetaPathAdjacency:
-    """Walk-count (or indicator) matrix between endpoints of a meta path.
+    """Walk-count matrix between endpoints of a meta path.
 
     ``matrix`` is |first type| x |last type|; entry (i, j) counts the typed
     walks from the i-th node of the first type to the j-th node of the last
@@ -287,16 +285,11 @@ class MetaPathAdjacency:
         return self.matrix.shape[0]
 
 
-def metapath_adjacency(
-    graph: HeterogeneousGraph, spec: MetaPathSpec, mode: str = "counts"
-) -> MetaPathAdjacency:
-    """Compute the meta-path adjacency as an ordered product of typed biadjacencies.
-
-    ``mode="counts"`` keeps walk multiplicities; ``mode="binary"`` reduces to
-    the 0/1 indicator.  The result is deterministic.
+def metapath_adjacency(graph: HeterogeneousGraph, spec: MetaPathSpec) -> MetaPathAdjacency:
+    """Compute the meta-path adjacency, its walk counts, as an ordered product
+    of typed biadjacencies.  The result is deterministic; ``matrix > 0`` is
+    its 0/1 indicator.
     """
-    if mode not in ADJACENCY_MODES:
-        raise ValidationError(f"mode must be {' or '.join(map(repr, ADJACENCY_MODES))}, got {mode!r}")
     spec.validate_against(graph)
     seq = spec.type_sequence
     mats = [graph.biadjacency(a, b) for a, b in zip(seq, seq[1:])]
@@ -305,8 +298,6 @@ def metapath_adjacency(
     if seq[0] == seq[-1]:
         product.setdiag(0)
         product.eliminate_zeros()
-    if mode == "binary":
-        product.data[:] = 1
     product.sort_indices()
     return MetaPathAdjacency(product)
 

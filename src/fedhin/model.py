@@ -4,7 +4,7 @@ Per meta path, a node's raw feature is its adjacency vector (walk counts
 to every other target node).  A linear transform maps it to a d-vector;
 node-level attention weights each meta-path neighbor by the softmax of
 cosine similarities between transformed features; the weighted neighbor
-sum passes through an activation and is concatenated with the node's own
+sum passes through an ELU and is concatenated with the node's own
 transformed feature, then projected back to d dimensions.  Meta-path-
 level attention scores each per-path embedding by the cosine between a
 learned per-node preference vector and a shared projection of the
@@ -64,7 +64,7 @@ class ModelError(Exception):
     """Shape or contract violation in the embedding model."""
 
 
-# -- activations -----------------------------------------------------------
+# -- activation --------------------------------------------------------------
 
 
 def _elu(x):
@@ -73,21 +73,6 @@ def _elu(x):
 
 def _elu_grad(x):
     return np.where(x > 0, 1.0, np.exp(x))
-
-
-def _relu(x):
-    return np.maximum(x, 0.0)
-
-
-def _relu_grad(x):
-    return (x > 0).astype(np.float64)
-
-
-ACTIVATIONS = {
-    "identity": (lambda x: x, lambda x: np.ones_like(x)),
-    "relu": (_relu, _relu_grad),
-    "elu": (_elu, _elu_grad),
-}
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -413,7 +398,7 @@ class ForwardTrace:
     sim_valid: np.ndarray              # (E,) False where a norm was zero
     coeffs: np.ndarray                 # (E,) node-level attention, a simplex per segment
     preact: np.ndarray                 # (M B, d) coefficient-weighted neighbor sums u
-    combined: np.ndarray               # (M, B, 2d) concat(act(u), H[own]) per path
+    combined: np.ndarray               # (M, B, 2d) concat(elu(u), H[own]) per path
     path_embed: np.ndarray             # (B, M, d)
     projected: np.ndarray              # (B, M, k)
     raw_path_scores: np.ndarray        # (B, M)
@@ -446,7 +431,6 @@ class AttentionModel:
         n_labels: int,
         embedding_dim: int,
         preference_dim: int,
-        activation: str = "elu",
         sample_size: int | None = 16,
     ):
         if not adjacencies:
@@ -455,8 +439,6 @@ class AttentionModel:
         for adj in adjacencies:
             if adj.matrix.shape != (n, n):
                 raise ModelError("all meta-path adjacencies must be square with equal size")
-        if activation not in ACTIVATIONS:
-            raise ModelError(f"unknown activation {activation!r}; choose {sorted(ACTIVATIONS)}")
         if n_labels < 1:
             raise ModelError("n_labels must be >= 1")
         # block p is path p's CSR arrays, columns and row offsets shifted;
@@ -478,8 +460,6 @@ class AttentionModel:
             preference_dim=preference_dim,
             n_labels=n_labels,
         )
-        self.activation = activation
-        self._act, self._act_grad = ACTIVATIONS[activation]
         # no list is longer than N, and a cap past the index dtype overflows it
         self.sample_size = sample_size if sample_size is None else min(sample_size, n)
 
@@ -552,7 +532,7 @@ class AttentionModel:
         zero_events = int((~valid).sum())
         coeffs = seg.softmax(sims)
         u = seg.matmul(coeffs, h)
-        a = self._act(u)
+        a = _elu(u)
         combined = np.concatenate([a, hb], axis=1).reshape(n_paths, n_batch, 2 * d)
         path_embed = np.ascontiguousarray(
             (combined @ params.wc.transpose(0, 2, 1)).transpose(1, 0, 2)
@@ -639,8 +619,8 @@ class AttentionModel:
         np.matmul(de.transpose(0, 2, 1), trace.combined, out=grads.wc)
         dstacked = (de @ params.wc).reshape(-1, 2 * d)
         dhb = dstacked[:, d:]
-        # a = act(u), u = C @ H
-        du = dstacked[:, :d] * self._act_grad(trace.preact)
+        # a = elu(u), u = C @ H
+        du = dstacked[:, :d] * _elu_grad(trace.preact)
 
         # coeffs = segment softmax(sims)
         dcoeffs = seg.dots(du, h)

@@ -196,7 +196,7 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
     ]
     for spec in specs:
         spec.validate_for_target(graph.target_type)
-    adjacencies = [metapath_adjacency(graph, spec, config.adjacency_mode) for spec in specs]
+    adjacencies = [metapath_adjacency(graph, spec) for spec in specs]
 
     n_labels = graph.num_labels
     if n_labels < 2:
@@ -206,7 +206,6 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
         n_labels=n_labels,
         embedding_dim=config.embedding_dim,
         preference_dim=config.preference_dim,
-        activation=config.activation,
         sample_size=config.neighbor_sample_size,
     )
 

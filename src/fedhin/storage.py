@@ -173,15 +173,13 @@ class RunManifest:
     """Written before training; sufficient to replay the run deterministically."""
 
     config: dict
-    seed: int
     code_version: str
     dataset_fingerprint: str
     data_dir: str
-    outputs: dict
 
 
-def write_manifest(path, document) -> None:
-    """Write the dataclass ``document`` (a run's manifest or config) as sorted, indented JSON."""
+def write_manifest(path, manifest: RunManifest) -> None:
+    """Write a run's ``manifest`` as sorted, indented JSON."""
     with open_output(path) as fh:
-        json.dump(asdict(document), fh, indent=2, sort_keys=True)
+        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -54,7 +54,7 @@ def small_model():
     specs = [MetaPathSpec.from_string(code) for code in ("APA", "APPA")]
     adjs = [metapath_adjacency(graph, s) for s in specs]
     model = AttentionModel(
-        adjs, n_labels=3, embedding_dim=5, preference_dim=4, activation="elu", sample_size=None
+        adjs, n_labels=3, embedding_dim=5, preference_dim=4, sample_size=None
     )
     params = init_params(model.dims, np.random.default_rng(7))
     n = model.dims.n_targets

@@ -382,16 +382,13 @@ def reference_f1_scores(predictions, truths, n_labels) -> tuple[float, float]:
 #
 # One target node and one meta path at a time, straight from the dense
 # adjacency row.  Only the model's structure (its block-diagonal adjacency
-# ``matrix``, dimensions, activation, sample size) and the parameter tensors
-# are read from the package.
+# ``matrix``, dimensions and sample size) and the parameter tensors are
+# read from the package.
 
 
-def _activate(name, x):
-    if name == "relu":
-        return np.maximum(x, 0.0)
-    if name == "elu":
-        return np.where(x > 0, x, np.expm1(x))
-    return x
+def _activate(x):
+    """The model's activation, ELU."""
+    return np.where(x > 0, x, np.expm1(x))
 
 
 def _softmax(values):
@@ -452,20 +449,20 @@ def node_attention(model, params, path: int, i: int, ids=None) -> dict[int, floa
 
 
 def aggregate_neighbors(model, params, path: int, i: int, coeffs, sample_size=None, rng=None):
-    """Activation of the coefficient-weighted sum of sampled neighbor features.
+    """ELU of the coefficient-weighted sum of sampled neighbor features.
 
     Coefficients are renormalized over the uniform sample so they stay on
-    the simplex; with no neighbors the result is activation(0).
+    the simplex; with no neighbors the result is ELU(0) = 0.
     """
     ids = np.array(sorted(coeffs), dtype=np.int64)
     if ids.size and sample_size is not None and rng is not None and ids.size > sample_size:
         ids = np.sort(rng.choice(ids, size=sample_size, replace=False))
     if ids.size == 0:
-        return _activate(model.activation, np.zeros(model.dims.embedding_dim))
+        return _activate(np.zeros(model.dims.embedding_dim))
     weights = np.array([coeffs[int(j)] for j in ids])
     weights = weights / weights.sum()
     feats = np.stack([transform_features(model, params, path, int(j)) for j in ids])
-    return _activate(model.activation, weights @ feats)
+    return _activate(weights @ feats)
 
 
 def metapath_embedding(model, params, path: int, i: int, aggregated) -> np.ndarray:

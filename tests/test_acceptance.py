@@ -60,7 +60,7 @@ def gradcheck_fixture():
     graph = random_hin(rng)
     adjs = [metapath_adjacency(graph, MetaPathSpec.from_string(c)) for c in ("APA", "APPA")]
     model = AttentionModel(
-        adjs, n_labels=3, embedding_dim=4, preference_dim=3, activation="elu", sample_size=None
+        adjs, n_labels=3, embedding_dim=4, preference_dim=3, sample_size=None
     )
     labels = np.random.default_rng(5).integers(0, 3, size=model.dims.n_targets)
     return model, labels
@@ -151,7 +151,7 @@ def test_criterion_3_metapath_oracle():
             graph = random_hin(rng, max_nodes=40)
             assert graph.num_nodes <= 40
             spec = MetaPathSpec.from_string(codes[trial % len(codes)])
-            adj = metapath_adjacency(graph, spec, mode="counts")
+            adj = metapath_adjacency(graph, spec)
             expected = enumerate_typed_walks(graph, spec.type_sequence)
             np.fill_diagonal(expected, 0)
             assert np.array_equal(adj.matrix.toarray(), expected), f"trial {trial}"

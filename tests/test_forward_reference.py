@@ -25,8 +25,7 @@ def build(seed, sample_size):
     rng = np.random.default_rng(seed)
     adjs = edge_case_adjacencies(rng)
     model = AttentionModel(
-        adjs, n_labels=3, embedding_dim=5, preference_dim=4, activation="elu",
-        sample_size=sample_size,
+        adjs, n_labels=3, embedding_dim=5, preference_dim=4, sample_size=sample_size,
     )
     params = init_params(model.dims, np.random.default_rng(seed + 100))
     labels = rng.integers(0, 3, size=model.dims.n_targets)
@@ -93,8 +92,7 @@ def test_batch_local_forward_equals_per_node_reference(seed, sample_size):
                 dense[i, (i + step) % 19] = dense[i, (i - step) % 19] = rng.integers(1, 4)
         adjs.append(MetaPathAdjacency(sp.csr_matrix(dense)))
     model = AttentionModel(
-        adjs, n_labels=3, embedding_dim=32, preference_dim=4, activation="elu",
-        sample_size=sample_size,
+        adjs, n_labels=3, embedding_dim=32, preference_dim=4, sample_size=sample_size,
     )
     params = init_params(model.dims, np.random.default_rng(seed + 100))
     labels = rng.integers(0, 3, size=20)

@@ -43,7 +43,7 @@ def gradcheck_model():
 
     adjs = [metapath_adjacency(graph, s) for s in specs]
     model = AttentionModel(
-        adjs, n_labels=3, embedding_dim=4, preference_dim=3, activation="elu", sample_size=None
+        adjs, n_labels=3, embedding_dim=4, preference_dim=3, sample_size=None
     )
     labels = np.random.default_rng(5).integers(0, 3, size=model.dims.n_targets)
     return model, adjs, labels
@@ -56,20 +56,6 @@ class TestBackward:
         batch = np.arange(min(6, model.dims.n_targets))
         check_all_tensors(model, params, labels, batch)
 
-    def test_matches_finite_differences_with_relu_and_identity(self, gradcheck_model):
-        _, adjs, labels = gradcheck_model
-        for act in ("identity", "relu"):
-            variant = AttentionModel(
-                adjs,
-                n_labels=3,
-                embedding_dim=4,
-                preference_dim=3,
-                activation=act,
-                sample_size=None,
-            )
-            params = init_params(variant.dims, np.random.default_rng(4))
-            check_all_tensors(variant, params, labels, np.arange(5))
-
     def test_matches_finite_differences_through_fixed_sampling(self, gradcheck_model):
         # re-seeding the sampler per evaluation makes the sampled forward a
         # deterministic function, so finite differences stay valid
@@ -79,7 +65,6 @@ class TestBackward:
             n_labels=3,
             embedding_dim=4,
             preference_dim=3,
-            activation="elu",
             sample_size=2,
         )
         params = init_params(sampled.dims, np.random.default_rng(8))
@@ -99,7 +84,6 @@ class TestBackward:
             n_labels=3,
             embedding_dim=4,
             preference_dim=3,
-            activation="elu",
             sample_size=sample_size,
         )
         params = init_params(model.dims, np.random.default_rng(6))
@@ -131,7 +115,7 @@ class TestBackward:
             dense[8:11, 0] += 1  # no zero rows among the touched neighbors
             adjs.append(MetaPathAdjacency(sp.csr_matrix(dense)))
         model = AttentionModel(
-            adjs, n_labels=3, embedding_dim=24, preference_dim=3, activation="elu", sample_size=2
+            adjs, n_labels=3, embedding_dim=24, preference_dim=3, sample_size=2
         )
         params = init_params(model.dims, np.random.default_rng(9))
         labels = np.random.default_rng(10).integers(0, 3, size=12)
@@ -179,7 +163,6 @@ class TestBackward:
             n_labels=3,
             embedding_dim=4,
             preference_dim=3,
-            activation="elu",
             sample_size=None,
         )
         params = init_params(variant.dims, np.random.default_rng(3))

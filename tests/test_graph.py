@@ -316,19 +316,6 @@ class TestMetaPathAdjacency:
         np.fill_diagonal(expected, 0)
         assert np.array_equal(adj.matrix.toarray(), expected)
 
-    def test_counts_vs_binary(self):
-        rng = np.random.default_rng(8)
-        g = random_hin(rng)
-        spec = MetaPathSpec.from_string("APPA")
-        counts = metapath_adjacency(g, spec, mode="counts").matrix.toarray()
-        binary = metapath_adjacency(g, spec, mode="binary").matrix.toarray()
-        assert np.all(counts >= binary)
-        assert np.array_equal(binary, (counts > 0).astype(np.int64))
-
-    def test_unknown_mode_is_a_validation_error(self, toy_graph):
-        with pytest.raises(ValidationError, match="'counts' or 'binary', got 'bogus'"):
-            metapath_adjacency(toy_graph, MetaPathSpec.from_string("APA"), mode="bogus")
-
     def test_length_two_path_equals_biadjacency(self):
         rng = np.random.default_rng(9)
         g = random_hin(rng)

@@ -34,11 +34,10 @@ def wrap_adjacency(matrix) -> MetaPathAdjacency:
     return MetaPathAdjacency(sp.csr_matrix(matrix))
 
 
-def craft_model(matrices, n_labels=4, d=2, k=2, activation="identity"):
+def craft_model(matrices, n_labels=4, d=2, k=2):
     adjs = [wrap_adjacency(m) for m in matrices]
     model = AttentionModel(
-        adjs, n_labels=n_labels, embedding_dim=d, preference_dim=k,
-        activation=activation, sample_size=None,
+        adjs, n_labels=n_labels, embedding_dim=d, preference_dim=k, sample_size=None,
     )
     params = init_params(model.dims, np.random.default_rng(0))
     return model, params
@@ -144,13 +143,15 @@ class TestNodeAttention:
 
 class TestAggregateNeighbors:
     def test_single_neighbor_identity_activation(self):
-        # adjacency row of the neighbor is e_1, so its feature is row 1 of wt
+        # adjacency row of the neighbor is e_1, so its feature is row 1 of wt;
+        # ELU is the identity on its positive entries
         model, params = craft_model([np.array([[0, 1], [0, 1]])], d=2)
+        params.wt[0][1] = [0.5, 2.0]
         got = aggregate_neighbors(model, params, 0, 0, {1: 1.0})
         np.testing.assert_allclose(got, params.wt[0][1])
 
     def test_no_neighbors_gives_activated_zero(self):
-        model, params = craft_model([np.zeros((2, 2))], d=2, activation="elu")
+        model, params = craft_model([np.zeros((2, 2))], d=2)
         np.testing.assert_allclose(aggregate_neighbors(model, params, 0, 0, {}), np.zeros(2))
 
     def test_weighted_sum_by_hand(self):

@@ -97,8 +97,6 @@ class TestParseConfig:
             parse_config(path)
 
     @pytest.mark.parametrize("field, allowed", [
-        ("adjacency_mode", "'counts' or 'binary'"),
-        ("activation", "'identity' or 'relu' or 'elu'"),
         ("aggregator", "'staleness' or 'fedavg' or 'ema'"),
         ("granularity", "'round' or 'batch'"),
         ("partition_strategy", "'uniform' or 'label_skew'"),
@@ -389,8 +387,8 @@ def _output_names_a_directory(name, error) -> pytest.param:
 def _manifest_doc(**fields) -> dict:
     """A well-formed run manifest with ``fields`` replaced."""
     doc = {
-        "config": {"rounds": 1}, "seed": 0, "code_version": "0.1.0",
-        "dataset_fingerprint": "0" * 64, "data_dir": "data", "outputs": {},
+        "config": {"rounds": 1}, "code_version": "0.1.0",
+        "dataset_fingerprint": "0" * 64, "data_dir": "data",
     }
     return {**doc, **fields}
 
@@ -549,18 +547,20 @@ class TestCli:
         assert main(argv) == 0
         config = ExperimentConfig.from_dict(doc)
         # build_experiment trains on client_partition's split (test_simulation.py)
-        part = client_partition(config, _load_dataset(str(dataset_dir), config))
+        part = client_partition(config, _load_dataset(str(dataset_dir)))
         assert json.loads(out.read_text()) == {str(c): p.tolist() for c, p in enumerate(part)}
 
     def test_train_outputs_complete_run_directory(self, train_run):
-        _, out_dir = train_run
-        for name in ("manifest.json", "config.json", "metrics.jsonl", "decisions.jsonl", "checkpoint.npz"):
-            assert (out_dir / name).exists(), name
+        dataset_dir, out_dir = train_run
+        assert {path.name for path in out_dir.iterdir()} == {
+            "manifest.json", "metrics.jsonl", "decisions.jsonl", "checkpoint.npz"
+        }
         metrics = [json.loads(line) for line in (out_dir / "metrics.jsonl").read_text().splitlines()]
         assert [m["round"] for m in metrics] == [0, 1, 2, 3]
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["dataset_fingerprint"]
-        assert manifest["seed"] == 1
+        assert manifest["config"]["seed"] == 1
+        assert manifest["data_dir"] == str(dataset_dir.resolve())
 
     def test_manifest_replay_reproduces_metrics_bit_for_bit(self, train_run, tmp_path):
         _, out_dir = train_run
@@ -587,7 +587,7 @@ class TestCli:
         )
         assert replayed["dataset_fingerprint"] == original["dataset_fingerprint"]
 
-    @pytest.mark.parametrize("edit", ["edges.csv", "seed"])
+    @pytest.mark.parametrize("edit", ["edges.csv"])
     def test_replay_of_a_changed_dataset_or_seed_is_refused(self, train_run, tmp_path, capsys, edit):
         dataset_dir, out_dir = train_run
         data = tmp_path / "data"
@@ -597,12 +597,9 @@ class TestCli:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         manifest["data_dir"] = str(data)
         recorded = manifest["dataset_fingerprint"]
-        if edit == "seed":
-            manifest["seed"] += 1
-        else:
-            # a parallel edge: the edited dataset still loads and trains
-            edges = (data / "edges.csv").read_text().splitlines(keepends=True)
-            (data / "edges.csv").write_text("".join(edges + edges[1:2]))
+        # a parallel edge: the edited dataset still loads and trains
+        edges = (data / edit).read_text().splitlines(keepends=True)
+        (data / edit).write_text("".join(edges + edges[1:2]))
         manifest_path = tmp_path / "manifest.json"
         manifest_path.write_text(json.dumps(manifest))
         replay_dir = tmp_path / "replay"
@@ -613,13 +610,12 @@ class TestCli:
         err = json.loads(lines[0])
         assert err["error"] == "StorageError"
         assert str(manifest_path) in err["message"]
-        if edit == "edges.csv":
-            changed = dataset_fingerprint(_dataset_files(data))
-            assert recorded in err["message"] and changed in err["message"]
+        changed = dataset_fingerprint(_dataset_files(data))
+        assert recorded in err["message"] and changed in err["message"]
         assert not replay_dir.exists()
 
     def test_target_type_is_the_datasets(self, tmp_path):
-        # the config leaves target_type at "author"; schema.json names papers
+        # the target type is the one schema.json names: papers
         data = tmp_path / "data"
         _paper_labeled_dataset(data)
         config_path = tmp_path / "config.json"
@@ -635,6 +631,26 @@ class TestCli:
         assert main(["export-embeddings", "--run", str(run), "--out", str(out)]) == 0
         rows = out.read_text().splitlines()[1:]
         assert [int(row.split(",")[0]) for row in rows] == list(range(4, 28))
+
+    def test_a_run_on_a_relative_data_dir_is_read_from_another_directory(
+        self, dataset_dir, tmp_path, monkeypatch
+    ):
+        work = tmp_path / "rel1"
+        shutil.copytree(dataset_dir, work / "data")
+        (work / "config.json").write_text(json.dumps({
+            "clients": 2, "rounds": 1, "batch_size": 64, "embedding_dim": 4, "preference_dim": 2,
+        }))
+        monkeypatch.chdir(work)
+        assert main(["train", "--data", "data", "--config", "config.json", "--out", "run"]) == 0
+        manifest = json.loads((work / "run" / "manifest.json").read_text())
+        assert manifest["data_dir"] == str((work / "data").resolve())
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval", "--run", "rel1/run"]) == 0
+        assert main(["export-embeddings", "--run", "rel1/run", "--out", "embeddings.csv"]) == 0
+        assert main(["train", "--manifest", "rel1/run/manifest.json", "--out", "replay"]) == 0
+        assert (tmp_path / "replay" / "metrics.jsonl").read_bytes() == (
+            work / "run" / "metrics.jsonl"
+        ).read_bytes()
 
     def test_eval_command_prints_scores(self, train_run, capsys):
         _, out_dir = train_run
@@ -762,13 +778,15 @@ class TestCli:
                 "GraphError", "triples", id="schema-without-triples",
             ),
             pytest.param(
-                {**TINY_DATASET, "schema.json": json.dumps({"triples": [["author", "writes"]]})},
+                {**TINY_DATASET, "schema.json": json.dumps(
+                    {"triples": [["author", "writes"]], "target_type": "author"})},
                 ["train", "--data", "{tmp}", "--out", "{tmp}/o"],
                 "GraphError", "schema.json", id="schema-triple-of-two",
             ),
             pytest.param(
                 {**TINY_DATASET,
-                 "schema.json": json.dumps({"triples": [["author", 5, "paper"]]})},
+                 "schema.json": json.dumps(
+                     {"triples": [["author", 5, "paper"]], "target_type": "author"})},
                 ["train", "--data", "{tmp}", "--out", "{tmp}/o"],
                 "GraphError", "schema.json", id="schema-triple-not-strings",
             ),
@@ -778,6 +796,20 @@ class TestCli:
                 ["train", "--data", "{tmp}", "--out", "{tmp}/o"],
                 "GraphError", "schema.json", id="schema-target-type-not-a-string",
             ),
+            # a dataset names its target type; schemas once could leave it to the config
+            pytest.param(
+                {**TINY_DATASET,
+                 "schema.json": json.dumps({"triples": [["author", "writes", "paper"]]})},
+                ["train", "--data", "{tmp}", "--out", "{tmp}/o"],
+                "GraphError", "missing key(s): ['target_type']", id="schema-without-target-type",
+            ),
+            # settings that configs once held: one activation, walk counts, the dataset's type
+            *(pytest.param(
+                {"old.json": json.dumps({key: value})},
+                ["train", "--data", "{tmp}", "--config", "{tmp}/old.json", "--out", "{tmp}/o"],
+                "ConfigError", f"unknown key(s): ['{key}']", id=f"config-with-{key}",
+            ) for key, value in (("activation", "elu"), ("adjacency_mode", "counts"),
+                                 ("target_type", "author"))),
             pytest.param(
                 {"manifest.json": "not json"},
                 ["train", "--manifest", "{tmp}/manifest.json", "--out", "{tmp}/o"],
@@ -887,6 +919,13 @@ class TestCli:
                 "ConfigError", "manifest.json: unknown key(s): ['scheduling']",
                 id="manifest-config-with-scheduling",
             ),
+            # manifests once repeated the config's seed and listed the run's files
+            *(pytest.param(
+                {"manifest.json": json.dumps(_manifest_doc(**{key: value}))},
+                ["train", "--manifest", "{tmp}/manifest.json", "--out", "{tmp}/o"],
+                "StorageError", f"manifest.json: unknown key(s): ['{key}']",
+                id=f"manifest-with-{key}",
+            ) for key, value in (("seed", 0), ("outputs", {}))),
             # a run is read only with its checkpoint and on the dataset it ran on
             *(pytest.param(
                 {"small": run}, [*argv, "--run", "{tmp}/small/run"], "StorageError", fragment,
@@ -1028,7 +1067,7 @@ class TestCli:
             _output_names_a_directory("nodes.csv", "GraphError"),
             _output_names_a_directory("edges.csv", "GraphError"),
             *(_output_names_a_directory(name, "StorageError") for name in (
-                "schema.json", "manifest.json", "config.json", "metrics.jsonl",
+                "schema.json", "manifest.json", "metrics.jsonl",
                 "decisions.jsonl", "checkpoint.npz",
             )),
         ],
