@@ -3,13 +3,13 @@
 ``synthetic_hin`` builds the graph in time linear in the number of author
 pairs and of papers.  Its co-write draws are one ``rng.random`` stream
 over the author pairs, taken a block of rows at a time.  Every later draw
-is numpy's scalar ``random()`` or ``integers(0, n)`` in a fixed order,
-served from the generator's raw PCG64 words (``_RawReplay``): one draw at
-a time where the words a draw reads depend on earlier draws, and in
-vectorized runs (``_replay_draws``) wherever they are known before
-drawing.  The graph is byte-identical to the one the same draws give
-through the ``Generator`` one call at a time; ``tests/oracles.py`` holds
-those loops, and the tests compare the two.
+is numpy's scalar ``random()`` or ``integers(0, n)`` in a fixed order
+(``_replay_draws``): the ``Generator``'s own calls where the words a draw
+reads depend on earlier draws, and closed-form vectorized runs over its
+raw PCG64 words (``_run``) wherever they are known before drawing.  The
+graph is byte-identical to the one the same draws give through the
+``Generator`` one call at a time; ``tests/oracles.py`` holds those loops,
+and the tests compare the two.
 
 Invalid arguments raise ``SimulationError``.
 """
@@ -68,6 +68,8 @@ def synthetic_hin(
         raise SimulationError(
             f"need n_papers >= 0 and n_venues >= 0, got {n_papers} and {n_venues}"
         )
+    if seed < 0:
+        raise SimulationError(f"seed must be a non-negative integer, got {seed}")
     try:
         return _synthetic_graph(n_authors, n_papers, n_venues, classes, p_in, p_out, seed)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
@@ -88,13 +90,11 @@ def _synthetic_graph(n_authors, n_papers, n_venues, classes, p_in, p_out, seed):
     # co-write events: one paper per successful pair draw
     first, second = _coauthor_pairs(rng, author_class, p_in, p_out)
     # Every later draw is a scalar ``random()`` or ``integers(0, size)`` in a
-    # fixed order, replayed from the generator's raw words by
-    # ``_replay_draws``.  A draw from a pool keeps its index and is mapped to
-    # a node id afterwards in one array pass; ``pool[rng.integers(0,
-    # pool.size)]`` is the same draw as ``rng.choice(pool)``
-    # (tests/test_simulation.py checks it, and the loops as they were drawn
-    # are in tests/oracles.py).
-    replay = _RawReplay(rng.bit_generator)
+    # fixed order, run by ``_replay_draws``.  A draw from a pool keeps its
+    # index and is mapped to a node id afterwards in one array pass;
+    # ``pool[rng.integers(0, pool.size)]`` is the same draw as
+    # ``rng.choice(pool)`` (tests/test_synthetic.py checks it, and the loops
+    # as they were drawn are in tests/oracles.py).
     within_bias = p_in / (p_in + p_out) if (p_in + p_out) > 0 else 0.5
     # guarantee one co-authored paper per author (class-biased like regular
     # co-writes) so no node is featureless; then pad the paper count with
@@ -113,7 +113,7 @@ def _synthetic_graph(n_authors, n_papers, n_venues, classes, p_in, p_out, seed):
         other = np.where(forced[lo:hi], size - 1, n_authors - size)
         return np.ones(hi - lo, dtype=bool), size - 1, other, np.full(hi - lo, -1)
 
-    take, k = _replay_draws(replay, lonely.size, lonely_plan, within_bias)
+    take, k = _replay_draws(rng, lonely.size, lonely_plan, within_bias)
     start, own, drawn = class_start[author_class[lonely]], take | forced, k >= 0
     partners = np.where(own, start + k + (start + k >= lonely), k + lonely_size * (k >= start))
     first = np.concatenate([first, lonely[drawn]])
@@ -123,7 +123,7 @@ def _synthetic_graph(n_authors, n_papers, n_venues, classes, p_in, p_out, seed):
         bound = np.full(hi - lo, n_authors)
         return np.zeros(hi - lo, dtype=bool), bound, bound, np.full(hi - lo, -1)
 
-    _, solo = _replay_draws(replay, max(n_papers - first.size, 0), solo_plan, within_bias)
+    _, solo = _replay_draws(rng, max(n_papers - first.size, 0), solo_plan, within_bias)
 
     n_paper_nodes = first.size + solo.size
     paper_class = author_class[np.concatenate([first, solo])]
@@ -145,7 +145,7 @@ def _synthetic_graph(n_authors, n_papers, n_venues, classes, p_in, p_out, seed):
         own = np.where(size > 1, size, 0)
         return np.ones(hi - lo, dtype=bool), own, n_paper_nodes - size, rank[p]
 
-    own, k = _replay_draws(replay, 2 * n_paper_nodes, cite_plan, within_bias)
+    own, k = _replay_draws(rng, 2 * n_paper_nodes, cite_plan, within_bias)
     drawn = k >= 0
     own_draw, other_draw = np.flatnonzero(own & drawn), np.flatnonzero(~own & drawn)
     cite_src = np.concatenate([own_draw, other_draw]) >> 1
@@ -175,7 +175,7 @@ def _synthetic_graph(n_authors, n_papers, n_venues, classes, p_in, p_out, seed):
             single = np.where(own > 0, own, other)
             return double, single, np.where(double, other, single), np.full(hi - lo, -1)
 
-        own_pick, picks = _replay_draws(replay, n_paper_nodes, venue_plan, within_bias)
+        own_pick, picks = _replay_draws(rng, n_paper_nodes, venue_plan, within_bias)
         own_pick &= class_venues[paper_class] > 0
         # the venues of class c are c, c + classes, c + 2 * classes, ...
         paper_venue[own_pick] = paper_class[own_pick] + picks[own_pick] * classes
@@ -219,7 +219,7 @@ def _coauthor_pairs(
     triangle: one uniform draw per pair, below ``p_in`` for a same-class pair
     and below ``p_out`` for a cross-class one.  The draws come a block of rows
     at a time, which gives the same doubles as one ``rng.random`` call over
-    all pairs (tests/test_simulation.py checks it) without holding them all."""
+    all pairs (tests/test_synthetic.py checks it) without holding them all."""
     n = author_class.size
     rows_per_block = max(1, _PAIR_BLOCK // max(n - 1, 1))
     firsts, seconds = [], []
@@ -266,11 +266,9 @@ def _both_ways(a: np.ndarray, b: np.ndarray, relation: int) -> tuple[np.ndarray,
     return src, dst, rel
 
 
-# -- the generator's scalar draws, replayed from raw words ---------------------
+# -- the generator's scalar draws, in closed-form runs where they can be -------
 
 _MASK32 = np.uint64(0xFFFFFFFF)
-# raw words fetched from the bit generator at least at a time
-_RAW_BLOCK = 1 << 14
 # loop iterations planned at a time; bounds the plan arrays in memory
 _DRAW_BLOCK = 1 << 15
 # the shortest regular stretch worth a vectorized run; after a run that
@@ -278,130 +276,85 @@ _DRAW_BLOCK = 1 << 15
 _MIN_RUN = 64
 
 
-class _RawReplay:
-    """numpy's scalar ``random()`` and ``integers(0, n)`` of a PCG64
-    ``Generator``, computed from its ``random_raw`` words fetched in bulk.
+def _run(
+    rng: np.random.Generator, double: np.ndarray, a: np.ndarray, b: np.ndarray,
+    avoid: np.ndarray, within_bias: float,
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Run iterations of ``_replay_draws``'s loop in closed form from the
+    generator's raw PCG64 words and commit the longest prefix free of a
+    rejection or a redraw.
 
-    ``random()`` is ``(word >> 11) * 2**-53``.  ``integers(0, n)`` takes one
-    32-bit half through the bit generator's half-word buffer (the low half of
-    a fresh word, then its high half on the next 32-bit draw), scales it by
-    Lemire's method, and draws again on rejection; ``n == 1`` draws nothing
-    and ``n > 2**32`` scales whole words.  The buffer starts from the bit
-    generator's state; once words are fetched, the generator itself must not
-    be drawn from again."""
-
-    def __init__(self, bit_generator: np.random.BitGenerator):
+    numpy's scalar ``random()`` is ``(word >> 11) * 2**-53``.  Its
+    ``integers(0, n)`` for ``1 < n <= 2**32`` takes one 32-bit half through
+    the bit generator's half-word buffer (the low half of a fresh word, then
+    its high half on the next 32-bit draw) and scales it by Lemire's method,
+    drawing again on rejection; ``n == 1`` draws nothing.  Every iteration
+    must be regular: both branches draw a half, or neither does, and no
+    bound exceeds ``2**32``.  Then the words each draw reads follow from the
+    counts of doubles and halves before it.  The generator is left just
+    past the committed draws.  Returns the number of committed iterations
+    and their branches and values."""
+    bit_generator = rng.bit_generator
+    saved = bit_generator.state
+    buffered = saved["has_uint32"]
+    length = double.size
+    half = a > 1
+    drawn = np.flatnonzero(half)
+    n_half = drawn.size
+    doubles_through = np.cumsum(double)
+    doubles_before = doubles_through - double
+    fetched = int(doubles_through[-1]) + (max(n_half - buffered, 0) + 1) // 2
+    raw = bit_generator.random_raw(fetched)
+    # a double reads the word after the doubles before it and the fresh
+    # words the halves before it opened (a buffered half opens none)
+    halves_before = np.cumsum(half)[double] - half[double]
+    at = doubles_before[double] + (np.maximum(halves_before - buffered, 0) + 1) // 2
+    u = (raw[at] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    take = np.ones(length, dtype=bool)
+    take[double] = u < within_bias
+    # the j-th fresh half opens a word when j is even and reads the high
+    # half of the word its predecessor opened when j is odd
+    opens = drawn[buffered:]
+    at = doubles_through[opens] + (np.arange(opens.size) >> 1)
+    at[1::2] = at[0::2][: at[1::2].size]
+    words = raw[at]
+    halves = np.empty(n_half, dtype=np.uint64)
+    if buffered and n_half:
+        halves[0] = saved["uinteger"]
+    halves[buffered::2] = words[0::2] & _MASK32
+    halves[buffered + 1 :: 2] = words[1::2] >> np.uint64(32)
+    bound = np.where(take, a, b)
+    scale = bound[drawn].astype(np.uint64)
+    m = halves * scale
+    values = (m >> np.uint64(32)).astype(np.int64)
+    rejected = (m & _MASK32) < np.uint64(1 << 32) % scale
+    irregular = np.flatnonzero(rejected | (take[drawn] & (values == avoid[drawn])))
+    used = int(irregular[0]) if irregular.size else n_half
+    committed = int(drawn[used]) if used < n_half else length
+    # leave the generator just past the committed draws: redraw only the
+    # words they read, then set the half-word buffer, which random_raw
+    # leaves alone
+    consumed = int(doubles_through[committed - 1]) if committed else 0
+    consumed += (max(used - buffered, 0) + 1) // 2
+    if consumed < fetched:
+        bit_generator.state = saved
+        bit_generator.random_raw(consumed)
+    if used:
         state = bit_generator.state
-        self._bit_generator = bit_generator
-        self.words = np.empty(0, dtype=np.uint64)
-        self._word_list: list[int] = []
-        self.pos = 0  # the next unread word
-        self.half = int(state["uinteger"]) if state["has_uint32"] else None
-
-    def reserve(self, count: int) -> None:
-        """Make at least ``count`` unread words available from ``pos``."""
-        if self.pos + count > self.words.size:
-            fresh = self._bit_generator.random_raw(max(count, _RAW_BLOCK))
-            self.words = np.concatenate([self.words[self.pos :], fresh])
-            self._word_list = self.words.tolist()
-            self.pos = 0
-
-    def _word(self) -> int:
-        try:
-            word = self._word_list[self.pos]
-        except IndexError:
-            self.reserve(1)
-            word = self._word_list[self.pos]
-        self.pos += 1
-        return word
-
-    def _half32(self) -> int:
-        half = self.half
-        if half is None:
-            word = self._word()
-            self.half = word >> 32
-            return word & 0xFFFFFFFF
-        self.half = None
-        return half
-
-    def random(self) -> float:
-        return (self._word() >> 11) * 2.0**-53
-
-    def integers(self, n: int) -> int:
-        """``integers(0, n)`` for ``1 <= n < 2**63``."""
-        if n == 1:
-            return 0
-        if n > 1 << 32:
-            threshold = (1 << 64) % n
-            while True:
-                m = self._word() * n
-                if (m & 0xFFFFFFFFFFFFFFFF) >= threshold:
-                    return m >> 64
-        threshold = (1 << 32) % n
-        while True:
-            m = self._half32() * n
-            if (m & 0xFFFFFFFF) >= threshold:
-                return m >> 32
-
-    def run(
-        self, double: np.ndarray, a: np.ndarray, b: np.ndarray, avoid: np.ndarray,
-        within_bias: float,
-    ) -> tuple[int, np.ndarray, np.ndarray]:
-        """Replay iterations of ``_replay_draws``'s loop in closed form and
-        commit the longest prefix free of a rejection or a redraw.
-
-        Every iteration must be regular: both branches draw a half, or neither
-        does, and no bound exceeds ``2**32``.  Then the words each draw reads
-        follow from the counts of doubles and halves before it.  Returns the
-        number of committed iterations and their branches and values."""
-        length = double.size
-        half = a > 1
-        drawn = np.flatnonzero(half)
-        n_half, buffered = drawn.size, int(self.half is not None)
-        doubles_through = np.cumsum(double)
-        doubles_before = doubles_through - double
-        self.reserve(int(doubles_through[-1]) + (max(n_half - buffered, 0) + 1) // 2)
-        # a double reads the word after the doubles before it and the fresh
-        # words the halves before it opened (a buffered half opens none)
-        halves_before = np.cumsum(half)[double] - half[double]
-        at = doubles_before[double] + (np.maximum(halves_before - buffered, 0) + 1) // 2
-        u = (self.words[self.pos + at] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        take = np.ones(length, dtype=bool)
-        take[double] = u < within_bias
-        # the j-th fresh half opens a word when j is even and reads the high
-        # half of the word its predecessor opened when j is odd
-        opens = drawn[buffered:]
-        at = doubles_through[opens] + (np.arange(opens.size) >> 1)
-        at[1::2] = at[0::2][: at[1::2].size]
-        words = self.words[self.pos + at]
-        halves = np.empty(n_half, dtype=np.uint64)
-        if buffered and n_half:
-            halves[0] = self.half
-        halves[buffered::2] = words[0::2] & _MASK32
-        halves[buffered + 1 :: 2] = words[1::2] >> np.uint64(32)
-        bound = np.where(take, a, b)
-        scale = bound[drawn].astype(np.uint64)
-        m = halves * scale
-        values = (m >> np.uint64(32)).astype(np.int64)
-        rejected = (m & _MASK32) < np.uint64(1 << 32) % scale
-        irregular = np.flatnonzero(rejected | (take[drawn] & (values == avoid[drawn])))
-        used = int(irregular[0]) if irregular.size else n_half
-        committed = int(drawn[used]) if used < n_half else length
-        # advance past the committed draws
-        if used:
-            low = (used - buffered) % 2 == 1  # the last half read was a low half
-            self.half = int(words[used - 1 - buffered] >> np.uint64(32)) if low else None
-        self.pos += int(doubles_through[committed - 1]) if committed else 0
-        self.pos += (max(used - buffered, 0) + 1) // 2
-        value = np.where(bound[:committed] > 0, 0, -1)
-        value[drawn[:used]] = values[:used]
-        return committed, take[:committed], value
+        low = (used - buffered) % 2 == 1  # the last half read was a low half
+        state["has_uint32"] = int(low)
+        if low:
+            state["uinteger"] = int(words[used - 1 - buffered] >> np.uint64(32))
+        bit_generator.state = state
+    value = np.where(bound[:committed] > 0, 0, -1)
+    value[drawn[:used]] = values[:used]
+    return committed, take[:committed], value
 
 
 def _replay_draws(
-    replay: _RawReplay, count: int, plan, within_bias: float
+    rng: np.random.Generator, count: int, plan, within_bias: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``count`` iterations of this loop on ``replay``:
+    """Run ``count`` iterations of this loop on ``rng``:
 
         take = not double[i] or random() < within_bias
         n = a[i] if take else b[i]
@@ -411,7 +364,7 @@ def _replay_draws(
     ``plan(lo, hi)`` returns ``(double, a, b, avoid)`` for iterations lo..hi-1.
     An iteration whose branches differ in whether they draw, or whose bound
     needs whole words, runs on the scalar path.  Stretches of other
-    iterations run vectorized (``_RawReplay.run``) up to the first rejection
+    iterations run vectorized (``_run``) up to the first rejection
     or redraw, which runs on the scalar path; the next run is twice as long
     as the last committed prefix.  After a prefix shorter than ``_MIN_RUN``
     the loop stays scalar, for twice as long after each such prefix.
@@ -432,8 +385,8 @@ def _replay_draws(
         while i < n:
             if next_start[i] == i and lo + i >= scalar_until:
                 j = min(int(next_irregular[i]), i + length)
-                t, run_take, run_value = replay.run(
-                    double[i:j], a[i:j], b[i:j], avoid[i:j], within_bias
+                t, run_take, run_value = _run(
+                    rng, double[i:j], a[i:j], b[i:j], avoid[i:j], within_bias
                 )
                 take[lo + i : lo + i + t], value[lo + i : lo + i + t] = run_take, run_value
                 i += t
@@ -448,7 +401,7 @@ def _replay_draws(
             resume = max(i + 1, scalar_until - lo)
             stop = int(next_start[resume]) if resume < n else n
             take[lo + i : lo + stop], value[lo + i : lo + stop] = _scalar_draws(
-                replay, double[i:stop], a[i:stop], b[i:stop], avoid[i:stop], within_bias
+                rng, double[i:stop], a[i:stop], b[i:stop], avoid[i:stop], within_bias
             )
             i = stop
     return take, value
@@ -461,18 +414,18 @@ def _first_at_or_after(mask: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(index[::-1])[::-1]
 
 
-def _scalar_draws(replay: _RawReplay, double, a, b, avoid, within_bias: float):
-    """``_replay_draws``'s loop one draw at a time."""
-    random, integers = replay.random, replay.integers
+def _scalar_draws(rng: np.random.Generator, double, a, b, avoid, within_bias: float):
+    """``_replay_draws``'s loop one draw at a time, through the generator."""
+    random, integers = rng.random, rng.integers
     takes, values = [], []
     for d, na, nb, skip in zip(double.tolist(), a.tolist(), b.tolist(), avoid.tolist()):
         take = not d or random() < within_bias
         n = na if take else nb
         k = -1
         if n:
-            k = integers(n)
+            k = integers(0, n)
             while take and k == skip:
-                k = integers(n)
+                k = integers(0, n)
         takes.append(take)
         values.append(k)
     return takes, values

@@ -1057,6 +1057,12 @@ class TestCli:
                 {}, ["generate", "--out", "{tmp}/out", "--venues", "-1"],
                 "SimulationError", "n_venues", id="generate-negative-venues",
             ),
+            pytest.param(
+                {}, ["generate", "--out", "{tmp}/out", "--authors", "40", "--papers", "10",
+                     "--seed", "-1"],
+                "SimulationError", "seed must be a non-negative integer, got -1",
+                id="generate-negative-seed",
+            ),
             # beyond a 47-bit address space, and beyond numpy's size limit
             *(pytest.param(
                 {}, ["generate", "--out", "{tmp}/out", "--authors", "40", "--papers", "10",
