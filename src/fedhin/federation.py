@@ -263,9 +263,10 @@ class ParameterServer:
 class FederatedClient:
     """One training participant: private labeled nodes, local optimizer state.
 
-    The model object holds shared graph structure; ``params`` is this
-    client's private copy.  Preference vectors and Adam moments never leave
-    the client; downloads replace shared tensor values only.
+    The model object holds shared graph structure; ``params`` holds this
+    client's own values (in an experiment, its row of the parameter table),
+    and ``adam`` its moments and learning rate.  Preference vectors and Adam
+    moments never leave the client; downloads replace shared tensor values only.
     """
 
     def __init__(
@@ -275,7 +276,7 @@ class FederatedClient:
         params: ModelParams,
         train_nodes: Sequence[int],
         labels: np.ndarray,
-        learning_rate: float,
+        adam: AdamState,
         rng: np.random.Generator,
     ):
         train_nodes = np.asarray(train_nodes, dtype=np.int64)
@@ -287,7 +288,7 @@ class FederatedClient:
         self.train_nodes = train_nodes
         self.labels = labels
         self.rng = rng
-        self.adam = AdamState.for_params(params, learning_rate=learning_rate)
+        self.adam = adam
         self.version = 0
         self.last_loss_sum = 0.0
         self.last_examples = 0

@@ -116,6 +116,14 @@ def _manifest(dims: ModelDims) -> list[dict]:
     return manifest
 
 
+def _zeros(*shape: int) -> np.ndarray:
+    try:
+        return np.zeros(shape)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+        values = " x ".join(map(str, shape))
+        raise ModelError(f"cannot allocate the model's float64 parameters ({values}): {exc}") from None
+
+
 class ModelParams:
     """All learnable tensors, as named views into one contiguous float64 buffer.
 
@@ -132,20 +140,16 @@ class ModelParams:
     ``wt`` and ``wc`` are (M, ., .) views, so ``params.wt[p] = values``
     writes into the buffer.  A new instance is all zeros.  Fields cannot
     be rebound, so a tensor never detaches from the buffer: write through
-    the views instead, e.g. ``params.wo[...] = values``.
+    the views instead, e.g. ``params.wo[...] = values``.  ``rows`` builds
+    many instances whose buffers are the rows of one table.
     """
 
     __slots__ = ("dims", "buffer", "n_shared", "wt", "wc", "wp", "wo", "pref", "_items")
 
-    def __init__(self, dims: ModelDims):
+    def __init__(self, dims: ModelDims, _row: np.ndarray | None = None):
         layout = _layout(dims)
         sizes = [rows * cols for _, (rows, cols) in layout]
-        try:
-            buffer = np.zeros(sum(sizes))
-        except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
-            raise ModelError(
-                f"cannot allocate the model's {sum(sizes)} float64 parameters: {exc}"
-            ) from None
+        buffer = _zeros(sum(sizes)) if _row is None else _row
         bounds = np.cumsum([0] + sizes).tolist()
         views = [buffer[a:b].reshape(shape) for (_, shape), a, b in zip(layout, bounds, bounds[1:])]
         d, m = dims.embedding_dim, dims.n_paths
@@ -167,6 +171,13 @@ class ModelParams:
                 f"cannot rebind ModelParams.{name}: its tensors are views into one buffer; "
                 "write through them instead"
             )
+
+    @classmethod
+    def rows(cls, dims: ModelDims, n: int) -> list["ModelParams"]:
+        """``n`` zeroed instances whose buffers are the rows, in order, of one
+        C-contiguous (n, size) table, which is each buffer's ``base``."""
+        size = sum(rows * cols for _, (rows, cols) in _layout(dims))
+        return [cls(dims, row) for row in _zeros(n, size)]
 
     def tensor_items(self) -> list[tuple[str, np.ndarray]]:
         """Named tensor views in buffer order (shared tensors first, then pref)."""

@@ -52,9 +52,12 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> None
     operations in the same order as a whole-tensor update, with no
     tensor-sized temporaries.
     """
-    if not np.isfinite(grads.buffer).all():
-        name = next(name for name, g in grads.tensor_items() if not np.isfinite(g).all())
-        raise NonFiniteGradient(f"gradient for tensor {name!r} is not finite")
+    # a finite sum of squares proves every entry finite with no buffer-sized
+    # temporary; an overflowing one may come from huge finite entries
+    if not np.isfinite(np.dot(grads.buffer, grads.buffer)):
+        for name, g in grads.tensor_items():
+            if not np.isfinite(g).all():
+                raise NonFiniteGradient(f"gradient for tensor {name!r} is not finite")
     state.step += 1
     t = state.step
     b1, b2, lr, eps = BETA1, BETA2, state.learning_rate, EPS

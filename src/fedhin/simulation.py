@@ -6,6 +6,12 @@ clients and the server; ``run_experiment`` streams one ``RoundMetrics``
 per round.  The synthetic graph the presets train on comes from
 ``fedhin.synthetic``.
 
+The clients' parameters, Adam first moments and Adam second moments are
+three (clients, P) float64 tables, P the size of one parameter buffer:
+client c's ``params``, ``adam.m`` and ``adam.v`` are row c of each
+(``ModelParams.rows``).  So set-up allocates three arrays for any number
+of clients, and fills every parameter row from the initial weights in one pass.
+
 The deterministic scheduler advances virtual time in ticks.  On each tick
 every client whose speed multiplier divides the tick trains locally and
 uploads; with ``granularity="round"`` all uploads of a tick are recorded
@@ -36,7 +42,7 @@ from .evaluation import EvalSplit, evaluate, make_split
 from .federation import ClientUpdate, FederatedClient, ParameterServer
 from .graph import HeterogeneousGraph, MetaPathSpec, metapath_adjacency
 from .model import AttentionModel, ModelParams, init_params, pack_shared, unpack_shared
-from .optim import NonFiniteGradient
+from .optim import AdamState, NonFiniteGradient
 
 
 class SimulationError(Exception):
@@ -167,7 +173,11 @@ class RoundMetrics:
 
 @dataclass
 class ExperimentSetup:
-    """Everything run_experiment builds before the first tick."""
+    """Everything run_experiment builds before the first tick.
+
+    Each client's parameters and Adam moments are its rows of the three
+    tables of the module docstring; ``initial_params`` is a buffer of its own.
+    """
 
     model: AttentionModel
     initial_params: ModelParams
@@ -214,6 +224,8 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
     split = make_split(local_labels, fraction=config.train_fraction, seed=split_seed)
 
     params0 = init_params(model.dims, init_rng)
+    params, first, second = (ModelParams.rows(model.dims, config.clients) for _ in range(3))
+    params[0].buffer.base[...] = params0.buffer  # every row of the table
     is_train = np.zeros(local_labels.size, dtype=bool)
     is_train[split.train_nodes] = True
     clients = []
@@ -225,10 +237,10 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
             FederatedClient(
                 client_id=cid,
                 model=model,
-                params=params0.copy(),
+                params=params[cid],
                 train_nodes=local_nodes,
                 labels=local_labels,
-                learning_rate=config.learning_rate,
+                adam=AdamState(first[cid], second[cid], config.learning_rate),
                 rng=np.random.default_rng(seeds[_FIRST_CLIENT_CHILD + cid]),
             )
         )

@@ -272,7 +272,7 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 # loop iterations planned at a time; bounds the plan arrays in memory
 _DRAW_BLOCK = 1 << 15
 # the shortest regular stretch worth a vectorized run; after a run that
-# commits fewer iterations, the loop stays on the scalar path for a while
+# commits fewer iterations, the loop stays on the scalar path for this many
 _MIN_RUN = 64
 
 
@@ -367,11 +367,11 @@ def _replay_draws(
     iterations run vectorized (``_run``) up to the first rejection
     or redraw, which runs on the scalar path; the next run is twice as long
     as the last committed prefix.  After a prefix shorter than ``_MIN_RUN``
-    the loop stays scalar, for twice as long after each such prefix.
+    the loop stays scalar for the next ``_MIN_RUN`` iterations.
     Returns ``take`` and ``value`` per iteration."""
     take = np.empty(count, dtype=bool)
     value = np.empty(count, dtype=np.int64)
-    length, backoff, scalar_until = _DRAW_BLOCK, _MIN_RUN, 0
+    length, scalar_until = _DRAW_BLOCK, 0
     for lo in range(0, count, _DRAW_BLOCK):
         hi = min(lo + _DRAW_BLOCK, count)
         double, a, b, avoid = plan(lo, hi)
@@ -395,9 +395,7 @@ def _replay_draws(
                     continue
                 length = max(2 * t, _MIN_RUN)
                 if t < _MIN_RUN:
-                    scalar_until, backoff = lo + i + backoff, min(2 * backoff, _DRAW_BLOCK)
-                else:
-                    backoff = _MIN_RUN
+                    scalar_until = lo + i + _MIN_RUN
             resume = max(i + 1, scalar_until - lo)
             stop = int(next_start[resume]) if resume < n else n
             take[lo + i : lo + stop], value[lo + i : lo + stop] = _scalar_draws(

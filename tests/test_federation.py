@@ -16,6 +16,7 @@ from fedhin.federation import (
 )
 from fedhin.graph import MetaPathSpec, metapath_adjacency
 from fedhin.model import AttentionModel, init_params, pack_shared
+from fedhin.optim import AdamState
 
 from oracles import random_hin
 
@@ -353,13 +354,14 @@ def training_client():
     nodes = np.arange(model.dims.n_targets)
 
     def build(seed=0):
+        own = params.copy()
         return FederatedClient(
             client_id=0,
             model=model,
-            params=params.copy(),
+            params=own,
             train_nodes=nodes,
             labels=labels,
-            learning_rate=0.001,
+            adam=AdamState.for_params(own, learning_rate=0.001),
             rng=np.random.default_rng(seed),
         )
 
@@ -374,10 +376,10 @@ class TestClientRound:
             FederatedClient(
                 client_id=1,
                 model=client.model,
-                params=params.copy(),
+                params=params,
                 train_nodes=np.array([], dtype=np.int64),
                 labels=client.labels,
-                learning_rate=0.001,
+                adam=AdamState.for_params(params, learning_rate=0.001),
                 rng=np.random.default_rng(0),
             )
 

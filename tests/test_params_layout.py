@@ -42,6 +42,19 @@ def dims_with_buffer_size(size: int) -> ModelDims:
                      preference_dim=1, n_labels=n_labels)
 
 
+def assert_field_cannot_be_rebound(params: ModelParams, field: str) -> None:
+    before = getattr(params, field)
+    if isinstance(before, np.ndarray):
+        replacement = before.copy()
+    elif isinstance(before, ModelDims):
+        replacement = dataclasses.replace(before)
+    else:
+        replacement = before + 1
+    with pytest.raises(AttributeError, match="cannot rebind"):
+        setattr(params, field, replacement)
+    assert getattr(params, field) is before
+
+
 # buffers one value short of, exactly at and one past a multiple of the Adam
 # step's block, and the shapes of the benchmark workloads (400 authors, two
 # meta paths, d = 32 and 128)
@@ -104,17 +117,25 @@ class TestLayout:
 
     @given(model_dims, st.sampled_from(FIELDS))
     def test_rebinding_a_field_raises(self, dims, field):
-        params = ModelParams(dims)
-        before = getattr(params, field)
-        if isinstance(before, np.ndarray):
-            replacement = before.copy()
-        elif isinstance(before, ModelDims):
-            replacement = dataclasses.replace(before)
-        else:
-            replacement = before + 1
-        with pytest.raises(AttributeError, match="cannot rebind"):
-            setattr(params, field, replacement)
-        assert getattr(params, field) is before
+        assert_field_cannot_be_rebound(ModelParams(dims), field)
+
+    @given(model_dims, st.integers(1, 4), st.sampled_from(FIELDS))
+    def test_rows_are_zeroed_instances_over_one_table(self, dims, n, field):
+        rows = ModelParams.rows(dims, n)
+        table = rows[0].buffer.base
+        single = ModelParams(dims)
+        assert table.shape == (n, single.buffer.size) and table.dtype == np.float64
+        assert not table.any()
+        for i, params in enumerate(rows):
+            assert params.buffer.base is table and params.buffer.flags.c_contiguous
+            assert np.shares_memory(params.buffer, table[i])
+            assert [(name, t.shape) for name, t in params.tensor_items()] == [
+                (name, t.shape) for name, t in single.tensor_items()]
+            assert all(t.flags.c_contiguous and t.dtype == np.float64
+                       for _, t in params.tensor_items())
+        rows[-1].wo[...] = 1.0
+        assert not any(params.buffer.any() for params in rows[:-1])
+        assert_field_cannot_be_rebound(rows[0], field)
 
     def test_item_and_augmented_assignment_write_into_the_buffer(self):
         params = ModelParams(ModelDims(n_targets=3, n_paths=2, embedding_dim=2,
@@ -181,7 +202,18 @@ class TestAdamOverTheBuffer:
         params = ModelParams(ModelDims(n_targets=2, n_paths=2, embedding_dim=1,
                                        preference_dim=1, n_labels=1))
         for name, _ in params.tensor_items():
-            grads = params.zeros_like()
-            dict(grads.tensor_items())[name].flat[-1] = np.inf
-            with pytest.raises(NonFiniteGradient, match=repr(name)):
-                adam_step(params, grads, AdamState.for_params(params, learning_rate=0.001))
+            for bad in (np.nan, np.inf, -np.inf):
+                grads = params.zeros_like()
+                dict(grads.tensor_items())[name].flat[-1] = bad
+                with pytest.raises(NonFiniteGradient, match=repr(name)):
+                    adam_step(params, grads, AdamState.for_params(params, learning_rate=0.001))
+
+    def test_huge_finite_gradient_whose_square_overflows_is_accepted(self):
+        params = ModelParams(ModelDims(n_targets=2, n_paths=2, embedding_dim=1,
+                                       preference_dim=1, n_labels=1))
+        grads = params.zeros_like()
+        grads.buffer[...] = 1e200
+        state = AdamState.for_params(params, learning_rate=0.001)
+        with np.errstate(over="ignore"):  # v takes g**2, which overflows
+            adam_step(params, grads, state)
+        assert state.step == 1 and np.isfinite(params.buffer).all()

@@ -245,6 +245,35 @@ class TestBuildExperiment:
             assert client.train_nodes.dtype == np.int64
 
 
+    def test_clients_are_rows_of_one_table_per_kind(self, small_graph):
+        from fedhin.simulation import build_experiment
+
+        setup = build_experiment(small_config(clients=4), small_graph)
+        initial = setup.initial_params.buffer
+        for kind in (lambda c: c.params, lambda c: c.adam.m, lambda c: c.adam.v):
+            table = kind(setup.clients[0]).buffer.base
+            assert table.shape == (4, initial.size) and table.flags.c_contiguous
+            for cid, client in enumerate(setup.clients):
+                assert kind(client).buffer.base is table
+                assert np.shares_memory(kind(client).buffer, table[cid])
+        assert all(c.params.buffer.tobytes() == initial.tobytes() for c in setup.clients)
+        assert not np.shares_memory(initial, setup.clients[0].params.buffer.base)
+        assert all(not c.adam.m.buffer.any() and not c.adam.v.buffer.any() for c in setup.clients)
+
+    def test_training_one_client_leaves_the_others_rows_untouched(self, small_graph):
+        from fedhin.simulation import build_experiment
+
+        setup = build_experiment(small_config(), small_graph)
+        first, second = setup.clients[:2]
+        def rows(client):
+            return [t.buffer.tobytes() for t in (client.params, client.adam.m, client.adam.v)]
+
+        before = rows(second)
+        first._train_batch(first.train_nodes)
+        assert first.adam.step == 1 and rows(first) != before
+        assert rows(second) == before
+
+
 class TestDelivery:
     """The one delivery rule, driven directly with hand-made uploads."""
 
