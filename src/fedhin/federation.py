@@ -58,6 +58,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself when it is a read-only float64 array, else a read-only copy."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
 class FederationError(Exception):
     """Base class for protocol violations."""
 
@@ -263,17 +272,25 @@ class ParameterServer:
 class FederatedClient:
     """One training participant: private labeled nodes, local optimizer state.
 
-    The model object holds shared graph structure; ``params`` holds this
-    client's own values (in an experiment, its row of the parameter table),
-    and ``adam`` its moments and learning rate.  Preference vectors and Adam
-    moments never leave the client; downloads replace shared tensor values only.
+    Between rounds a client holds three things: ``shared``, a read-only
+    reference to the last shared-weight vector it received or uploaded;
+    ``pref``, its (N, k) preference vectors; and ``adam``, its moments and
+    learning rate.  In an experiment ``pref`` and the moments are rows of
+    the experiment's tables.  It trains in ``work``, a parameter buffer
+    that every client of the experiment may share.  A round copies ``pref``
+    into it, the first batch after the reference changed copies ``shared``
+    into it, and the round's end copies ``pref`` back.  Preference vectors
+    and Adam moments never leave the client; downloads replace the shared
+    weights only.
     """
 
     def __init__(
         self,
         client_id: int,
         model,
-        params: ModelParams,
+        work: ModelParams,
+        shared: np.ndarray,
+        pref: np.ndarray,
         train_nodes: Sequence[int],
         labels: np.ndarray,
         adam: AdamState,
@@ -284,7 +301,9 @@ class FederatedClient:
             raise FederationError(f"client {client_id}: empty partition, nothing to train on")
         self.client_id = int(client_id)
         self.model = model
-        self.params = params
+        self.work = work
+        self.shared = _frozen(shared)
+        self.pref = pref
         self.train_nodes = train_nodes
         self.labels = labels
         self.rng = rng
@@ -292,15 +311,21 @@ class FederatedClient:
         self.version = 0
         self.last_loss_sum = 0.0
         self.last_examples = 0
+        self._loaded = False  # in a round: whether work holds this client's weights
 
     def install(self, flat_weights: np.ndarray) -> None:
-        """Overwrite the shared tensors with downloaded aggregate weights."""
-        unpack_shared(flat_weights, self.params)
+        """Take downloaded aggregate weights as this client's shared weights,
+        by reference; the work buffer gets them before its next batch."""
+        self.shared = _frozen(flat_weights)
+        self._loaded = False
 
     def _train_batch(self, batch: np.ndarray) -> float:
-        trace = self.model.forward(self.params, batch, labels=self.labels, rng=self.rng)
+        if not self._loaded:
+            unpack_shared(self.shared, self.work)
+            self._loaded = True
+        trace = self.model.forward(self.work, batch, labels=self.labels, rng=self.rng)
         grads = self.model.backward(trace)
-        adam_step(self.params, grads, self.adam)
+        adam_step(self.work, grads, self.adam)
         return trace.total_loss
 
     def run_round(
@@ -314,11 +339,14 @@ class FederatedClient:
         When ``submit`` is given, the client instead uploads through it after
         every batch (the per-batch communication mode); installing the
         server's answer is left to the caller.  The return value is the last
-        upload.  ``epochs=0`` still increments the version and uploads:
+        upload, which is also the client's shared weights until it installs
+        others.  ``epochs=0`` still increments the version and uploads:
         the round happened, it just did no optimizer steps.
         """
         self.last_loss_sum = 0.0
         self.last_examples = 0
+        self._loaded = False  # another client may have trained in work since
+        self.work.pref[...] = self.pref
         update = None
         for _ in range(epochs):
             order = self.rng.permutation(self.train_nodes)
@@ -328,11 +356,17 @@ class FederatedClient:
                 self.last_examples += batch.size
                 if submit is not None:
                     update = self._upload(submit)
-        return update if update is not None else self._upload(submit)
+        if update is None:
+            update = self._upload(submit)
+        self.pref[...] = self.work.pref
+        return update
 
     def _upload(self, submit: Callable[[ClientUpdate], None] | None) -> ClientUpdate:
         self.version += 1
-        update = ClientUpdate(self.client_id, pack_shared(self.params), self.version)
+        if self._loaded:  # work holds weights trained past the reference
+            self.shared = pack_shared(self.work)
+            self.shared.flags.writeable = False
+        update = ClientUpdate(self.client_id, self.shared, self.version)
         if submit is not None:
             submit(update)
         return update

@@ -6,11 +6,15 @@ clients and the server; ``run_experiment`` streams one ``RoundMetrics``
 per round.  The synthetic graph the presets train on comes from
 ``fedhin.synthetic``.
 
-The clients' parameters, Adam first moments and Adam second moments are
-three (clients, P) float64 tables, P the size of one parameter buffer:
-client c's ``params``, ``adam.m`` and ``adam.v`` are row c of each
-(``ModelParams.rows``).  So set-up allocates three arrays for any number
-of clients, and fills every parameter row from the initial weights in one pass.
+The clients' Adam first and second moments are two (clients, P) float64
+tables, P the size of one parameter buffer, and their preference vectors
+one (clients, N, k) table: client c's ``adam.m``, ``adam.v`` and ``pref``
+are row c of each (``ModelParams.rows`` for the moments).  The shared
+weights live in no table.  Each client holds a read-only reference to the
+last shared-weight vector it received or uploaded; every client starts on
+the server's initial weights.  All clients train in one work buffer: a
+client copies its reference and its pref into it before it trains on
+them, so set-up allocates four arrays for any number of clients.
 
 The deterministic scheduler advances virtual time in ticks.  On each tick
 every client whose speed multiplier divides the tick trains locally and
@@ -22,11 +26,12 @@ once per ``s`` ticks, which is what makes version gaps (and the staleness
 discount) actually occur.
 
 Every upload goes through one delivery rule (``Delivery``).  After the
-server handles an upload, each uploader installs the aggregate at once and
-loses any download still pending for it; after a broadcast every other
-client gets the aggregate in a pending slot, where the latest broadcast
-wins, and installs it when its next round starts.  A client whose training
-goes non-finite aborts the run with ``TrainingDiverged``.
+server handles an upload, each uploader installs the aggregate at once,
+and after a broadcast so does every other client.  An install takes the
+aggregate by reference and copies nothing, and only the uploader of a
+per-batch upload is mid-round then, so a client that did not upload
+trains next on the latest broadcast.  A client whose training goes
+non-finite aborts the run with ``TrainingDiverged``.
 """
 
 from __future__ import annotations
@@ -62,13 +67,14 @@ def _diverged(
     message: str, client: FederatedClient, round_: int, diagnostics_dir
 ) -> TrainingDiverged:
     """The abort error for a diverged client; when ``diagnostics_dir`` is
-    set, the client's parameters are checkpointed there first."""
+    set, the work buffer, which holds the parameters the client diverged
+    on, is checkpointed there first."""
     checkpoint_path = None
     if diagnostics_dir is not None:
         from .storage import save_checkpoint
 
         checkpoint_path = Path(diagnostics_dir) / f"diverged_round{round_}_client{client.client_id}.npz"
-        save_checkpoint(checkpoint_path, client.params, allow_non_finite=True)
+        save_checkpoint(checkpoint_path, client.work, allow_non_finite=True)
         message = f"{message}; parameters saved to {checkpoint_path}"
     return TrainingDiverged(message, checkpoint_path=checkpoint_path)
 
@@ -175,8 +181,9 @@ class RoundMetrics:
 class ExperimentSetup:
     """Everything run_experiment builds before the first tick.
 
-    Each client's parameters and Adam moments are its rows of the three
-    tables of the module docstring; ``initial_params`` is a buffer of its own.
+    Each client's pref and Adam moments are its rows of the tables of the
+    module docstring, and all clients train in one work buffer;
+    ``initial_params`` is a buffer of its own.
     """
 
     model: AttentionModel
@@ -224,8 +231,18 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
     split = make_split(local_labels, fraction=config.train_fraction, seed=split_seed)
 
     params0 = init_params(model.dims, init_rng)
-    params, first, second = (ModelParams.rows(model.dims, config.clients) for _ in range(3))
-    params[0].buffer.base[...] = params0.buffer  # every row of the table
+    server = ParameterServer(
+        client_ids=range(config.clients),
+        aggregator=config.aggregator,
+        staleness_exponent=config.staleness_exponent,
+        gap_threshold=config.gap_threshold,
+        ema_beta=config.ema_beta,
+        initial_weights=pack_shared(params0),
+    )
+    server.initial_weights.flags.writeable = False  # every client starts on it
+    first, second = (ModelParams.rows(model.dims, config.clients) for _ in range(2))
+    prefs = np.repeat(params0.pref[np.newaxis], config.clients, axis=0)
+    work = ModelParams(model.dims)
     is_train = np.zeros(local_labels.size, dtype=bool)
     is_train[split.train_nodes] = True
     clients = []
@@ -237,22 +254,15 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
             FederatedClient(
                 client_id=cid,
                 model=model,
-                params=params[cid],
+                work=work,
+                shared=server.initial_weights,
+                pref=prefs[cid],
                 train_nodes=local_nodes,
                 labels=local_labels,
                 adam=AdamState(first[cid], second[cid], config.learning_rate),
                 rng=np.random.default_rng(seeds[_FIRST_CLIENT_CHILD + cid]),
             )
         )
-
-    server = ParameterServer(
-        client_ids=range(config.clients),
-        aggregator=config.aggregator,
-        staleness_exponent=config.staleness_exponent,
-        gap_threshold=config.gap_threshold,
-        ema_beta=config.ema_beta,
-        initial_weights=pack_shared(params0),
-    )
     return ExperimentSetup(
         model=model,
         initial_params=params0,
@@ -302,41 +312,28 @@ class Delivery:
 
     def __init__(self, server: ParameterServer, clients: list[FederatedClient]):
         self.server, self.clients = server, clients
-        self.pending: dict[int, np.ndarray] = {}
 
     def deliver(self, updates: list[ClientUpdate], tick: int) -> None:
-        """Hand ``updates`` to the server at ``tick``; uploaders install its
-        aggregate now, and after a broadcast every other client finds it in
-        its pending slot.  An empty call is skipped."""
+        """Hand ``updates`` to the server at ``tick``; the uploaders install
+        its aggregate, and after a broadcast every client does.  An empty
+        call is skipped."""
         if not updates:
             return
         aggregate, mode = self.server.handle(updates, tick=tick)
         uploaders = {int(update.client_id) for update in updates}
-        for cid in uploaders:
-            self.pending.pop(cid, None)
-            self.clients[cid].install(aggregate)
-        if mode == "broadcast":
-            for client in self.clients:
-                if client.client_id not in uploaders:
-                    self.pending[client.client_id] = aggregate
-
-    def download(self, client: FederatedClient) -> None:
-        """Install the client's pending broadcast, if one is waiting."""
-        aggregate = self.pending.pop(client.client_id, None)
-        if aggregate is not None:
-            client.install(aggregate)
+        for client in self.clients:
+            if mode == "broadcast" or client.client_id in uploaders:
+                client.install(aggregate)
 
 
 def _client_round(
-    client: FederatedClient, config: ExperimentConfig, round_: int, delivery: Delivery,
-    submit, diagnostics_dir,
+    client: FederatedClient, config: ExperimentConfig, round_: int, submit, diagnostics_dir
 ) -> None:
-    """One local round: download, train, and upload through ``submit`` after
+    """One local round: train, and upload through ``submit`` after
     every batch (``granularity="batch"``) or once at the end.  A non-finite
     gradient raises ``TrainingDiverged`` with this client's checkpoint.  The
     loss needs no check: it clamps each probability before the log, so only
     a NaN probability makes it non-finite, and that NaN reaches the gradient."""
-    delivery.download(client)
     per_batch = config.granularity == "batch"
     try:
         update = client.run_round(
@@ -376,7 +373,7 @@ def run_experiment(
             lambda update: delivery.deliver([update], tick))
         trained = [c for c in setup.clients if tick % speeds[c.client_id] == 0]
         for client in trained:
-            _client_round(client, config, tick, delivery, submit, diagnostics_dir)
+            _client_round(client, config, tick, submit, diagnostics_dir)
         delivery.deliver(updates, tick)
         yield _evaluated_record(config, setup, tick, _pooled_loss(trained), float(tick))
 

@@ -45,12 +45,14 @@ def save_checkpoint(path, params: ModelParams, allow_non_finite: bool = False) -
         raise StorageError("refusing to checkpoint non-finite parameter values")
     manifest = json.dumps(shape_manifest(params), sort_keys=True)
     try:
-        np.savez(
-            path,
-            manifest=np.frombuffer(manifest.encode(), dtype=np.uint8),
-            flat=flat,
-            pref=params.pref,
-        )
+        # through a handle, so that no ".npz" is appended to the path
+        with open(path, "wb") as fh:
+            np.savez(
+                fh,
+                manifest=np.frombuffer(manifest.encode(), dtype=np.uint8),
+                flat=flat,
+                pref=params.pref,
+            )
     except OSError as exc:
         raise StorageError(f"cannot write {path}: {exc}") from None
 

@@ -354,14 +354,15 @@ def training_client():
     nodes = np.arange(model.dims.n_targets)
 
     def build(seed=0):
-        own = params.copy()
         return FederatedClient(
             client_id=0,
             model=model,
-            params=own,
+            work=params.zeros_like(),
+            shared=pack_shared(params),
+            pref=params.pref.copy(),
             train_nodes=nodes,
             labels=labels,
-            adam=AdamState.for_params(own, learning_rate=0.001),
+            adam=AdamState.for_params(params, learning_rate=0.001),
             rng=np.random.default_rng(seed),
         )
 
@@ -376,7 +377,9 @@ class TestClientRound:
             FederatedClient(
                 client_id=1,
                 model=client.model,
-                params=params,
+                work=client.work,
+                shared=client.shared,
+                pref=params.pref.copy(),
                 train_nodes=np.array([], dtype=np.int64),
                 labels=client.labels,
                 adam=AdamState.for_params(params, learning_rate=0.001),
@@ -391,6 +394,31 @@ class TestClientRound:
         update = client.run_round(epochs=0, batch_size=4)
         assert update.version == 1
         np.testing.assert_array_equal(update.weights, shared)
+
+    def test_install_keeps_a_read_only_reference(self, training_client):
+        build, params = training_client
+        client = build()
+        frozen = pack_shared(params)
+        frozen.flags.writeable = False
+        client.install(frozen)
+        assert client.shared is frozen
+        # a writable vector is copied once, so later writes to it change nothing
+        writable = pack_shared(params) + 0.5
+        client.install(writable)
+        assert not client.shared.flags.writeable
+        assert not np.shares_memory(client.shared, writable)
+        np.testing.assert_array_equal(client.shared, writable)
+
+    def test_round_loads_its_own_state_and_writes_pref_back(self, training_client):
+        build, _ = training_client
+        client = build()
+        pref = client.pref.copy()
+        client.work.buffer[...] = np.nan  # what another client left in the buffer
+        update = client.run_round(epochs=1, batch_size=10_000)
+        assert np.isfinite(update.weights).all()
+        assert client.shared is update.weights and not update.weights.flags.writeable
+        assert not np.array_equal(client.pref, pref)
+        np.testing.assert_array_equal(client.pref, client.work.pref)
 
     def test_one_epoch_full_batch_is_single_step(self, training_client):
         build, _ = training_client

@@ -78,11 +78,11 @@ class TestAdam:
                                   preference_dim=2, learning_rate=0.0375)
         setup = build_experiment(config, graph)
         for client in setup.clients:
-            before = client.params.buffer.copy()
-            client.run_round(epochs=1, batch_size=config.batch_size)
+            before = np.concatenate([client.shared, client.pref.ravel()])
+            update = client.run_round(epochs=1, batch_size=config.batch_size)
             # Adam's first step moves each weight by lr * g / (|g| + eps), so
             # by lr where the gradient is large
-            moved = np.abs(client.params.buffer - before)
+            moved = np.abs(np.concatenate([update.weights, client.pref.ravel()]) - before)
             assert client.adam.step == 1
             assert moved.max() == pytest.approx(config.learning_rate, rel=1e-6)
 

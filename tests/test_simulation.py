@@ -1,5 +1,6 @@
 """Partitioning and experiment scheduling."""
 
+import hashlib
 from dataclasses import asdict
 
 import numpy as np
@@ -229,8 +230,13 @@ class TestBuildExperiment:
 
         setup = build_experiment(small_config(), small_graph)
         initial = setup.server.initial_weights
-        for params in [setup.initial_params] + [c.params for c in setup.clients]:
-            assert not np.shares_memory(initial, params.buffer)
+        assert not initial.flags.writeable
+        assert not np.shares_memory(initial, setup.initial_params.buffer)
+        for client in setup.clients:
+            assert client.shared is initial  # every client starts on it, by reference
+            for buffer in (client.work.buffer, client.pref, client.adam.m.buffer,
+                           client.adam.v.buffer):
+                assert buffer.flags.writeable and not np.shares_memory(initial, buffer)
 
     def test_client_train_nodes_are_target_indices_of_their_partition(self, small_graph):
         from fedhin.simulation import build_experiment, client_partition
@@ -249,36 +255,68 @@ class TestBuildExperiment:
         from fedhin.simulation import build_experiment
 
         setup = build_experiment(small_config(clients=4), small_graph)
-        initial = setup.initial_params.buffer
-        for kind in (lambda c: c.params, lambda c: c.adam.m, lambda c: c.adam.v):
-            table = kind(setup.clients[0]).buffer.base
-            assert table.shape == (4, initial.size) and table.flags.c_contiguous
+        initial = setup.initial_params
+        kinds = (
+            (lambda c: c.adam.m.buffer, (4, initial.buffer.size)),
+            (lambda c: c.adam.v.buffer, (4, initial.buffer.size)),
+            (lambda c: c.pref, (4, *initial.pref.shape)),
+        )
+        for kind, shape in kinds:
+            table = kind(setup.clients[0]).base
+            assert table.shape == shape and table.flags.c_contiguous
             for cid, client in enumerate(setup.clients):
-                assert kind(client).buffer.base is table
-                assert np.shares_memory(kind(client).buffer, table[cid])
-        assert all(c.params.buffer.tobytes() == initial.tobytes() for c in setup.clients)
-        assert not np.shares_memory(initial, setup.clients[0].params.buffer.base)
+                assert kind(client).base is table
+                assert np.shares_memory(kind(client), table[cid])
+        assert all(c.pref.tobytes() == initial.pref.tobytes() for c in setup.clients)
+        assert not np.shares_memory(initial.buffer, setup.clients[0].pref.base)
         assert all(not c.adam.m.buffer.any() and not c.adam.v.buffer.any() for c in setup.clients)
+
+    def test_one_writable_shared_weight_buffer_whatever_the_client_count(self, small_graph):
+        from fedhin.simulation import build_experiment
+
+        speeds = (1,) * 8 + (2,) * 4 + (3,) * 2 + (5,) * 2
+        cfg = small_config(clients=16, rounds=6, granularity="batch", batch_size=2,
+                           speed_multipliers=speeds, gap_threshold=2)
+        setup = build_experiment(cfg, small_graph)
+        work = setup.clients[0].work
+        list(run_experiment(cfg, small_graph, setup=setup))
+        assert any(entry["mode"] == "broadcast" for entry in setup.server.decision_log)
+        assert all(c.work is work for c in setup.clients)
+        # every other shared-weight vector a client holds is a read-only reference
+        for client in setup.clients:
+            assert client.shared.shape == (work.n_shared,) and not client.shared.flags.writeable
+            assert not np.shares_memory(client.shared, work.buffer)
 
     def test_training_one_client_leaves_the_others_rows_untouched(self, small_graph):
         from fedhin.simulation import build_experiment
 
-        setup = build_experiment(small_config(), small_graph)
-        first, second = setup.clients[:2]
-        def rows(client):
-            return [t.buffer.tobytes() for t in (client.params, client.adam.m, client.adam.v)]
+        cfg = small_config()
+        setup = build_experiment(cfg, small_graph)
+        first, second, third = setup.clients
 
-        before = rows(second)
-        first._train_batch(first.train_nodes)
-        assert first.adam.step == 1 and rows(first) != before
-        assert rows(second) == before
+        def state(client):
+            return [client.shared.tobytes(), client.pref.tobytes(),
+                    client.adam.m.buffer.tobytes(), client.adam.v.buffer.tobytes()]
+
+        before = [state(c) for c in setup.clients]
+        first.run_round(epochs=1, batch_size=first.train_nodes.size)
+        assert first.adam.step == 1
+        assert all(a != b for a, b in zip(state(first), before[0]))
+        assert [state(second), state(third)] == before[1:]
+        # the next client trains on its own state, not on what the first left
+        # in the shared work buffer
+        fresh = build_experiment(cfg, small_graph).clients[1]
+        expected = fresh.run_round(epochs=1, batch_size=cfg.batch_size)
+        update = second.run_round(epochs=1, batch_size=cfg.batch_size)
+        assert update.weights.tobytes() == expected.weights.tobytes()
+        assert second.pref.tobytes() == fresh.pref.tobytes()
 
 
 class TestDelivery:
     """The one delivery rule, driven directly with hand-made uploads."""
 
     def test_uploader_keeps_its_newer_aggregate(self, small_graph):
-        from fedhin import ClientUpdate, pack_shared
+        from fedhin import ClientUpdate
         from fedhin.simulation import Delivery, build_experiment
 
         setup = build_experiment(small_config(rounds=1, gap_threshold=2), small_graph)
@@ -290,33 +328,97 @@ class TestDelivery:
             size = server.initial_weights.size
             return ClientUpdate(cid, rng.normal(size=size), version)
 
+        def holds():
+            return [client.shared for client in clients]
+
+        # every install is by reference: a client holds the server's answer itself
         delivery.deliver([upload(0, 1), upload(1, 1), upload(2, 1)], tick=1)
         first = server.current_aggregate()
-        assert delivery.pending == {}
-        for client in clients:
-            np.testing.assert_array_equal(pack_shared(client.params), first)
+        assert all(held is first for held in holds())
 
-        # client 0 runs two versions ahead: a broadcast waits for 1 and 2
-        delivery.deliver([upload(0, 3)], tick=2)
+        # a targeted answer goes to its uploader only
+        delivery.deliver([upload(0, 2)], tick=2)
+        targeted = server.current_aggregate()
+        assert server.decision_log[-1]["mode"] == "targeted"
+        held = holds()
+        assert held[0] is targeted and held[1] is first and held[2] is first
+
+        # client 0 runs two versions ahead: the broadcast installs everywhere
+        delivery.deliver([upload(0, 3)], tick=3)
         broadcast = server.current_aggregate()
-        assert set(delivery.pending) == {1, 2}
-        np.testing.assert_array_equal(pack_shared(clients[0].params), broadcast)
-        np.testing.assert_array_equal(pack_shared(clients[1].params), first)
+        assert server.decision_log[-1]["mode"] == "broadcast"
+        assert all(held is broadcast for held in holds())
 
-        # client 1 uploads before downloading that broadcast: the answer to its
-        # own upload installs at once and the older queued broadcast is dropped
-        delivery.deliver([upload(1, 3)], tick=3)
+        # the answer to client 1's own upload replaces the older broadcast,
+        # and client 2, which did not upload, holds the latest broadcast
+        delivery.deliver([upload(1, 3)], tick=4)
         newer = server.current_aggregate()
         assert server.decision_log[-1]["mode"] == "broadcast"
-        assert set(delivery.pending) == {0, 2}
-        delivery.download(clients[1])
-        np.testing.assert_array_equal(pack_shared(clients[1].params), newer)
+        assert all(held is newer for held in holds())
 
-        # a client that did not upload installs the latest broadcast when its
-        # round starts
-        delivery.download(clients[2])
-        np.testing.assert_array_equal(pack_shared(clients[2].params), newer)
-        assert set(delivery.pending) == {0}
+        # a client that did not upload trains next on the latest broadcast
+        update = clients[2].run_round(epochs=0, batch_size=4)
+        np.testing.assert_array_equal(update.weights, newer)
+
+
+_SKEW16 = (1,) * 8 + (2,) * 4 + (3,) * 2 + (5,) * 2
+
+# sha256 of metrics_to_jsonl of the metrics stream and of the server's decision
+# log, for 10 ticks of small_config at each (granularity, speeds, gap_threshold).
+# They were taken with a copy of the shared weights per client and each broadcast
+# held in a pending slot until the client's next round, so they show that the
+# shared work buffer and installing at once change no number.
+_PINNED_STREAMS = {
+    ("round", (1, 1, 1), 1): ("f7ce941a09549b700e8e66e48b63d09f6a729c64017326334f85689652a0f9b1",
+                              "09b172faebf220831c6a0592070bb72eadabd12b7040b9369a6e06f84cb56af4"),
+    ("round", (1, 1, 1), 5): ("f7ce941a09549b700e8e66e48b63d09f6a729c64017326334f85689652a0f9b1",
+                              "09b172faebf220831c6a0592070bb72eadabd12b7040b9369a6e06f84cb56af4"),
+    ("round", (1, 1, 3), 1): ("21eb815412e590249b743166f882c58469c42fb3611a16e02f5b4b3700a809df",
+                              "673d9e224e38030138132bc91b5c895500680fc4b2bf89cc31bbf066f0471594"),
+    ("round", (1, 1, 3), 5): ("a8a197f3ef4edba7d52583e7ebc4d31f707c0e22d282faa15b8911b643469e91",
+                              "b7b2a5fdd794db21c215769c51b712e5a501efee40eab34938b6372341eb2119"),
+    ("round", _SKEW16, 1): ("ade0e2a9b11555c617d65e5b10e9fc719d3cafd6942be8b54864982b51015e4a",
+                            "973405bb20e0c51fd3fda0c522425d1d3b20aaab9a28adb0b5a7520d4da4c396"),
+    ("round", _SKEW16, 5): ("96f1046d545c545cf466fe637e446f9c2c62a6c70ae522037ec746476108e510",
+                            "16749c8764d494fd1fb20ab838be07296475908adc328ab634f3531eeb2edba7"),
+    ("batch", (1, 1, 1), 1): ("4a729210b817648ed7b091f4db368f68fb5e0e35f8edbd1d979aa6e0271c0794",
+                              "ef0a3b79d73132a8dabd434698dc48e8e8924fe28b49f1ebf34cbf2d19f99cbf"),
+    ("batch", (1, 1, 1), 5): ("789ed4881743fe22cc53090d6fc08cf0a87e0dd72ed384ab89f0a5af2faaea22",
+                              "0adf28d5bbaff88d18e75236e4ae899d2bbd1658700003795930ad41c476899f"),
+    ("batch", (1, 1, 3), 1): ("438fd4a13d85e4212230b5589f9e0643d4091850fc1ef4df1ba40d9f5664707b",
+                              "f7bf49d1ef9f389b2569f3e105933ac5c4b7f2f57da7b059ae19309a11428fa1"),
+    ("batch", (1, 1, 3), 5): ("8eb34c55ced9a8fbb35fa61f151dfb120c2eb539cb6601b2ba9c09243cc15be4",
+                              "6052705083c9856918874cb8cd9379c14c456ccae3f1eccfcc732adf586d3494"),
+    ("batch", _SKEW16, 1): ("2fef038e4cb0ed4e85ea5a0ba754b781d9509af3ad26b8afd088321de4e21e11",
+                            "c1ffd5d240c44553d4b97532198ad7d143297c15a75200e5757a498bbb1df021"),
+    ("batch", _SKEW16, 5): ("7a1432ae3ee212300d59b2b54a6b6341458e3c172f5eb3d550ae722ca1565bed",
+                            "bcd51c82458f60c24f1772a9d58f23ab418c883f649a1e6b6e3672f3a1b686bf"),
+}
+
+
+class TestPinnedStreams:
+    """The delivery rule and the state layout change no number a run writes."""
+
+    @pytest.mark.parametrize(
+        "granularity, speeds, gap_threshold", list(_PINNED_STREAMS),
+        ids=[f"{g}-{len(s)}x{max(s)}-gap{t}" for g, s, t in _PINNED_STREAMS],
+    )
+    def test_streams_equal_their_pinned_digests(
+        self, small_graph, granularity, speeds, gap_threshold
+    ):
+        from fedhin.simulation import build_experiment
+
+        cfg = small_config(
+            clients=len(speeds), rounds=10, granularity=granularity, speed_multipliers=speeds,
+            gap_threshold=gap_threshold, batch_size=64 if granularity == "round" else 2,
+        )
+        setup = build_experiment(cfg, small_graph)
+        records = list(run_experiment(cfg, small_graph, setup=setup))
+        digests = tuple(
+            hashlib.sha256(metrics_to_jsonl(stream).encode()).hexdigest()
+            for stream in (records, setup.server.decision_log)
+        )
+        assert digests == _PINNED_STREAMS[granularity, speeds, gap_threshold]
 
 
 class TestDefaults:
@@ -348,7 +450,9 @@ class TestFailuresReachTheCaller:
 
         cfg = small_config(rounds=3, **overrides)
         setup = build_experiment(cfg, small_graph)
-        setup.clients[1].params.wo[0, 0] = np.nan
+        poisoned = setup.initial_params.copy()
+        poisoned.wo[0, 0] = np.nan
+        setup.clients[1].install(pack_shared(poisoned))
         with pytest.raises(TrainingDiverged, match="client 1") as excinfo:
             list(run_experiment(cfg, small_graph, setup=setup, diagnostics_dir=tmp_path))
         assert isinstance(excinfo.value.__cause__, NonFiniteGradient)
@@ -359,14 +463,21 @@ class TestFailuresReachTheCaller:
     def test_clients_diverging_in_one_round_keep_their_own_checkpoints(
         self, small_graph, tmp_path
     ):
-        from fedhin import params_from_checkpoint
+        from fedhin import NonFiniteGradient, pack_shared, params_from_checkpoint
         from fedhin.simulation import _diverged, build_experiment
 
-        setup = build_experiment(small_config(), small_graph)
-        clients = setup.clients[:2]
-        for client in clients:
-            client.params.wo[0, 0] = client.client_id + 0.5
-        paths = [_diverged("diverged", client, 1, tmp_path).checkpoint_path for client in clients]
-        assert len(set(paths)) == 2
-        for client, path in zip(clients, paths):
-            assert params_from_checkpoint(path).buffer.tobytes() == client.params.buffer.tobytes()
+        cfg = small_config()
+        setup = build_experiment(cfg, small_graph)
+        paths, held = [], []
+        for client in setup.clients[:2]:
+            poisoned = setup.initial_params.copy()
+            poisoned.wo[0, 0] = np.nan
+            poisoned.wo[0, 1] = client.client_id + 0.5
+            client.install(pack_shared(poisoned))
+            with pytest.raises(NonFiniteGradient):
+                client.run_round(cfg.local_epochs, cfg.batch_size)
+            paths.append(_diverged("diverged", client, 1, tmp_path).checkpoint_path)
+            held.append(client.work.buffer.tobytes())  # the values it diverged on
+        assert len(set(paths)) == 2 and held[0] != held[1]
+        for path, buffer in zip(paths, held):
+            assert params_from_checkpoint(path).buffer.tobytes() == buffer

@@ -152,6 +152,18 @@ class TestCheckpoint:
         for (name, a), (_, b) in zip(params.tensor_items(), restored.tensor_items()):
             assert a.tobytes() == b.tobytes(), name
 
+    @pytest.mark.parametrize("name", ["m.ckpt", "m"])
+    @pytest.mark.parametrize("kind", [str, Path], ids=["str", "Path"])
+    def test_written_to_exactly_the_path_given(self, tmp_path, name, kind):
+        # np.savez appends ".npz" to a path that lacks it, but not to a handle
+        params = random_params(seed=5)
+        save_checkpoint(kind(tmp_path / name), params)
+        save_checkpoint(tmp_path / "reference.npz", params)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "reference.npz"])
+        assert (tmp_path / name).read_bytes() == (tmp_path / "reference.npz").read_bytes()
+        restored = params_from_checkpoint(kind(tmp_path / name))
+        assert restored.buffer.tobytes() == params.buffer.tobytes()
+
     def test_truncated_file_rejected(self, tmp_path):
         params = random_params()
         path = tmp_path / "ckpt.npz"
