@@ -272,16 +272,14 @@ class ParameterServer:
 class FederatedClient:
     """One training participant: private labeled nodes, local optimizer state.
 
-    Between rounds a client holds three things: ``shared``, a read-only
-    reference to the last shared-weight vector it received or uploaded;
-    ``pref``, its (N, k) preference vectors; and ``adam``, its moments and
-    learning rate.  In an experiment ``pref`` and the moments are rows of
-    the experiment's tables.  It trains in ``work``, a parameter buffer
-    that every client of the experiment may share.  A round copies ``pref``
-    into it, the first batch after the reference changed copies ``shared``
-    into it, and the round's end copies ``pref`` back.  Preference vectors
-    and Adam moments never leave the client; downloads replace the shared
-    weights only.
+    Between rounds a client holds a read-only reference, ``shared``, to the
+    last shared-weight vector it received or uploaded, and ``adam``, its
+    moments (rows of the experiment's tables) and learning rate.  It trains
+    in ``work``, a parameter buffer every client of the experiment may
+    share; the first batch after the reference changed copies ``shared``
+    into it.  ``work.pref`` is the one preference table: a client's steps
+    move only its training nodes' rows.  Preference vectors and moments are
+    never uploaded; downloads replace the shared weights only.
     """
 
     def __init__(
@@ -290,7 +288,6 @@ class FederatedClient:
         model,
         work: ModelParams,
         shared: np.ndarray,
-        pref: np.ndarray,
         train_nodes: Sequence[int],
         labels: np.ndarray,
         adam: AdamState,
@@ -303,7 +300,6 @@ class FederatedClient:
         self.model = model
         self.work = work
         self.shared = _frozen(shared)
-        self.pref = pref
         self.train_nodes = train_nodes
         self.labels = labels
         self.rng = rng
@@ -346,7 +342,6 @@ class FederatedClient:
         self.last_loss_sum = 0.0
         self.last_examples = 0
         self._loaded = False  # another client may have trained in work since
-        self.work.pref[...] = self.pref
         update = None
         for _ in range(epochs):
             order = self.rng.permutation(self.train_nodes)
@@ -358,7 +353,6 @@ class FederatedClient:
                     update = self._upload(submit)
         if update is None:
             update = self._upload(submit)
-        self.pref[...] = self.work.pref
         return update
 
     def _upload(self, submit: Callable[[ClientUpdate], None] | None) -> ClientUpdate:

@@ -135,7 +135,7 @@ class ModelParams:
     (N x k) holds one preference vector per target node.  ``buffer``
     holds them in the order wt_0..wt_{M-1}, wc_0..wc_{M-1}, wp, wo, pref.
     Its first ``n_shared`` values are the tensors shared across federated
-    clients; ``pref`` stays client-local.
+    clients; ``pref`` is never uploaded.
 
     ``wt`` and ``wc`` are (M, ., .) views, so ``params.wt[p] = values``
     writes into the buffer.  A new instance is all zeros.  Fields cannot

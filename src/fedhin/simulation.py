@@ -7,14 +7,16 @@ per round.  The synthetic graph the presets train on comes from
 ``fedhin.synthetic``.
 
 The clients' Adam first and second moments are two (clients, P) float64
-tables, P the size of one parameter buffer, and their preference vectors
-one (clients, N, k) table: client c's ``adam.m``, ``adam.v`` and ``pref``
-are row c of each (``ModelParams.rows`` for the moments).  The shared
-weights live in no table.  Each client holds a read-only reference to the
-last shared-weight vector it received or uploaded; every client starts on
-the server's initial weights.  All clients train in one work buffer: a
-client copies its reference and its pref into it before it trains on
-them, so set-up allocates four arrays for any number of clients.
+tables, P the size of one parameter buffer: client c's ``adam.m`` and
+``adam.v`` are row c of each (``ModelParams.rows``).  Each client holds a
+read-only reference to the last shared-weight vector it received or
+uploaded; every client starts on the server's initial weights.  All
+clients train in one work buffer, a copy of the initial parameters, into
+which a client copies its reference before it trains.  Its ``pref`` is the
+experiment's one (N, k) preference table: partitions are disjoint, and a
+client's moments stay 0 off its training nodes' rows, so its Adam steps
+leave those rows' bits alone.  Set-up allocates three arrays for any
+number of clients.
 
 The deterministic scheduler advances virtual time in ticks.  On each tick
 every client whose speed multiplier divides the tick trains locally and
@@ -181,21 +183,22 @@ class RoundMetrics:
 class ExperimentSetup:
     """Everything run_experiment builds before the first tick.
 
-    Each client's pref and Adam moments are its rows of the tables of the
-    module docstring, and all clients train in one work buffer;
-    ``initial_params`` is a buffer of its own.
+    Each client's Adam moments are its rows of the tables of the module
+    docstring; ``work`` is the clients' one work buffer, and
+    ``initial_params`` a buffer of its own.
     """
 
     model: AttentionModel
     initial_params: ModelParams
+    work: ModelParams
     clients: list[FederatedClient]
     server: ParameterServer
     split: EvalSplit
     labels: np.ndarray
 
     def global_params(self) -> ModelParams:
-        """The global model: the server's aggregate in a copy of the initial parameters."""
-        params = self.initial_params.copy()
+        """The global model: the server's aggregate in a copy of the work buffer."""
+        params = self.work.copy()
         unpack_shared(self.server.current_aggregate(), params)
         return params
 
@@ -241,8 +244,7 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
     )
     server.initial_weights.flags.writeable = False  # every client starts on it
     first, second = (ModelParams.rows(model.dims, config.clients) for _ in range(2))
-    prefs = np.repeat(params0.pref[np.newaxis], config.clients, axis=0)
-    work = ModelParams(model.dims)
+    work = params0.copy()
     is_train = np.zeros(local_labels.size, dtype=bool)
     is_train[split.train_nodes] = True
     clients = []
@@ -256,7 +258,6 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
                 model=model,
                 work=work,
                 shared=server.initial_weights,
-                pref=prefs[cid],
                 train_nodes=local_nodes,
                 labels=local_labels,
                 adam=AdamState(first[cid], second[cid], config.learning_rate),
@@ -266,6 +267,7 @@ def build_experiment(config: ExperimentConfig, graph: HeterogeneousGraph) -> Exp
     return ExperimentSetup(
         model=model,
         initial_params=params0,
+        work=work,
         clients=clients,
         server=server,
         split=split,

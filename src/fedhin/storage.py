@@ -34,7 +34,7 @@ class StorageError(Exception):
 
 def save_checkpoint(path, params: ModelParams, allow_non_finite: bool = False) -> None:
     """Write shared tensors as one flat vector plus its shape manifest;
-    preference vectors ride along separately as client-local state.
+    the per-node preference vectors, never uploaded, ride along as ``pref``.
 
     ``allow_non_finite`` exists for post-mortem dumps of diverged runs.
     """

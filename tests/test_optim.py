@@ -27,6 +27,25 @@ class TestAdam:
         for (_, a), (_, b) in zip(params.tensor_items(), before.tensor_items()):
             np.testing.assert_array_equal(a, b)
         assert state.step == 1
+        # over steps that move the rest of the buffer, the entries whose
+        # gradient and moments stay 0 keep their bits: the preference rows of
+        # nodes another client trains
+        params = ModelParams(ModelDims(n_targets=6, n_paths=2, embedding_dim=3,
+                                       preference_dim=2, n_labels=2))
+        rng = np.random.default_rng(3)
+        params.buffer[...] = rng.standard_normal(params.buffer.size)
+        params.pref[3:] = [[-0.0, 5e-324], [1e308, -1.7e308], [0.0, -2.2e-308]]
+        state = AdamState.for_params(params, learning_rate=0.001)
+        before = params.copy()
+        for _ in range(4):
+            grads = params.zeros_like()
+            grads.buffer[...] = rng.standard_normal(grads.buffer.size)
+            grads.pref[3:] = 0.0
+            adam_step(params, grads, state)
+        assert params.pref[3:].tobytes() == before.pref[3:].tobytes()
+        for moments in (state.m, state.v):
+            assert moments.pref[3:].tobytes() == np.zeros((3, 2)).tobytes()
+        assert (params.buffer[:-6] != before.buffer[:-6]).all()
 
     def test_first_step_closed_form(self):
         # m_hat = g, v_hat = g^2, so the first move is lr * g / (|g| + eps)
@@ -78,11 +97,11 @@ class TestAdam:
                                   preference_dim=2, learning_rate=0.0375)
         setup = build_experiment(config, graph)
         for client in setup.clients:
-            before = np.concatenate([client.shared, client.pref.ravel()])
+            before = np.concatenate([client.shared, client.work.pref.ravel()])
             update = client.run_round(epochs=1, batch_size=config.batch_size)
             # Adam's first step moves each weight by lr * g / (|g| + eps), so
             # by lr where the gradient is large
-            moved = np.abs(np.concatenate([update.weights, client.pref.ravel()]) - before)
+            moved = np.abs(np.concatenate([update.weights, client.work.pref.ravel()]) - before)
             assert client.adam.step == 1
             assert moved.max() == pytest.approx(config.learning_rate, rel=1e-6)
 

@@ -234,8 +234,7 @@ class TestBuildExperiment:
         assert not np.shares_memory(initial, setup.initial_params.buffer)
         for client in setup.clients:
             assert client.shared is initial  # every client starts on it, by reference
-            for buffer in (client.work.buffer, client.pref, client.adam.m.buffer,
-                           client.adam.v.buffer):
+            for buffer in (client.work.buffer, client.adam.m.buffer, client.adam.v.buffer):
                 assert buffer.flags.writeable and not np.shares_memory(initial, buffer)
 
     def test_client_train_nodes_are_target_indices_of_their_partition(self, small_graph):
@@ -259,7 +258,6 @@ class TestBuildExperiment:
         kinds = (
             (lambda c: c.adam.m.buffer, (4, initial.buffer.size)),
             (lambda c: c.adam.v.buffer, (4, initial.buffer.size)),
-            (lambda c: c.pref, (4, *initial.pref.shape)),
         )
         for kind, shape in kinds:
             table = kind(setup.clients[0]).base
@@ -267,8 +265,11 @@ class TestBuildExperiment:
             for cid, client in enumerate(setup.clients):
                 assert kind(client).base is table
                 assert np.shares_memory(kind(client), table[cid])
-        assert all(c.pref.tobytes() == initial.pref.tobytes() for c in setup.clients)
-        assert not np.shares_memory(initial.buffer, setup.clients[0].pref.base)
+        # and one (N, k) preference table, in the work buffer every client trains in
+        assert all(c.work is setup.work for c in setup.clients)
+        assert setup.work.pref.shape == initial.pref.shape
+        assert setup.work.pref.tobytes() == initial.pref.tobytes()
+        assert not np.shares_memory(initial.buffer, setup.work.buffer)
         assert all(not c.adam.m.buffer.any() and not c.adam.v.buffer.any() for c in setup.clients)
 
     def test_one_writable_shared_weight_buffer_whatever_the_client_count(self, small_graph):
@@ -295,21 +296,29 @@ class TestBuildExperiment:
         first, second, third = setup.clients
 
         def state(client):
-            return [client.shared.tobytes(), client.pref.tobytes(),
-                    client.adam.m.buffer.tobytes(), client.adam.v.buffer.tobytes()]
+            return [client.shared.tobytes(), client.adam.m.buffer.tobytes(),
+                    client.adam.v.buffer.tobytes()]
 
         before = [state(c) for c in setup.clients]
+        pref = setup.work.pref.copy()
         first.run_round(epochs=1, batch_size=first.train_nodes.size)
         assert first.adam.step == 1
         assert all(a != b for a, b in zip(state(first), before[0]))
         assert [state(second), state(third)] == before[1:]
+        # of the one preference table, only the first client's training rows
+        # move, and its moments for every other row stay 0
+        moved = (setup.work.pref != pref).any(axis=1)
+        assert np.flatnonzero(moved).tolist() == first.train_nodes.tolist()
+        for moments in (first.adam.m.pref, first.adam.v.pref):
+            assert moments[~moved].tobytes() == np.zeros_like(moments[~moved]).tobytes()
         # the next client trains on its own state, not on what the first left
         # in the shared work buffer
-        fresh = build_experiment(cfg, small_graph).clients[1]
-        expected = fresh.run_round(epochs=1, batch_size=cfg.batch_size)
+        fresh_setup = build_experiment(cfg, small_graph)
+        expected = fresh_setup.clients[1].run_round(epochs=1, batch_size=cfg.batch_size)
         update = second.run_round(epochs=1, batch_size=cfg.batch_size)
         assert update.weights.tobytes() == expected.weights.tobytes()
-        assert second.pref.tobytes() == fresh.pref.tobytes()
+        assert setup.work.pref[second.train_nodes].tobytes() == (
+            fresh_setup.work.pref[second.train_nodes].tobytes())
 
 
 class TestDelivery:

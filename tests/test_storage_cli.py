@@ -26,7 +26,7 @@ from fedhin import (
 from fedhin.cli import _dataset_files, _load_dataset, main
 from fedhin.config import ConfigError
 from fedhin.model import ModelDims, init_params
-from fedhin.simulation import client_partition
+from fedhin.simulation import build_experiment, client_partition, run_experiment
 from fedhin.storage import StorageError, dataset_fingerprint, export_embeddings
 
 
@@ -671,6 +671,24 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert set(payload) == {"micro_f1", "macro_f1", "n_test"}
         assert payload["n_test"] > 0
+
+    def test_checkpoint_keeps_the_trained_preferences(self, train_run):
+        # each training node's row is trained by the client that holds it;
+        # every other row keeps its initial bits
+        dataset_dir, out_dir = train_run
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        config = ExperimentConfig.from_dict(manifest["config"])
+        graph = _load_dataset(str(dataset_dir))
+        setup = build_experiment(config, graph)
+        list(run_experiment(config, graph, setup=setup))
+        initial = setup.initial_params.pref
+        trained = np.zeros(initial.shape[0], dtype=bool)
+        trained[np.concatenate([c.train_nodes for c in setup.clients])] = True
+        checkpoint = params_from_checkpoint(out_dir / "checkpoint.npz").pref
+        for pref in (setup.global_params().pref, checkpoint):
+            np.testing.assert_array_equal((pref != initial).any(axis=1), trained)
+            assert pref[~trained].tobytes() == initial[~trained].tobytes()
+        assert checkpoint.tobytes() == setup.global_params().pref.tobytes()
 
     def test_eval_rejects_checkpoint_with_wrong_pref_shape(self, train_run, tmp_path, capsys):
         _, out_dir = train_run
